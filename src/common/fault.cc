@@ -166,15 +166,10 @@ std::uint64_t HitCount(const char* site) {
 std::string ChaosSchedule(std::uint64_t seed, std::string_view job_key,
                           const std::vector<std::string_view>& sites) {
   if (sites.empty()) return "";
-  // FNV-1a folds the job key into the seed, so the schedule is a pure
-  // function of (seed, key) — the shard-layout invariance the contract
-  // in the header promises.
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char ch : job_key) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ull;
-  }
-  Prng rng(seed ^ h);
+  // Folding the job key into the seed makes the schedule a pure
+  // function of (seed, key) — the worker-count and evaluation-order
+  // invariance the contract in the header promises.
+  Prng rng(seed ^ Fnv1a(job_key));
   const int arms = 1 + static_cast<int>(rng.next_below(2));
   std::string spec;
   for (int i = 0; i < arms; ++i) {

@@ -87,15 +87,14 @@ std::uint64_t HitCount(const char* site);
 
 // Derives one job's randomized chaos fault schedule: one or two
 // one-shot `site:N` arms drawn from `sites`, in the spec grammar above.
-// The draw depends on (seed, job_key) alone — never on process
-// identity, shard layout, worker count, or evaluation order — so a
-// chaos sweep composes deterministically with in-process parallelism
-// (`explore --jobs N`) and process-level sharding (`explore --shard
-// I/M`): every way of draining the same queue injects the same faults
-// into the same jobs. One-shot arms are essential to the runners'
-// convergence contract: the fault fires on a job's first attempt and is
-// disarmed (inside that job's JobScope) before the retry, so a
-// supervised chaos sweep must reproduce the clean run's exact report.
+// The draw depends on (seed, job_key) alone — never on worker count,
+// thread identity, or evaluation order — so a chaos sweep composes
+// deterministically with parallelism (`explore --jobs N`): every way
+// of draining the same queue injects the same faults into the same
+// jobs. One-shot arms are essential to the runners' convergence
+// contract: the fault fires on a job's first attempt and is disarmed
+// (inside that job's JobScope) before the retry, so a supervised chaos
+// sweep must reproduce the clean run's exact report.
 std::string ChaosSchedule(std::uint64_t seed, std::string_view job_key,
                           const std::vector<std::string_view>& sites);
 

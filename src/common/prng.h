@@ -6,6 +6,7 @@
 // (std::mt19937 would work too, but distributions are not portable).
 
 #include <cstdint>
+#include <string_view>
 
 namespace lopass {
 
@@ -57,5 +58,16 @@ class Prng {
 
   std::uint64_t s_[4];
 };
+
+// 64-bit FNV-1a of a byte string. Folds a job key into a seed so that
+// per-job PRNG streams depend on the key alone.
+inline std::uint64_t Fnv1a(std::string_view s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char ch : s) {
+    h ^= static_cast<unsigned char>(ch);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 }  // namespace lopass

@@ -5,7 +5,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -27,15 +26,6 @@
 
 namespace lopass::runner {
 namespace {
-
-std::uint64_t Fnv1a(std::string_view s) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char ch : s) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::string SeedHex(std::uint64_t seed) {
   char buf[32];
@@ -314,8 +304,8 @@ Completion EvaluateJob(const JobSpec& spec, const ExploreOptions& options,
   // consumed by attempt 1 must stay disarmed for the retries, and a
   // concurrent job on another worker must never see (or consume) it.
   // The schedule is a pure function of (chaos seed, job key) — see
-  // fault::ChaosSchedule — so it is identical no matter which worker,
-  // process, or shard evaluates the job.
+  // fault::ChaosSchedule — so it is identical no matter which worker
+  // evaluates the job, or in what order.
   const std::string chaos_spec =
       options.chaos ? fault::ChaosSchedule(options.chaos_seed, spec.key, kChaosSites)
                     : std::string();
@@ -453,8 +443,6 @@ ExploreReport RunExplore(const ExploreOptions& options) {
 
   const int scale = options.scale > 0 ? options.scale : 1;
 
-  // Build the full job queue first — sharding below filters it, but the
-  // shard header must pin the whole sweep it is a slice of.
   std::vector<JobSpec> queue;
   for (const apps::Application& app : apps) {
     for (const sched::ResourceSet& rs : app.options.resource_sets) {
@@ -462,68 +450,21 @@ ExploreReport RunExplore(const ExploreOptions& options) {
     }
   }
 
-  // Sharding: this process owns the jobs congruent to shard->index
-  // modulo shard->count; the journal moves to the shard file and opens
-  // with a header record pinning the sweep configuration, which resume
-  // validates and merge-journals uses to splice the set back together.
-  std::string journal_path = options.journal_path;
-  std::string header_json;
-  if (options.shard.has_value()) {
-    const ShardSpec& shard = *options.shard;
-    ShardHeader header;
-    header.shard = shard;
-    header.total_jobs = static_cast<std::int64_t>(queue.size());
-    for (const apps::Application& app : apps) {
-      if (!header.apps.empty()) header.apps += ",";
-      header.apps += app.name;
-    }
-    header.scale = scale;
-    header.base_seed = options.base_seed;
-    header.chaos = options.chaos;
-    header.chaos_seed = options.chaos ? options.chaos_seed : 0;
-    header_json = ShardHeaderJson(header);
-    if (!journal_path.empty()) journal_path = ShardJournalPath(journal_path, shard);
-
-    std::vector<JobSpec> mine;
-    for (std::size_t i = static_cast<std::size_t>(shard.index); i < queue.size();
-         i += static_cast<std::size_t>(shard.count)) {
-      mine.push_back(std::move(queue[i]));
-    }
-    queue = std::move(mine);
-  }
-
   // Replay the committed prefix on resume.
   std::unordered_map<std::string, JobResult> replayed;
-  bool header_replayed = false;
-  if (options.resume && !journal_path.empty()) {
-    JournalLoad load = LoadJournal(journal_path);
+  if (options.resume && !options.journal_path.empty()) {
+    JournalLoad load = LoadJournal(options.journal_path);
     for (const std::string& warning : load.warnings) {
       report.notes.push_back(
           Diagnostic{Severity::kWarning, "runner.journal", SourceLoc{}, warning});
     }
     for (const std::string& record : load.records) {
-      if (IsShardHeader(record)) {
-        if (!options.shard.has_value()) {
-          report.notes.push_back(Diagnostic{
-              Severity::kWarning, "runner.journal", SourceLoc{},
-              "journal '" + journal_path + "' holds a shard header — resuming a "
-              "shard journal without --shard; skipping the header"});
-          continue;
-        }
-        if (!header_replayed && record == header_json) {
-          header_replayed = true;
-          continue;
-        }
-        throw Error("shard journal '" + journal_path +
-                    "' was written by a different sweep (expected header " +
-                    header_json + ", found " + record + ")");
-      }
       JobResult job;
       if (!ParseJobRecord(record, job)) {
         report.notes.push_back(Diagnostic{Severity::kWarning, "runner.journal",
                                           SourceLoc{},
                                           "unparseable record in journal '" +
-                                              journal_path + "'; skipping"});
+                                              options.journal_path + "'; skipping"});
         continue;
       }
       const std::string key = job.app + "/" + job.resource_set;
@@ -538,16 +479,9 @@ ExploreReport RunExplore(const ExploreOptions& options) {
   }
 
   std::unique_ptr<JournalWriter> journal;
-  if (!journal_path.empty()) {
-    journal = std::make_unique<JournalWriter>(journal_path,
+  if (!options.journal_path.empty()) {
+    journal = std::make_unique<JournalWriter>(options.journal_path,
                                               /*truncate=*/!options.resume);
-    // A shard journal always opens with its header: written on a fresh
-    // run, and on a resume whose journal did not already hold one (a
-    // crash before the very first flush, or a missing file).
-    if (options.shard.has_value() && !header_replayed) {
-      journal->Append(header_json);
-      MaybeKillAfter(journal->lines_written());
-    }
   }
   CompileCache compiled;
 

@@ -47,12 +47,10 @@
 // resume testable.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/diag.h"
-#include "runner/shard.h"
 
 namespace lopass::runner {
 
@@ -88,17 +86,6 @@ struct ExploreOptions {
   std::uint64_t chaos_seed = 1;
   // Base seed XOR-folded with the job key into each job's PRNG seed.
   std::uint64_t base_seed = 0x9e3779b97f4a7c15ull;
-  // Process-level sharding (runner/shard.h): when set, this process
-  // evaluates only the jobs whose queue index ≡ shard->index (mod
-  // shard->count), and journals them to
-  // ShardJournalPath(journal_path, *shard) under a shard header record.
-  // Everything a job computes — its seed, its chaos schedule, its
-  // journal record bytes — depends on the job key alone, so the shard
-  // journals splice (runner/merge.h) back into exactly the sequential
-  // run's journal. Composes with --jobs (workers drain the shard's
-  // slice) and --resume (the shard journal's committed prefix replays;
-  // its header must match this sweep's configuration).
-  std::optional<ShardSpec> shard;
 };
 
 // Final status of one job. kFailed means even the circuit-breaker
@@ -139,18 +126,19 @@ struct ExploreReport {
 };
 
 // The journal record schema for one job, shared by the runner's
-// journaling/resume paths, the shard splice (runner/merge.h), and the
-// tests that craft synthetic journals. JobRecordJson is deterministic
-// (fixed field order, %.17g doubles that round-trip through strtod),
-// which is what makes replayed and merged journals byte-exact.
+// journaling/resume paths and the tests that craft synthetic journals.
+// JobRecordJson is deterministic (fixed field order, %.17g doubles
+// that round-trip through strtod, string escapes JsonStringField
+// undoes), and every field depends on the job key alone — never on the
+// worker count or evaluation order — which is what makes replayed and
+// parallel journals byte-exact.
 std::string JobRecordJson(const JobResult& job);
 // Parses one record payload; false when a required field is missing or
 // malformed. Sets job.replayed.
 bool ParseJobRecord(const std::string& record, JobResult& job);
 
 // Runs the sweep. Throws lopass::Error only for unusable setup (bad
-// app name, unwritable journal, a shard journal written by a different
-// sweep); per-job failures land in the report.
+// app name, unwritable journal); per-job failures land in the report.
 ExploreReport RunExplore(const ExploreOptions& options);
 
 }  // namespace lopass::runner

@@ -3,6 +3,7 @@
 #include <array>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -108,6 +109,21 @@ std::optional<std::string> JsonStringField(std::string_view record, std::string_
         case 't':
           ch = '\t';
           break;
+        case 'u': {
+          // JsonEscape writes control bytes as \u00XX. Exactly four hex
+          // digits; code points past ASCII would need a UTF-8 encoding
+          // the dialect never writes, so they count as malformed too.
+          unsigned code = 0;
+          const std::string_view hex = record.substr(pos + 1, 4);
+          const char* last = hex.data() + hex.size();
+          const auto [end, ec] = std::from_chars(hex.data(), last, code, 16);
+          if (hex.size() != 4 || ec != std::errc() || end != last || code > 0x7f) {
+            return std::nullopt;
+          }
+          ch = static_cast<char>(code);
+          pos += 4;
+          break;
+        }
         default:
           ch = esc;
       }
@@ -205,7 +221,6 @@ JournalLoad LoadJournal(const std::string& path) {
       ++load.corrupt;
       load.warnings.push_back("journal '" + path + "' line " + std::to_string(line_no) +
                               ": " + why + "; skipping");
-      load.warning_lines.push_back(line_no);
     };
 
     // A line byte-identical to the intact line right before it is the
@@ -216,7 +231,6 @@ JournalLoad LoadJournal(const std::string& path) {
       load.warnings.push_back("journal '" + path + "' line " + std::to_string(line_no) +
                               ": byte-identical duplicate of the previous record; "
                               "skipping");
-      load.warning_lines.push_back(line_no);
       continue;
     }
     previous_line = line;
@@ -258,13 +272,11 @@ JournalLoad LoadJournal(const std::string& path) {
       continue;
     }
     load.records.emplace_back(record);
-    load.record_lines.push_back(line_no);
   }
   if (load.corrupt + load.duplicates > 0) {
     load.warnings.push_back("journal '" + path + "': skipped " +
                             std::to_string(load.corrupt) + " corrupt / " +
                             std::to_string(load.duplicates) + " duplicate records");
-    load.warning_lines.push_back(0);
   }
   return load;
 }

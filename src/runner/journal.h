@@ -40,7 +40,9 @@ std::string JsonEscape(std::string_view s);
 
 // Field extraction from one flat record object (no nested objects /
 // arrays inside). Returns nullopt when the key is missing or the value
-// has the wrong shape.
+// has the wrong shape. JsonStringField undoes every JsonEscape escape,
+// \u00XX included, so a string field round-trips byte for byte; a
+// malformed \u escape is the wrong shape.
 std::optional<std::string> JsonStringField(std::string_view record, std::string_view key);
 std::optional<double> JsonNumberField(std::string_view record, std::string_view key);
 std::optional<std::int64_t> JsonIntField(std::string_view record, std::string_view key);
@@ -80,20 +82,14 @@ class JournalWriter {
 
 struct JournalLoad {
   // Verified record payloads (the `record` substring of each line), in
-  // file order, with the 1-based physical line each came from. The
-  // line numbers are what positional consumers (the shard splice,
-  // runner/merge.h) key on: a skipped line still consumes its line
-  // number, so surviving records never shift position.
+  // file order.
   std::vector<std::string> records;
-  std::vector<std::size_t> record_lines;
   // One human-readable warning per skipped line (truncated tail,
   // checksum mismatch, malformed wrapper, byte-identical duplicate),
   // plus — whenever anything was skipped — one final summary line
   // ("skipped N corrupt / D duplicate records") so a resume reports
-  // its total loss in one place. warning_lines is parallel (0 for the
-  // summary, which belongs to no single line).
+  // its total loss in one place.
   std::vector<std::string> warnings;
-  std::vector<std::size_t> warning_lines;
   // Skip counts behind the summary.
   std::size_t corrupt = 0;
   std::size_t duplicates = 0;

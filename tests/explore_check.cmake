@@ -13,30 +13,18 @@
 #                       both journaled, and require stdout AND journal
 #                       bytes to be identical — the parallel runner's
 #                       determinism contract on the real binary.
-#   MODE=shard_identity the multi-process acceptance identity: run the
-#                       sweep as three shard processes (--shard i/3) —
-#                       one of them SIGKILLed mid-journal and resumed,
-#                       one with in-process workers — then splice with
-#                       `merge-journals` (shard files passed out of
-#                       order) and require the merged journal AND the
-#                       merged report to be byte-identical to a
-#                       sequential --jobs 1 run. A second pass repeats
-#                       the splice with every shard under --chaos: the
-#                       merged journal must equal the sequential chaos
-#                       journal, and the merged report the clean one.
 #
 # Arguments (via -D):
 #   CLI           path to the lopass_cli binary
-#   MODE          kill_resume | chaos | jobs_identity | shard_identity
+#   MODE          kill_resume | chaos | jobs_identity
 #   WORKDIR       scratch directory for journals and captured reports
 #   APPS          --apps value for the sweep
 #   JOBS          worker count for the non-reference runs (default 1);
 #                 the clean reference always runs sequentially, so
 #                 kill_resume/chaos with JOBS>1 also prove the parallel
 #                 runs match the sequential report byte-for-byte
-#   KILL_AFTER    (kill_resume, shard_identity) append count before the
-#                 self-SIGKILL
-#   CHAOS_SEED    (chaos, shard_identity) seed for the fault schedule
+#   KILL_AFTER    (kill_resume) append count before the self-SIGKILL
+#   CHAOS_SEED    (chaos) seed for the fault schedule
 
 if(NOT DEFINED CLI OR NOT DEFINED MODE OR NOT DEFINED WORKDIR OR NOT DEFINED APPS)
   message(FATAL_ERROR "explore_check.cmake needs -DCLI, -DMODE, -DWORKDIR, -DAPPS")
@@ -154,162 +142,6 @@ elseif(MODE STREQUAL "jobs_identity")
     message(FATAL_ERROR
       "--jobs ${JOBS} journal is not byte-identical to --jobs 1\n"
       "--- jobs 1 ---\n${seq_journal}\n--- jobs ${JOBS} ---\n${par_journal}")
-  endif()
-elseif(MODE STREQUAL "shard_identity")
-  if(NOT DEFINED KILL_AFTER)
-    set(KILL_AFTER 3)
-  endif()
-  if(NOT DEFINED CHAOS_SEED)
-    set(CHAOS_SEED 7)
-  endif()
-
-  # The sequential journaled reference: the bytes every splice below
-  # must reproduce exactly.
-  set(journal_seq "${WORKDIR}/shard_seq.jsonl")
-  file(REMOVE "${journal_seq}")
-  execute_process(
-    COMMAND ${CLI} explore --apps ${APPS} --journal ${journal_seq} --jobs 1
-    RESULT_VARIABLE seq_rc
-    OUTPUT_VARIABLE seq_out
-    ERROR_VARIABLE seq_err
-  )
-  if(NOT seq_rc STREQUAL "0")
-    message(FATAL_ERROR "sequential reference run failed (rc=${seq_rc})\n${seq_err}")
-  endif()
-  file(READ "${journal_seq}" seq_journal)
-
-  # --- pass 1: clean shards, one crashed-and-resumed, one parallel ----
-  set(base "${WORKDIR}/shard_clean.jsonl")
-  file(REMOVE "${base}.shard-0-of-3" "${base}.shard-1-of-3" "${base}.shard-2-of-3")
-
-  execute_process(
-    COMMAND ${CLI} explore --apps ${APPS} --journal ${base} --shard 0/3
-    RESULT_VARIABLE s0_rc
-    OUTPUT_VARIABLE s0_out
-    ERROR_VARIABLE s0_err
-  )
-  if(NOT s0_rc STREQUAL "0")
-    message(FATAL_ERROR "shard 0/3 failed (rc=${s0_rc})\n${s0_err}")
-  endif()
-
-  # Shard 1 is killed for real mid-journal, then resumed.
-  set(ENV{LOPASS_EXPLORE_KILL_AFTER} "${KILL_AFTER}")
-  execute_process(
-    COMMAND ${CLI} explore --apps ${APPS} --journal ${base} --shard 1/3
-    RESULT_VARIABLE kill_rc
-    OUTPUT_VARIABLE kill_out
-    ERROR_VARIABLE kill_err
-  )
-  unset(ENV{LOPASS_EXPLORE_KILL_AFTER})
-  if(kill_rc STREQUAL "0")
-    message(FATAL_ERROR
-      "expected the armed kill switch to terminate shard 1/3, but it exited 0; "
-      "lower KILL_AFTER below the shard's append count")
-  endif()
-  if(NOT EXISTS "${base}.shard-1-of-3")
-    message(FATAL_ERROR "no shard journal survived the kill")
-  endif()
-  execute_process(
-    COMMAND ${CLI} explore --apps ${APPS} --resume ${base} --shard 1/3
-    RESULT_VARIABLE s1_rc
-    OUTPUT_VARIABLE s1_out
-    ERROR_VARIABLE s1_err
-  )
-  if(NOT s1_rc STREQUAL "0")
-    message(FATAL_ERROR "resumed shard 1/3 failed (rc=${s1_rc})\n${s1_err}")
-  endif()
-
-  # Shard 2 drains its slice with in-process workers.
-  execute_process(
-    COMMAND ${CLI} explore --apps ${APPS} --journal ${base} --shard 2/3 --jobs ${JOBS}
-    RESULT_VARIABLE s2_rc
-    OUTPUT_VARIABLE s2_out
-    ERROR_VARIABLE s2_err
-  )
-  if(NOT s2_rc STREQUAL "0")
-    message(FATAL_ERROR "shard 2/3 failed (rc=${s2_rc})\n${s2_err}")
-  endif()
-
-  # Splice — shard files deliberately out of order.
-  set(merged "${WORKDIR}/shard_clean_merged.jsonl")
-  execute_process(
-    COMMAND ${CLI} merge-journals --out ${merged}
-            ${base}.shard-2-of-3 ${base}.shard-0-of-3 ${base}.shard-1-of-3
-    RESULT_VARIABLE merge_rc
-    OUTPUT_VARIABLE merge_out
-    ERROR_VARIABLE merge_err
-  )
-  if(NOT merge_rc STREQUAL "0")
-    message(FATAL_ERROR "merge-journals failed (rc=${merge_rc})\n${merge_err}")
-  endif()
-  file(READ "${merged}" merged_journal)
-  if(NOT merged_journal STREQUAL seq_journal)
-    message(FATAL_ERROR
-      "merged journal is not byte-identical to the sequential --jobs 1 journal\n"
-      "--- sequential ---\n${seq_journal}\n--- merged ---\n${merged_journal}")
-  endif()
-  if(NOT merge_out STREQUAL seq_out)
-    message(FATAL_ERROR
-      "merged report is not byte-identical to the sequential report\n"
-      "--- sequential ---\n${seq_out}\n--- merged ---\n${merge_out}")
-  endif()
-
-  # --- pass 2: every shard under chaos --------------------------------
-  # Chaos journals record attempts and fault specs, so the reference is
-  # a sequential run under the SAME chaos seed; the report must still
-  # equal the clean sequential one (one-shot faults are absorbed by the
-  # retries).
-  set(journal_chaos "${WORKDIR}/shard_chaos_seq.jsonl")
-  file(REMOVE "${journal_chaos}")
-  execute_process(
-    COMMAND ${CLI} explore --apps ${APPS} --journal ${journal_chaos} --jobs 1
-            --chaos ${CHAOS_SEED} --retries 4
-    RESULT_VARIABLE cseq_rc
-    OUTPUT_VARIABLE cseq_out
-    ERROR_VARIABLE cseq_err
-  )
-  if(NOT cseq_rc STREQUAL "0")
-    message(FATAL_ERROR
-      "sequential chaos reference failed (rc=${cseq_rc})\n${cseq_err}")
-  endif()
-  file(READ "${journal_chaos}" chaos_journal)
-
-  set(cbase "${WORKDIR}/shard_chaos.jsonl")
-  file(REMOVE "${cbase}.shard-0-of-3" "${cbase}.shard-1-of-3" "${cbase}.shard-2-of-3")
-  foreach(i RANGE 2)
-    execute_process(
-      COMMAND ${CLI} explore --apps ${APPS} --journal ${cbase} --shard ${i}/3
-              --chaos ${CHAOS_SEED} --retries 4 --jobs ${JOBS}
-      RESULT_VARIABLE ci_rc
-      OUTPUT_VARIABLE ci_out
-      ERROR_VARIABLE ci_err
-    )
-    if(NOT ci_rc STREQUAL "0")
-      message(FATAL_ERROR "chaos shard ${i}/3 failed (rc=${ci_rc})\n${ci_err}")
-    endif()
-  endforeach()
-
-  set(cmerged "${WORKDIR}/shard_chaos_merged.jsonl")
-  execute_process(
-    COMMAND ${CLI} merge-journals --out ${cmerged}
-            ${cbase}.shard-1-of-3 ${cbase}.shard-2-of-3 ${cbase}.shard-0-of-3
-    RESULT_VARIABLE cmerge_rc
-    OUTPUT_VARIABLE cmerge_out
-    ERROR_VARIABLE cmerge_err
-  )
-  if(NOT cmerge_rc STREQUAL "0")
-    message(FATAL_ERROR "chaos merge-journals failed (rc=${cmerge_rc})\n${cmerge_err}")
-  endif()
-  file(READ "${cmerged}" cmerged_journal)
-  if(NOT cmerged_journal STREQUAL chaos_journal)
-    message(FATAL_ERROR
-      "chaos merged journal is not byte-identical to the sequential chaos journal\n"
-      "--- sequential chaos ---\n${chaos_journal}\n--- merged ---\n${cmerged_journal}")
-  endif()
-  if(NOT cmerge_out STREQUAL seq_out)
-    message(FATAL_ERROR
-      "chaos merged report is not byte-identical to the clean sequential report\n"
-      "--- clean ---\n${seq_out}\n--- chaos merged ---\n${cmerge_out}")
   endif()
 else()
   message(FATAL_ERROR "unknown MODE '${MODE}'")

@@ -20,8 +20,6 @@
 #include "common/prng.h"
 #include "runner/explore.h"
 #include "runner/journal.h"
-#include "runner/merge.h"
-#include "runner/shard.h"
 
 namespace lopass::runner {
 namespace {
@@ -79,13 +77,9 @@ TEST(JournalTest, TruncatedFinalLineIsSkippedWithWarning) {
   const JournalLoad load = LoadJournal(path);
   ASSERT_EQ(load.records.size(), 1u);
   EXPECT_EQ(load.records[0], "{\"a\":1}");
-  ASSERT_EQ(load.record_lines.size(), 1u);
-  EXPECT_EQ(load.record_lines[0], 1u);
   // One warning for the torn line, plus the reader's skip summary.
   ASSERT_EQ(load.warnings.size(), 2u);
   EXPECT_NE(load.warnings[0].find("truncated final line"), std::string::npos);
-  ASSERT_EQ(load.warning_lines.size(), 2u);
-  EXPECT_EQ(load.warning_lines[0], 2u);
   EXPECT_EQ(load.corrupt, 1u);
   EXPECT_EQ(load.duplicates, 0u);
   EXPECT_NE(load.warnings[1].find("skipped 1 corrupt / 0 duplicate records"),
@@ -113,8 +107,7 @@ TEST(JournalTest, MalformedWrapperIsSkippedWithWarning) {
   WriteFile(path, "not json at all\n" + WrapRecord("{\"ok\":1}") + "\n");
   const JournalLoad load = LoadJournal(path);
   ASSERT_EQ(load.records.size(), 1u);
-  ASSERT_EQ(load.record_lines.size(), 1u);
-  EXPECT_EQ(load.record_lines[0], 2u);  // physical line, corrupt line counted
+  EXPECT_EQ(load.records[0], "{\"ok\":1}");
   EXPECT_EQ(load.warnings.size(), 2u);
   EXPECT_NE(load.warnings[1].find("skipped 1 corrupt / 0 duplicate records"),
             std::string::npos);
@@ -131,6 +124,39 @@ TEST(JournalTest, FieldExtraction) {
   EXPECT_EQ(JsonIntField(rec, "errors").value(), 3);
   EXPECT_FALSE(JsonStringField(rec, "missing").has_value());
   EXPECT_FALSE(JsonIntField(rec, "app").has_value());
+
+  // Control bytes leave JsonEscape as \u00XX and must come back as the
+  // same bytes; a malformed \u escape is the wrong shape.
+  const std::string control = "bell\x07 ff\x0c end";
+  const std::string escaped = "{\"detail\":\"" + JsonEscape(control) + "\"}";
+  EXPECT_EQ(escaped, "{\"detail\":\"bell\\u0007 ff\\u000c end\"}");
+  EXPECT_EQ(JsonStringField(escaped, "detail").value(), control);
+  EXPECT_EQ(JsonStringField("{\"d\":\"\\u001B\"}", "d").value(), "\x1b");
+  for (const char* bad : {"{\"d\":\"\\u00\"}", "{\"d\":\"\\u00zz\"}",
+                          "{\"d\":\"\\u+07f\"}", "{\"d\":\"\\u00e9\"}"}) {
+    EXPECT_FALSE(JsonStringField(bad, "d").has_value()) << bad;
+  }
+}
+
+TEST(JournalTest, JobRecordRoundTripsControlBytes) {
+  JobResult job;
+  job.app = "3d";
+  job.resource_set = "rs\t1";
+  job.seed = 0xdeadbeefull;
+  job.status = JobStatus::kDegraded;
+  job.attempts = 2;
+  job.fault_spec = "sim:2";
+  job.initial_energy_j = 0.1;
+  job.partitioned_energy_j = 1.0 / 3.0;
+  job.saving_percent = -12.5;
+  job.errors = 1;
+  job.detail = "bell\x07 ff\x0c \"q\" back\\slash\nend";
+  const std::string json = JobRecordJson(job);
+  JobResult parsed;
+  ASSERT_TRUE(ParseJobRecord(json, parsed));
+  EXPECT_EQ(parsed.detail, job.detail);
+  EXPECT_EQ(parsed.resource_set, job.resource_set);
+  EXPECT_EQ(JobRecordJson(parsed), json);
 }
 
 // --- journal property tests (seeded fuzz) -----------------------------
@@ -205,7 +231,6 @@ TEST(JournalPropertyTest, RandomTruncationRecoversExactlyTheIntactPrefix) {
     ASSERT_EQ(load.records.size(), intact) << "seed " << seed << " cut " << cut;
     for (std::size_t i = 0; i < intact; ++i) {
       EXPECT_EQ(load.records[i], written[i]) << "seed " << seed;
-      EXPECT_EQ(load.record_lines[i], i + 1) << "seed " << seed;
     }
     // A torn tail produces the warning itself plus the skip summary.
     EXPECT_EQ(load.warnings.size(), torn ? 2u : 0u)
@@ -263,7 +288,6 @@ TEST(JournalPropertyTest, SingleBitFlipsNeverCorruptOtherLines) {
     std::size_t at = 0;
     for (std::size_t i = 0; i < count; ++i) {
       if (flipped[i]) continue;
-      EXPECT_EQ(load.record_lines[at], i + 1) << "seed " << seed << " line " << i;
       EXPECT_EQ(load.records[at++], written[i]) << "seed " << seed << " line " << i;
     }
   }
@@ -578,51 +602,7 @@ TEST(ExploreTest, CorruptJournalRecordIsReEvaluatedOnResume) {
   std::remove(path.c_str());
 }
 
-// --- sharding: spec, header, chaos schedule ---------------------------
-
-TEST(ShardSpecTest, ParsesWellFormedSpecs) {
-  const auto spec = ParseShardSpec("1/3");
-  ASSERT_TRUE(spec.has_value());
-  EXPECT_EQ(spec->index, 1);
-  EXPECT_EQ(spec->count, 3);
-  EXPECT_EQ(ShardJournalPath("sweep.jsonl", *spec), "sweep.jsonl.shard-1-of-3");
-  const auto max = ParseShardSpec("1023/1024");
-  ASSERT_TRUE(max.has_value());
-  EXPECT_EQ(max->index, 1023);
-}
-
-TEST(ShardSpecTest, RejectsMalformedSpecs) {
-  for (const char* bad : {"", "/", "1/", "/3", "3/3", "4/3", "-1/3", "0/0",
-                          "0/1025", "a/b", "1/3x", "1//3", "1 / 3"}) {
-    EXPECT_FALSE(ParseShardSpec(bad).has_value()) << "'" << bad << "'";
-  }
-}
-
-TEST(ShardHeaderTest, JsonRoundTripsAndIsRecognized) {
-  ShardHeader header;
-  header.shard = ShardSpec{2, 5};
-  header.total_jobs = 24;
-  header.apps = "3d,MPG,ckey,digs,engine,trick";
-  header.scale = 3;
-  header.base_seed = 0x9e3779b97f4a7c15ull;
-  header.chaos = true;
-  header.chaos_seed = 77;
-  const std::string json = ShardHeaderJson(header);
-  EXPECT_TRUE(IsShardHeader(json));
-  EXPECT_FALSE(IsShardHeader("{\"app\":\"3d\"}"));
-  const auto parsed = ParseShardHeader(json);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->shard.index, 2);
-  EXPECT_EQ(parsed->shard.count, 5);
-  EXPECT_EQ(parsed->total_jobs, 24);
-  EXPECT_EQ(parsed->apps, header.apps);
-  EXPECT_EQ(parsed->scale, 3);
-  EXPECT_EQ(parsed->base_seed, header.base_seed);
-  EXPECT_TRUE(parsed->chaos);
-  EXPECT_EQ(parsed->chaos_seed, 77u);
-  // Serialization is deterministic: a round-trip reproduces the bytes.
-  EXPECT_EQ(ShardHeaderJson(*parsed), json);
-}
+// --- chaos schedule --------------------------------------------------
 
 TEST(ChaosScheduleTest, IsAPureFunctionOfSeedAndKey) {
   const std::vector<std::string_view> sites = {"parse", "profile", "sim"};
@@ -646,366 +626,6 @@ TEST(ChaosScheduleTest, IsAPureFunctionOfSeedAndKey) {
   }
   EXPECT_GE(count, 1);
   EXPECT_LE(count, 2);
-}
-
-// --- merge-journals: splice property tests ----------------------------
-
-// A synthetic sweep of `count` jobs with unique keys and randomized
-// payload fields, round-trippable through JobRecordJson/ParseJobRecord.
-std::vector<JobResult> SyntheticJobs(Prng& prng, std::size_t count) {
-  std::vector<JobResult> jobs;
-  for (std::size_t i = 0; i < count; ++i) {
-    JobResult job;
-    job.app = "app" + std::to_string(i / 4);
-    job.resource_set = "rs" + std::to_string(i % 4) + "_" + std::to_string(i);
-    job.seed = prng.next_u64();
-    job.status = static_cast<JobStatus>(prng.next_below(3));
-    job.attempts = 1 + static_cast<int>(prng.next_below(4));
-    job.fault_spec = prng.next_below(2) ? "sim:2" : "";
-    job.initial_energy_j = 1e-3 * static_cast<double>(prng.next_below(100000));
-    job.partitioned_energy_j = 1e-3 * static_cast<double>(prng.next_below(100000));
-    job.saving_percent = -50.0 + static_cast<double>(prng.next_below(100));
-    job.time_change_percent = -10.0 + static_cast<double>(prng.next_below(20));
-    job.errors = static_cast<std::int64_t>(prng.next_below(3));
-    job.detail = job.errors > 0 ? "synthetic error " + std::to_string(i) : "";
-    jobs.push_back(std::move(job));
-  }
-  return jobs;
-}
-
-ShardHeader SyntheticHeader(int index, int count, std::int64_t total_jobs) {
-  ShardHeader header;
-  header.shard = ShardSpec{index, count};
-  header.total_jobs = total_jobs;
-  header.apps = "synthetic";
-  header.scale = 1;
-  header.base_seed = 0x9e3779b97f4a7c15ull;
-  header.chaos = false;
-  header.chaos_seed = 0;
-  return header;
-}
-
-// Writes one shard journal (header + every count-th record from
-// `records` starting at `index`) and returns its full byte content.
-std::string WriteShardFile(const std::string& path, int index, int count,
-                           const std::vector<std::string>& records) {
-  JournalWriter writer(path, /*truncate=*/true);
-  writer.Append(ShardHeaderJson(
-      SyntheticHeader(index, count, static_cast<std::int64_t>(records.size()))));
-  for (std::size_t i = static_cast<std::size_t>(index); i < records.size();
-       i += static_cast<std::size_t>(count)) {
-    writer.Append(records[i]);
-  }
-  return ReadFile(path);
-}
-
-TEST(MergePropertyTest, RandomSplitsSpliceBackToTheSequentialBytes) {
-  // For random job counts and shard widths M, with the shard files
-  // offered in random order, the merged journal must be byte-identical
-  // to what a sequential run would have journaled.
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    Prng prng(seed ^ 0x5face0ffull);
-    const std::size_t count = 1 + prng.next_below(30);
-    const int shards = 1 + static_cast<int>(prng.next_below(6));
-    const std::vector<JobResult> jobs = SyntheticJobs(prng, count);
-    std::vector<std::string> records;
-    for (const JobResult& job : jobs) records.push_back(JobRecordJson(job));
-
-    // The sequential reference: every record in queue order.
-    const std::string seq_path = TempPath("merge_prop_seq.jsonl");
-    {
-      JournalWriter writer(seq_path, /*truncate=*/true);
-      for (const std::string& record : records) writer.Append(record);
-    }
-    const std::string expected = ReadFile(seq_path);
-
-    std::vector<std::string> paths;
-    for (int s = 0; s < shards; ++s) {
-      const std::string path =
-          TempPath("merge_prop_shard" + std::to_string(s) + ".jsonl");
-      WriteShardFile(path, s, shards, records);
-      paths.push_back(path);
-    }
-    // Shuffle the argument order: the splice must not care.
-    for (std::size_t i = paths.size(); i > 1; --i) {
-      std::swap(paths[i - 1], paths[prng.next_below(i)]);
-    }
-
-    const MergeResult merged = MergeJournals(paths);
-    EXPECT_FALSE(merged.malformed()) << "seed " << seed;
-    EXPECT_TRUE(merged.complete()) << "seed " << seed;
-    ASSERT_EQ(merged.records.size(), count) << "seed " << seed;
-    for (std::size_t i = 0; i < count; ++i) {
-      EXPECT_EQ(merged.records[i], records[i]) << "seed " << seed;
-      EXPECT_EQ(merged.indices[i], static_cast<std::int64_t>(i)) << "seed " << seed;
-    }
-    const std::string out_path = TempPath("merge_prop_out.jsonl");
-    WriteMergedJournal(merged, out_path);
-    EXPECT_EQ(ReadFile(out_path), expected) << "seed " << seed;
-
-    std::remove(seq_path.c_str());
-    std::remove(out_path.c_str());
-    for (const std::string& path : paths) std::remove(path.c_str());
-  }
-}
-
-TEST(MergePropertyTest, RandomTruncationLosesOnlyTheTornShardsTail) {
-  // Truncate each shard file at a random byte. If every header survives
-  // the merge must succeed and recover exactly the records whose full
-  // line survived; if a cut destroys a header the set is rejected.
-  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    Prng prng(seed ^ 0x70bb1edull);
-    const std::size_t count = 1 + prng.next_below(24);
-    const int shards = 1 + static_cast<int>(prng.next_below(4));
-    const std::vector<JobResult> jobs = SyntheticJobs(prng, count);
-    std::vector<std::string> records;
-    for (const JobResult& job : jobs) records.push_back(JobRecordJson(job));
-
-    std::vector<std::string> paths;
-    std::vector<bool> survives(count, false);
-    bool any_header_lost = false;
-    for (int s = 0; s < shards; ++s) {
-      const std::string path =
-          TempPath("merge_trunc_shard" + std::to_string(s) + ".jsonl");
-      const std::string full = WriteShardFile(path, s, shards, records);
-      // Cut at a random point — possibly before the header's newline.
-      const std::size_t cut = prng.next_below(full.size() + 1);
-      WriteFile(path, full.substr(0, cut));
-      paths.push_back(path);
-
-      const std::size_t header_end = full.find('\n') + 1;
-      if (cut < header_end) {
-        any_header_lost = true;
-        continue;
-      }
-      // Mark the shard's records whose terminating newline survived.
-      std::size_t line_end = header_end;
-      for (std::size_t i = static_cast<std::size_t>(s); i < count;
-           i += static_cast<std::size_t>(shards)) {
-        line_end = full.find('\n', line_end) + 1;
-        if (line_end != 0 && line_end <= cut) survives[i] = true;
-      }
-    }
-    for (std::size_t i = paths.size(); i > 1; --i) {
-      std::swap(paths[i - 1], paths[prng.next_below(i)]);
-    }
-
-    const MergeResult merged = MergeJournals(paths);
-    if (any_header_lost) {
-      EXPECT_TRUE(merged.malformed()) << "seed " << seed;
-      bool diagnosed = false;
-      for (const MergeFinding& f : merged.findings) {
-        diagnosed |= f.fatal && (f.message.find("shard header") != std::string::npos);
-      }
-      EXPECT_TRUE(diagnosed) << "seed " << seed;
-    } else {
-      EXPECT_FALSE(merged.malformed()) << "seed " << seed;
-      std::size_t expected = 0;
-      for (std::size_t i = 0; i < count; ++i) expected += survives[i] ? 1 : 0;
-      ASSERT_EQ(merged.records.size(), expected) << "seed " << seed;
-      EXPECT_EQ(merged.missing,
-                static_cast<std::int64_t>(count) -
-                    static_cast<std::int64_t>(expected))
-          << "seed " << seed;
-      EXPECT_EQ(merged.complete(), expected == count) << "seed " << seed;
-      std::size_t at = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (!survives[i]) continue;
-        EXPECT_EQ(merged.indices[at], static_cast<std::int64_t>(i))
-            << "seed " << seed;
-        EXPECT_EQ(merged.records[at++], records[i]) << "seed " << seed;
-      }
-    }
-    for (const std::string& path : paths) std::remove(path.c_str());
-  }
-}
-
-TEST(MergeTest, OverlappingShardSetIsRejected) {
-  Prng prng(42);
-  const std::vector<JobResult> jobs = SyntheticJobs(prng, 8);
-  std::vector<std::string> records;
-  for (const JobResult& job : jobs) records.push_back(JobRecordJson(job));
-  const std::string a = TempPath("merge_overlap_a.jsonl");
-  const std::string b = TempPath("merge_overlap_b.jsonl");
-  const std::string c = TempPath("merge_overlap_c.jsonl");
-  WriteShardFile(a, 0, 2, records);
-  WriteShardFile(b, 1, 2, records);
-  WriteShardFile(c, 1, 2, records);  // shard 1 twice
-  const MergeResult merged = MergeJournals({a, b, c});
-  EXPECT_TRUE(merged.malformed());
-  EXPECT_TRUE(merged.records.empty()) << "nothing may be merged from a bad set";
-  bool diagnosed = false;
-  for (const MergeFinding& f : merged.findings) {
-    if (!f.fatal || f.message.find("overlap: shard 1/2") == std::string::npos)
-      continue;
-    diagnosed = true;
-    EXPECT_EQ(f.file, c);  // the later file is the culprit...
-    EXPECT_EQ(f.line, 1u);
-    EXPECT_NE(f.message.find(b), std::string::npos) << "...and names the first";
-  }
-  EXPECT_TRUE(diagnosed);
-  for (const std::string& p : {a, b, c}) std::remove(p.c_str());
-}
-
-TEST(MergeTest, GappedShardSetIsRejected) {
-  Prng prng(43);
-  const std::vector<JobResult> jobs = SyntheticJobs(prng, 9);
-  std::vector<std::string> records;
-  for (const JobResult& job : jobs) records.push_back(JobRecordJson(job));
-  const std::string a = TempPath("merge_gap_a.jsonl");
-  const std::string c = TempPath("merge_gap_c.jsonl");
-  WriteShardFile(a, 0, 3, records);
-  WriteShardFile(c, 2, 3, records);  // shard 1/3 missing
-  const MergeResult merged = MergeJournals({a, c});
-  EXPECT_TRUE(merged.malformed());
-  bool diagnosed = false;
-  for (const MergeFinding& f : merged.findings) {
-    diagnosed |= f.fatal &&
-                 f.message.find("gap: shard 1/3 is missing") != std::string::npos;
-  }
-  EXPECT_TRUE(diagnosed);
-  for (const std::string& p : {a, c}) std::remove(p.c_str());
-}
-
-TEST(MergeTest, MixedSweepConfigurationsAreRejected) {
-  Prng prng(44);
-  const std::vector<JobResult> jobs = SyntheticJobs(prng, 6);
-  std::vector<std::string> records;
-  for (const JobResult& job : jobs) records.push_back(JobRecordJson(job));
-  const std::string a = TempPath("merge_mixed_a.jsonl");
-  const std::string b = TempPath("merge_mixed_b.jsonl");
-  WriteShardFile(a, 0, 2, records);
-  {
-    // Shard 1 of a *different* sweep: same width, different seed.
-    JournalWriter writer(b, /*truncate=*/true);
-    ShardHeader header = SyntheticHeader(1, 2, 6);
-    header.base_seed ^= 1;
-    writer.Append(ShardHeaderJson(header));
-    for (std::size_t i = 1; i < records.size(); i += 2) writer.Append(records[i]);
-  }
-  const MergeResult merged = MergeJournals({a, b});
-  EXPECT_TRUE(merged.malformed());
-  bool diagnosed = false;
-  for (const MergeFinding& f : merged.findings) {
-    diagnosed |= f.fatal && f.file == b &&
-                 f.message.find("different sweep configuration") != std::string::npos;
-  }
-  EXPECT_TRUE(diagnosed);
-  for (const std::string& p : {a, b}) std::remove(p.c_str());
-}
-
-TEST(MergeTest, DuplicateJobAcrossShardsIsRejected) {
-  Prng prng(45);
-  const std::vector<JobResult> jobs = SyntheticJobs(prng, 4);
-  std::vector<std::string> records;
-  for (const JobResult& job : jobs) records.push_back(JobRecordJson(job));
-  const std::string a = TempPath("merge_dupjob_a.jsonl");
-  const std::string b = TempPath("merge_dupjob_b.jsonl");
-  WriteShardFile(a, 0, 2, records);
-  {
-    // Shard 1 whose first record re-evaluates shard 0's first job.
-    JournalWriter writer(b, /*truncate=*/true);
-    writer.Append(ShardHeaderJson(SyntheticHeader(1, 2, 4)));
-    writer.Append(records[0]);
-    writer.Append(records[3]);
-  }
-  const MergeResult merged = MergeJournals({a, b});
-  EXPECT_TRUE(merged.malformed());
-  EXPECT_TRUE(merged.records.empty());
-  bool diagnosed = false;
-  for (const MergeFinding& f : merged.findings) {
-    diagnosed |= f.fatal && f.message.find("duplicate job '") != std::string::npos;
-  }
-  EXPECT_TRUE(diagnosed);
-  for (const std::string& p : {a, b}) std::remove(p.c_str());
-}
-
-TEST(MergeTest, NonShardJournalIsRejected) {
-  Prng prng(46);
-  const std::vector<JobResult> jobs = SyntheticJobs(prng, 2);
-  const std::string path = TempPath("merge_notashard.jsonl");
-  {
-    JournalWriter writer(path, /*truncate=*/true);
-    for (const JobResult& job : jobs) writer.Append(JobRecordJson(job));
-  }
-  const MergeResult merged = MergeJournals({path});
-  EXPECT_TRUE(merged.malformed());
-  bool diagnosed = false;
-  for (const MergeFinding& f : merged.findings) {
-    diagnosed |= f.fatal && f.file == path && f.line == 1 &&
-                 f.message.find("not a shard header") != std::string::npos;
-  }
-  EXPECT_TRUE(diagnosed);
-  std::remove(path.c_str());
-}
-
-TEST(MergeTest, MissingShardFileIsRejected) {
-  const MergeResult merged =
-      MergeJournals({TempPath("merge_no_such_file.jsonl")});
-  EXPECT_TRUE(merged.malformed());
-  ASSERT_FALSE(merged.findings.empty());
-  EXPECT_NE(merged.findings[0].message.find("cannot open"), std::string::npos);
-}
-
-// --- sharded exploration end-to-end (in-process) ----------------------
-
-TEST(ExploreShardTest, ShardedSweepSplicesToTheSequentialJournal) {
-  const std::string base = TempPath("explore_shard.jsonl");
-  ExploreOptions seq;
-  seq.apps = {"engine", "trick"};
-  seq.journal_path = base + ".seq";
-  const ExploreReport sequential = RunExplore(seq);
-  const std::string expected = ReadFile(seq.journal_path);
-
-  std::vector<std::string> shard_paths;
-  for (int s = 0; s < 3; ++s) {
-    ExploreOptions opt = seq;
-    opt.journal_path = base;
-    opt.shard = ShardSpec{s, 3};
-    const ExploreReport part = RunExplore(opt);
-    EXPECT_EQ(part.failed(), 0);
-    shard_paths.push_back(ShardJournalPath(base, *opt.shard));
-  }
-
-  const MergeResult merged = MergeJournals(shard_paths);
-  EXPECT_FALSE(merged.malformed());
-  EXPECT_TRUE(merged.complete());
-  const std::string out = base + ".merged";
-  WriteMergedJournal(merged, out);
-  EXPECT_EQ(ReadFile(out), expected);
-
-  // The merged jobs render the sequential report byte-for-byte.
-  ExploreReport report;
-  report.jobs = merged.jobs;
-  EXPECT_EQ(report.Render(), sequential.Render());
-
-  std::remove(seq.journal_path.c_str());
-  std::remove(out.c_str());
-  for (const std::string& p : shard_paths) std::remove(p.c_str());
-}
-
-TEST(ExploreShardTest, ShardResumeValidatesTheHeader) {
-  const std::string base = TempPath("explore_shard_resume.jsonl");
-  ExploreOptions opt;
-  opt.apps = {"engine"};
-  opt.journal_path = base;
-  opt.shard = ShardSpec{0, 2};
-  const ExploreReport first = RunExplore(opt);
-  const std::string shard_path = ShardJournalPath(base, *opt.shard);
-
-  // Same configuration resumes cleanly, fully replayed.
-  ExploreOptions resume = opt;
-  resume.resume = true;
-  resume.journal_path = base;
-  const ExploreReport resumed = RunExplore(resume);
-  EXPECT_EQ(resumed.Render(), first.Render());
-  for (const JobResult& job : resumed.jobs) EXPECT_TRUE(job.replayed);
-
-  // A different sweep configuration must refuse the journal.
-  ExploreOptions other = resume;
-  other.base_seed ^= 1;
-  EXPECT_THROW((void)RunExplore(other), Error);
-  std::remove(shard_path.c_str());
 }
 
 }  // namespace

@@ -343,18 +343,28 @@ TEST(ParallelExploreTest, ReportIsIdenticalAcrossWorkerCounts) {
 }
 
 TEST(ParallelExploreTest, JournalBytesAreIdenticalAcrossWorkerCounts) {
+  // Clean, then under chaos: chaos journals record attempt counts and
+  // each job's composed fault spec, so they pin that the schedule and
+  // the retries depend on the job key alone, not on which worker ran
+  // the job or when.
   const std::string seq_path = TempPath("parallel_journal_seq.jsonl");
   const std::string par_path = TempPath("parallel_journal_par.jsonl");
-  ExploreOptions sequential = EngineSweep();
-  sequential.journal_path = seq_path;
-  const ExploreReport a = RunExplore(sequential);
-  ExploreOptions parallel = EngineSweep();
-  parallel.journal_path = par_path;
-  parallel.jobs = 8;
-  const ExploreReport b = RunExplore(parallel);
-  EXPECT_EQ(a.Render(), b.Render());
-  EXPECT_EQ(ReadFile(seq_path), ReadFile(par_path))
-      << "the committer must journal completions in job-queue order";
+  for (const std::uint64_t chaos_seed : {0ull, 7ull, 99ull}) {
+    ExploreOptions sequential = EngineSweep();
+    sequential.chaos = chaos_seed != 0;
+    sequential.chaos_seed = chaos_seed;
+    sequential.retry.max_attempts = 4;
+    sequential.journal_path = seq_path;
+    const ExploreReport a = RunExplore(sequential);
+    ExploreOptions parallel = sequential;
+    parallel.journal_path = par_path;
+    parallel.jobs = 8;
+    const ExploreReport b = RunExplore(parallel);
+    EXPECT_EQ(a.Render(), b.Render()) << "chaos seed " << chaos_seed;
+    EXPECT_EQ(ReadFile(seq_path), ReadFile(par_path))
+        << "the committer must journal completions in job-queue order (chaos seed "
+        << chaos_seed << ")";
+  }
   std::remove(seq_path.c_str());
   std::remove(par_path.c_str());
 }

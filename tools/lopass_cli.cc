@@ -39,22 +39,10 @@
 //     --backoff-ms N          retry backoff base; 0 disables sleeping
 //     --chaos SEED            chaos mode: randomized one-shot fault schedules
 //     --seed S                base PRNG seed folded into each job's seed
-//     --shard I/M             process-level sharding: evaluate only the jobs
-//                             whose queue index ≡ I (mod M), journaling them
-//                             to <journal>.shard-I-of-M under a shard header
 //   Runs the supervised design-space exploration (docs/robustness.md):
 //   every completed evaluation is journaled and flushed, so a killed
 //   sweep resumed with --resume reprints a byte-identical report. Exit
 //   0 all jobs ok, 1 any degraded/failed job, 2 usage.
-//
-//   lopass_cli merge-journals [--out PATH] SHARD-JOURNAL...
-//   Splices the shard journals of one sharded sweep back into the
-//   canonical sequential-order journal (--out), byte-identical to a
-//   single-process run when the set is complete, and prints the merged
-//   report. Truncated shards merge with a loss note; malformed shard
-//   sets (gaps, overlaps, mixed sweeps, duplicate jobs) are rejected
-//   with FILE:line diagnostics. Exit 0 complete merge and all jobs ok,
-//   1 incomplete merge or any degraded/failed job, 2 malformed set.
 //
 //   lopass_cli FILE.lp [options]
 //     --entry NAME            entry function (default: main)
@@ -101,8 +89,6 @@
 #include "isa/codegen.h"
 #include "opt/passes.h"
 #include "runner/explore.h"
-#include "runner/merge.h"
-#include "runner/shard.h"
 
 namespace {
 
@@ -126,8 +112,6 @@ struct ScalarSet {
                "   or: lopass_cli explore [--journal PATH | --resume JOURNAL]\n"
                "       [--apps A,B,...] [--scale N] [--jobs N] [--deadline-ms N]\n"
                "       [--retries N] [--backoff-ms N] [--chaos SEED] [--seed S]\n"
-               "       [--shard I/M]\n"
-               "   or: lopass_cli merge-journals [--out PATH] SHARD-JOURNAL...\n"
                "exit codes: 0 ok, 1 pipeline error, 2 usage error\n");
   std::exit(2);
 }
@@ -299,12 +283,6 @@ int RunExplore(int argc, char** argv) {
           static_cast<std::uint64_t>(ParseIntArg(next(), "--chaos"));
     } else if (a == "--seed") {
       options.base_seed = static_cast<std::uint64_t>(ParseIntArg(next(), "--seed"));
-    } else if (a == "--shard") {
-      const std::string spec = next();
-      options.shard = runner::ParseShardSpec(spec);
-      if (!options.shard.has_value()) {
-        Usage(("--shard wants I/M with 0 <= I < M <= 1024, got '" + spec + "'").c_str());
-      }
     } else {
       Usage(("unknown explore option " + a).c_str());
     }
@@ -327,63 +305,7 @@ int RunExplore(int argc, char** argv) {
   }
 }
 
-// `lopass_cli merge-journals` — splice shard journals back into the
-// canonical sequential-order journal. argv is shifted so argv[0] is
-// the verb itself. Exit contract mirrors lint: 0 clean, 1 incomplete
-// merge or degraded/failed jobs, 2 malformed shard set (with FILE:line
-// diagnostics).
-int RunMergeJournals(int argc, char** argv) {
-  std::string out_path;
-  std::vector<std::string> shard_paths;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--out") {
-      if (i + 1 >= argc) Usage("missing value for --out");
-      out_path = argv[++i];
-    } else if (!a.empty() && a[0] == '-') {
-      Usage(("unknown merge-journals option " + a).c_str());
-    } else {
-      shard_paths.push_back(a);
-    }
-  }
-  if (shard_paths.empty()) Usage("merge-journals wants at least one shard journal");
-
-  try {
-    const runner::MergeResult merged = runner::MergeJournals(shard_paths);
-    for (const runner::MergeFinding& f : merged.findings) {
-      Diagnostic d;
-      d.severity = f.fatal ? Severity::kError : Severity::kWarning;
-      d.code = "runner.merge";
-      d.loc = SourceLoc{static_cast<int>(f.line), f.line > 0 ? 1 : 0};
-      d.message = f.message;
-      PrintDiagnostic(f.file.empty() ? "merge-journals" : f.file, d);
-    }
-    if (merged.malformed()) {
-      std::fprintf(stderr, "merge-journals: shard set rejected, nothing merged\n");
-      return 2;
-    }
-    if (!out_path.empty()) runner::WriteMergedJournal(merged, out_path);
-    std::fprintf(stderr, "merge-journals: %zu records from %d shards (%lld jobs)%s\n",
-                 merged.records.size(), merged.header.shard.count,
-                 static_cast<long long>(merged.header.total_jobs),
-                 out_path.empty() ? "" : (" -> " + out_path).c_str());
-    if (!merged.complete()) return 1;
-    // A complete splice renders the exact report the sequential sweep
-    // printed — same Render, same bytes.
-    runner::ExploreReport report;
-    report.jobs = merged.jobs;
-    std::printf("%s", report.Render().c_str());
-    return report.degraded() + report.failed() > 0 ? 1 : 0;
-  } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "internal error: %s\n", e.what());
-    return 1;
-  }
-}
-
-constexpr const char* kVerbs[] = {"lint", "explore", "merge-journals"};
+constexpr const char* kVerbs[] = {"lint", "explore"};
 
 // Levenshtein distance, for the unknown-verb hint.
 std::size_t EditDistance(const std::string& a, const std::string& b) {
@@ -428,9 +350,6 @@ int main(int argc, char** argv) {
   if (argc < 2) Usage();
   if (std::strcmp(argv[1], "lint") == 0) return RunLint(argc - 1, argv + 1);
   if (std::strcmp(argv[1], "explore") == 0) return RunExplore(argc - 1, argv + 1);
-  if (std::strcmp(argv[1], "merge-journals") == 0) {
-    return RunMergeJournals(argc - 1, argv + 1);
-  }
   const std::string path = argv[1];
   // Distinguish a mistyped verb from a missing input file: a bare word
   // (no path separator, no extension) that doesn't exist on disk gets
