@@ -20,35 +20,6 @@ namespace lopass::core {
 
 namespace {
 
-// Adapters binding the two execution engines to the Workload interface.
-class InterpTarget : public DataTarget {
- public:
-  explicit InterpTarget(interp::Interpreter& it) : it_(it) {}
-  void SetScalar(const std::string& name, std::int64_t value) override {
-    it_.SetScalar(name, value);
-  }
-  void FillArray(const std::string& name, std::span<const std::int64_t> values) override {
-    it_.FillArray(name, values);
-  }
-
- private:
-  interp::Interpreter& it_;
-};
-
-class SimTarget : public DataTarget {
- public:
-  explicit SimTarget(iss::Simulator& sim) : sim_(sim) {}
-  void SetScalar(const std::string& name, std::int64_t value) override {
-    sim_.SetScalar(name, value);
-  }
-  void FillArray(const std::string& name, std::span<const std::int64_t> values) override {
-    sim_.FillArray(name, values);
-  }
-
- private:
-  iss::Simulator& sim_;
-};
-
 // U_R weighted by resource size (the variant §3.4 reports does *not*
 // improve partitions — kept for the ablation bench).
 double WeightedUtilization(const asic::UtilizationResult& util,
@@ -61,6 +32,234 @@ double WeightedUtilization(const asic::UtilizationResult& util,
     den += w;
   }
   return den > 0.0 ? num / den : 0.0;
+}
+
+// The inputs of one Run that every candidate evaluation and every
+// synthesis reads.
+struct FlowInputs {
+  const ir::Module& module;
+  const PartitionOptions& options;
+  const sched::SchedulerOptions& sched_opts;
+  const power::TechLibrary& lib;
+  const interp::Profile& profile;
+  const iss::SimResult& initial_run;
+  const BusTrafficAnalyzer& traffic;
+};
+
+// What the clusters accepted in earlier greedy rounds already claim.
+struct Accepted {
+  std::unordered_set<int> ids;
+  std::unordered_set<int> chain_pos;
+  Energy up_removed;  // µP energy of their blocks
+  Energy asic_added;  // estimated energy of their cores
+  double geq = 0.0;
+};
+
+// A cluster's blocks list-scheduled under one resource set (Fig. 1
+// line 8). Under include_interconnect the winner's copy is what its
+// datapath is built from (line 14), so no block is scheduled twice.
+struct ClusterSchedule {
+  std::vector<sched::BlockDfg> dfgs;
+  std::vector<sched::BlockSchedule> schedules;
+
+  // The scheduled blocks weighted by their profiled #ex_times. The
+  // pointers are valid while this ClusterSchedule lives.
+  std::vector<asic::ScheduledBlock> Blocks(const Cluster& c,
+                                           const interp::Profile& profile) const {
+    std::vector<asic::ScheduledBlock> blocks;
+    blocks.reserve(dfgs.size());
+    for (std::size_t i = 0; i < dfgs.size(); ++i) {
+      blocks.push_back(asic::ScheduledBlock{
+          &dfgs[i], &schedules[i],
+          profile.BlockCount(c.blocks[i].first, c.blocks[i].second)});
+    }
+    return blocks;
+  }
+};
+
+// Throws Error when the set cannot implement some operation of the
+// cluster (e.g. no multiplier for a mul-heavy block).
+ClusterSchedule ScheduleCluster(const FlowInputs& in, const Cluster& c,
+                                const sched::ResourceSet& rs) {
+  ClusterSchedule cs;
+  cs.dfgs.reserve(c.blocks.size());
+  cs.schedules.reserve(c.blocks.size());
+  for (const auto& [fn, b] : c.blocks) {
+    cs.dfgs.push_back(sched::BuildBlockDfg(in.module.function(fn).block(b)));
+    cs.schedules.push_back(sched::ListSchedule(cs.dfgs.back(), rs, in.lib, in.sched_opts));
+  }
+  return cs;
+}
+
+// One evaluated cluster × resource set pairing. The caller keeps the
+// schedule only while the candidate is the round's best and synthesis
+// will read it.
+struct Candidate {
+  ClusterEvaluation ev;
+  ClusterSchedule schedule;
+};
+
+// Fig. 1 lines 8-13 for one pairing. Self-check findings go to
+// `diagnostics`; an injected fault or a cancellation propagates.
+Candidate EvaluateCandidate(const FlowInputs& in, const Cluster& c,
+                            const sched::ResourceSet& rs, const Accepted& accepted,
+                            std::vector<Diagnostic>& diagnostics) {
+  const PartitionOptions& options = in.options;
+  const iss::SimResult& initial = in.initial_run;
+  Candidate cand;
+  ClusterEvaluation& ev = cand.ev;
+  ev.cluster_id = c.id;
+  ev.cluster_label = c.label;
+  ev.resource_set = rs.name;
+  ev.transfers = in.traffic.Compute(c, options.use_synergy ? accepted.ids
+                                                           : std::unordered_set<int>{});
+  ev.e_trans = ev.transfers.energy;
+
+  // A resource set that cannot implement some operation makes this
+  // pairing infeasible.
+  try {
+    cand.schedule = ScheduleCluster(in, c, rs);
+  } catch (const InjectedFault&) {
+    throw;  // injected faults must reach the per-cluster isolation layer
+  } catch (const CancelledError&) {
+    throw;  // deadlines abort the whole run
+  } catch (const Error& e) {
+    ev.feasible = false;
+    ev.reject_reason = e.what();
+    return cand;
+  }
+  const ClusterSchedule& cs = cand.schedule;
+  // Self-check: prove each schedule respects precedence and resource
+  // limits, and the transfer estimate its bounds, before any energy
+  // math uses them. A failing candidate is rejected, not synthesized.
+  if (options.self_check) {
+    DiagnosticSink sc;
+    for (std::size_t i = 0; i < c.blocks.size(); ++i) {
+      sched::ValidateSchedule(cs.dfgs[i], cs.schedules[i], rs, in.lib, sc,
+                              options.scheduler.enable_chaining,
+                              "cluster '" + c.label + "', block " +
+                                  std::to_string(i) + ", set '" + rs.name + "'");
+    }
+    ValidateTransfers(in.module, c, ev.transfers, sc);
+    const bool bad = sc.has_errors();
+    for (Diagnostic& d : sc.Take()) diagnostics.push_back(std::move(d));
+    if (bad) {
+      ev.feasible = false;
+      ev.reject_reason = "self-check: schedule/transfer validation failed";
+      return cand;
+    }
+  }
+  ev.util = asic::ComputeUtilization(cs.Blocks(c, in.profile), rs, in.lib);
+  ev.u_asic = options.weighted_utilization ? WeightedUtilization(ev.util, in.lib)
+                                           : ev.util.u_core;
+  ev.u_up = initial.UtilizationOfBlocks(c.blocks);
+  ev.asic_cycles = ev.util.total_cycles;
+  ev.geq = ev.util.geq * 1.10;  // controller share, cf. SynthesisOptions
+
+  // µP-clock-equivalent ASIC cycles (the core runs at the speed of
+  // its slowest instantiated resource).
+  double asic_period = 8e-9;
+  for (int t = 0; t < power::kNumResourceTypes; ++t) {
+    if (ev.util.instances[static_cast<std::size_t>(t)] == 0) continue;
+    asic_period = std::max(
+        asic_period,
+        in.lib.spec(static_cast<power::ResourceType>(t)).min_cycle_time.seconds);
+  }
+  const double up_equiv_cycles = static_cast<double>(ev.util.total_cycles) *
+                                 asic_period /
+                                 in.lib.params().clock_period().seconds;
+
+  const iss::BlockCost sw = initial.CostOfBlocks(c.blocks);
+  ev.sw_cycles = sw.cycles;
+
+  // Line 9: utilization test (the low-power strategy's gate; the
+  // performance baseline does not use it).
+  if (options.strategy == Strategy::kLowPower && ev.u_asic <= ev.u_up) {
+    ev.feasible = false;
+    ev.reject_reason = "U_R <= U_uP";
+    return cand;
+  }
+  // Optional hard hardware cap.
+  if (options.max_cells > 0.0 && ev.geq + accepted.geq > options.max_cells) {
+    ev.feasible = false;
+    ev.reject_reason = "exceeds cell cap";
+    return cand;
+  }
+
+  // Lines 11-12: energy estimates.
+  ev.e_asic_estimate = asic::EstimateEnergy(ev.util, in.lib) + accepted.asic_added;
+  ev.e_up_residual = initial.energy.up_core - accepted.up_removed - sw.energy;
+  const double instr_frac =
+      initial.instr_count == 0
+          ? 0.0
+          : static_cast<double>(sw.instrs) / static_cast<double>(initial.instr_count);
+  const Energy rest0 =
+      initial.energy.icache + initial.energy.dcache + initial.energy.mem + initial.energy.bus;
+  ev.e_rest = rest0 * (1.0 - std::min(1.0, instr_frac)) + ev.e_trans;
+
+  if (options.strategy == Strategy::kPerformance) {
+    // Baseline objective: estimated execution time, normalized, plus
+    // the same hardware term.
+    const double transfer_cycles = 2.0 * static_cast<double>(ev.transfers.total_words());
+    const double est_cycles = static_cast<double>(initial.up_cycles) -
+                              static_cast<double>(sw.cycles) + up_equiv_cycles +
+                              transfer_cycles;
+    const double time_term = est_cycles / static_cast<double>(initial.up_cycles);
+    ev.objective = options.objective.f * time_term +
+                   options.objective.g * ((ev.geq + accepted.geq) / options.objective.geq_norm);
+    ev.feasible = true;
+    return cand;
+  }
+
+  // Line 13: objective function.
+  const Energy total_est = ev.e_asic_estimate + ev.e_up_residual + ev.e_rest;
+  ev.objective =
+      Objective(total_est, initial.energy.total(), ev.geq + accepted.geq, options.objective);
+  ev.feasible = true;
+  return cand;
+}
+
+// Fig. 1 line 14: synthesizes a winner's core from the schedules its
+// evaluation built. The decision's transfers are left for the caller,
+// which knows which neighbours synthesized too.
+PartitionDecision SynthesizeWinner(const FlowInputs& in, const Cluster& c,
+                                   const Candidate& w, std::vector<Diagnostic>& diagnostics) {
+  const ClusterEvaluation& ev = w.ev;
+  PartitionDecision d;
+  d.cluster_id = ev.cluster_id;
+  d.cluster_label = ev.cluster_label;
+  // Register file: one register per scalar the cluster touches, plus
+  // pipeline temporaries.
+  const GenUse& gu = in.traffic.cluster_gen_use(ev.cluster_id);
+  std::unordered_set<ir::SymbolId> scalars;
+  for (ir::SymbolId s : gu.gen) {
+    if (in.module.symbol(s).kind == ir::SymbolKind::kScalar) scalars.insert(s);
+  }
+  for (ir::SymbolId s : gu.use) {
+    if (in.module.symbol(s).kind == ir::SymbolKind::kScalar) scalars.insert(s);
+  }
+  const int regs = 2 + static_cast<int>(scalars.size());
+  if (in.options.include_interconnect) {
+    const std::vector<asic::ScheduledBlock> blocks = w.schedule.Blocks(c, in.profile);
+    d.datapath = asic::BuildDatapath(blocks, ev.util, in.lib);
+    if (in.options.self_check) {
+      DiagnosticSink sc;
+      asic::ValidateDatapath(blocks, ev.util, *d.datapath, sc,
+                             "cluster '" + ev.cluster_label + "', set '" + ev.resource_set + "'");
+      for (Diagnostic& diag : sc.Take()) diagnostics.push_back(std::move(diag));
+    }
+  }
+  d.core = asic::Synthesize(ev.cluster_label, ev.resource_set, ev.util, in.lib, regs,
+                            asic::SynthesisOptions{}, d.datapath ? &*d.datapath : nullptr);
+  return d;
+}
+
+// The all-software baseline: nothing mapped, no ASIC core.
+void FallBackToSoftware(PartitionResult& result) {
+  result.selected.clear();
+  result.asic_cycles = 0;
+  result.asic_energy = Energy{};
+  result.partitioned_run = result.initial_run;
 }
 
 }  // namespace
@@ -149,22 +348,24 @@ PartitionResult Partitioner::Run(const Workload& workload) const {
   CheckCancel(options_.cancel, "partitioner (profiling)");
   interp::Interpreter profiler(module_);
   if (workload.setup) {
-    InterpTarget t(profiler);
+    EngineTarget<interp::Interpreter> t(profiler);
     workload.setup(t);
   }
   profiler.Run(workload.entry, workload.args, options_.max_interp_steps);
-  const interp::Profile& profile = profiler.profile();
+
+  // One whole-system run of the workload on the ISS.
+  auto simulate = [&](const iss::SystemConfig& config, const iss::HwPartition& partition) {
+    iss::Simulator sim(module_, program, config, lib_, up_model_);
+    if (workload.setup) {
+      EngineTarget<iss::Simulator> t(sim);
+      workload.setup(t);
+    }
+    return sim.Run(workload.entry, workload.args, partition, options_.max_sim_instrs);
+  };
 
   // --- initial whole-system simulation ---------------------------------
   CheckCancel(options_.cancel, "partitioner (initial simulation)");
-  iss::Simulator sim(module_, program, options_.initial_config, lib_, up_model_);
-  if (workload.setup) {
-    SimTarget t(sim);
-    workload.setup(t);
-  }
-  result.initial_run = sim.Run(workload.entry, workload.args, iss::HwPartition{},
-                               options_.max_sim_instrs);
-  const Energy e0 = result.initial_run.energy.total();
+  result.initial_run = simulate(options_.initial_config, iss::HwPartition{});
 
   // --- Fig. 1 line 2: cluster decomposition ----------------------------
   // Isolation boundary: if decomposition fails, the all-software
@@ -179,7 +380,7 @@ PartitionResult Partitioner::Run(const Workload& workload) const {
                    SourceLoc{},
                    std::string("cluster decomposition failed (all-software fallback): ") +
                        e.what()});
-    result.partitioned_run = result.initial_run;
+    FallBackToSoftware(result);
     return result;
   }
   const ClusterChain& chain = result.chain;
@@ -205,12 +406,7 @@ PartitionResult Partitioner::Run(const Workload& workload) const {
   std::vector<Ranked> ranked;
   for (const Cluster& c : chain.clusters) {
     if (!c.hw_candidate) continue;
-    Energy sw_energy;
-    for (const auto& [fn, b] : c.blocks) {
-      sw_energy += result.initial_run
-                       .block_costs[static_cast<std::size_t>(fn)][static_cast<std::size_t>(b)]
-                       .energy;
-    }
+    const Energy sw_energy = result.initial_run.CostOfBlocks(c.blocks).energy;
     const Transfers t = traffic.Compute(c);
     ranked.push_back(Ranked{&c, sw_energy.joules - t.energy.joules});
   }
@@ -221,178 +417,32 @@ PartitionResult Partitioner::Run(const Workload& workload) const {
   }
 
   // --- Fig. 1 lines 6-13: evaluate cluster × resource set --------------
-  const Energy rest0 = result.initial_run.energy.icache + result.initial_run.energy.dcache +
-                       result.initial_run.energy.mem + result.initial_run.energy.bus;
-
-  auto evaluate = [&](const Cluster& c, const sched::ResourceSet& rs,
-                      const std::unordered_set<int>& hw_now, Energy up_removed,
-                      Energy asic_added, double geq_added) -> ClusterEvaluation {
-    ClusterEvaluation ev;
-    ev.cluster_id = c.id;
-    ev.cluster_label = c.label;
-    ev.resource_set = rs.name;
-    ev.transfers = traffic.Compute(c, options_.use_synergy ? hw_now
-                                                           : std::unordered_set<int>{});
-    ev.e_trans = ev.transfers.energy;
-
-    // Schedule every block of the cluster (Fig. 1 line 8). A resource
-    // set that cannot implement some operation (e.g. no multiplier for
-    // a mul-heavy cluster) makes this pairing infeasible.
-    std::vector<sched::BlockDfg> dfgs;
-    std::vector<sched::BlockSchedule> schedules;
-    std::vector<asic::ScheduledBlock> sblocks;
-    dfgs.reserve(c.blocks.size());
-    schedules.reserve(c.blocks.size());
-    try {
-      for (const auto& [fn, b] : c.blocks) {
-        dfgs.push_back(sched::BuildBlockDfg(module_.function(fn).block(b)));
-        schedules.push_back(
-            sched::ListSchedule(dfgs.back(), rs, lib_, sched_opts));
-      }
-    } catch (const InjectedFault&) {
-      throw;  // injected faults must reach the per-cluster isolation layer
-    } catch (const CancelledError&) {
-      throw;  // deadlines abort the whole run
-    } catch (const Error& e) {
-      ev.feasible = false;
-      ev.reject_reason = e.what();
-      return ev;
-    }
-    for (std::size_t i = 0; i < c.blocks.size(); ++i) {
-      asic::ScheduledBlock sb;
-      sb.dfg = &dfgs[i];
-      sb.schedule = &schedules[i];
-      sb.ex_times = profile.BlockCount(c.blocks[i].first, c.blocks[i].second);
-      sblocks.push_back(sb);
-    }
-    // Self-check: prove each schedule respects precedence and resource
-    // limits, and the transfer estimate its bounds, before any energy
-    // math uses them. A failing candidate is rejected, not synthesized.
-    if (options_.self_check) {
-      DiagnosticSink sc;
-      for (std::size_t i = 0; i < c.blocks.size(); ++i) {
-        sched::ValidateSchedule(dfgs[i], schedules[i], rs, lib_, sc,
-                                options_.scheduler.enable_chaining,
-                                "cluster '" + c.label + "', block " +
-                                    std::to_string(i) + ", set '" + rs.name + "'");
-      }
-      ValidateTransfers(module_, c, ev.transfers, sc);
-      const bool bad = sc.has_errors();
-      for (Diagnostic& d : sc.Take()) result.diagnostics.push_back(std::move(d));
-      if (bad) {
-        ev.feasible = false;
-        ev.reject_reason = "self-check: schedule/transfer validation failed";
-        return ev;
-      }
-    }
-    ev.util = asic::ComputeUtilization(sblocks, rs, lib_);
-    ev.u_asic = options_.weighted_utilization ? WeightedUtilization(ev.util, lib_)
-                                              : ev.util.u_core;
-    ev.u_up = result.initial_run.UtilizationOfBlocks(c.blocks);
-    ev.asic_cycles = ev.util.total_cycles;
-    ev.geq = ev.util.geq * 1.10;  // controller share, cf. SynthesisOptions
-
-    // µP-clock-equivalent ASIC cycles (the core runs at the speed of
-    // its slowest instantiated resource).
-    double asic_period = 8e-9;
-    for (int t = 0; t < power::kNumResourceTypes; ++t) {
-      if (ev.util.instances[static_cast<std::size_t>(t)] == 0) continue;
-      asic_period = std::max(
-          asic_period,
-          lib_.spec(static_cast<power::ResourceType>(t)).min_cycle_time.seconds);
-    }
-    const double up_equiv_cycles = static_cast<double>(ev.util.total_cycles) *
-                                   asic_period /
-                                   lib_.params().clock_period().seconds;
-
-    Energy cluster_sw;
-    lopass::Cycles cluster_cycles = 0;
-    std::uint64_t cluster_instrs = 0;
-    for (const auto& [fn, b] : c.blocks) {
-      const iss::BlockCost& bc =
-          result.initial_run.block_costs[static_cast<std::size_t>(fn)][static_cast<std::size_t>(b)];
-      cluster_sw += bc.energy;
-      cluster_cycles += bc.cycles;
-      cluster_instrs += bc.instrs;
-    }
-    ev.sw_cycles = cluster_cycles;
-
-    // Line 9: utilization test (the low-power strategy's gate; the
-    // performance baseline does not use it).
-    if (options_.strategy == Strategy::kLowPower && ev.u_asic <= ev.u_up) {
-      ev.feasible = false;
-      ev.reject_reason = "U_R <= U_uP";
-      return ev;
-    }
-    // Optional hard hardware cap.
-    if (options_.max_cells > 0.0 && ev.geq + geq_added > options_.max_cells) {
-      ev.feasible = false;
-      ev.reject_reason = "exceeds cell cap";
-      return ev;
-    }
-
-    // Lines 11-12: energy estimates.
-    ev.e_asic_estimate = asic::EstimateEnergy(ev.util, lib_) + asic_added;
-    ev.e_up_residual = result.initial_run.energy.up_core - up_removed - cluster_sw;
-    const double instr_frac =
-        result.initial_run.instr_count == 0
-            ? 0.0
-            : static_cast<double>(cluster_instrs) /
-                  static_cast<double>(result.initial_run.instr_count);
-    ev.e_rest = rest0 * (1.0 - std::min(1.0, instr_frac)) + ev.e_trans;
-
-    if (options_.strategy == Strategy::kPerformance) {
-      // Baseline objective: estimated execution time, normalized, plus
-      // the same hardware term.
-      const double transfer_cycles = 2.0 * static_cast<double>(ev.transfers.total_words());
-      const double est_cycles =
-          static_cast<double>(result.initial_run.up_cycles) -
-          static_cast<double>(cluster_cycles) + up_equiv_cycles + transfer_cycles;
-      const double time_term =
-          est_cycles / static_cast<double>(result.initial_run.up_cycles);
-      ev.objective = options_.objective.f * time_term +
-                     options_.objective.g * ((ev.geq + geq_added) / options_.objective.geq_norm);
-      ev.feasible = true;
-      return ev;
-    }
-
-    // Line 13: objective function.
-    const Energy total_est = ev.e_asic_estimate + ev.e_up_residual + ev.e_rest;
-    ev.objective = Objective(total_est, e0, ev.geq + geq_added, options_.objective);
-    ev.feasible = true;
-    return ev;
-  };
-
   // Greedy selection of up to max_hw_clusters clusters.
-  std::unordered_set<int> selected_ids;
-  std::unordered_set<int> occupied_chain_pos;
-  Energy up_removed;    // µP energy removed by already selected clusters
-  Energy asic_added;    // estimate energy of already selected cores
-  double geq_added = 0.0;
+  const FlowInputs in{module_, options_, sched_opts, lib_,
+                      profiler.profile(), result.initial_run, traffic};
+  Accepted accepted;
   double current_of = BaselineObjective(options_.objective);
-  std::vector<const ClusterEvaluation*> winners;
-  std::vector<ClusterEvaluation> kept;  // stable storage for winners
-  kept.reserve(ranked.size() * options_.resource_sets.size() *
-               static_cast<std::size_t>(options_.max_hw_clusters));
+  std::vector<Candidate> winners;
 
   for (int round = 0; round < options_.max_hw_clusters; ++round) {
-    std::optional<ClusterEvaluation> best;
+    std::optional<Candidate> best;
     for (const Ranked& r : ranked) {
       const Cluster& c = *r.cluster;
-      if (selected_ids.count(c.id) || occupied_chain_pos.count(c.chain_pos)) continue;
+      if (accepted.ids.count(c.id) || accepted.chain_pos.count(c.chain_pos)) continue;
       for (const sched::ResourceSet& rs : options_.resource_sets) {
-        ClusterEvaluation ev;
+        Candidate cand;
         // Per-cluster isolation: a candidate whose evaluation throws
         // (rather than reporting infeasibility) is recorded and
         // skipped; the flow continues with the remaining candidates
         // and, worst case, falls back to the all-software baseline.
         CheckCancel(options_.cancel, "partitioner (candidate evaluation)");
         try {
-          ev = evaluate(c, rs, selected_ids, up_removed, asic_added, geq_added);
+          cand = EvaluateCandidate(in, c, rs, accepted, result.diagnostics);
         } catch (const CancelledError&) {
           throw;  // a fired deadline would cancel every remaining
                   // candidate too — abort instead of flooding diagnostics
         } catch (const Error& e) {
+          ClusterEvaluation& ev = cand.ev;
           ev.cluster_id = c.id;
           ev.cluster_label = c.label;
           ev.resource_set = rs.name;
@@ -405,106 +455,38 @@ PartitionResult Partitioner::Run(const Workload& workload) const {
           LOPASS_LOG_WARN << "cluster '" << c.label << "' x '" << rs.name
                              << "' evaluation failed: " << e.what();
         }
-        if (round == 0) result.evaluations.push_back(ev);
-        if (!ev.feasible) continue;
-        if (!best || ev.objective < best->objective) best = std::move(ev);
+        if (round == 0) result.evaluations.push_back(cand.ev);
+        if (!cand.ev.feasible) continue;
+        // Synthesis reads the schedule only to build the datapath.
+        if (!options_.include_interconnect) cand.schedule = {};
+        if (!best || cand.ev.objective < best->ev.objective) best = std::move(cand);
       }
     }
-    if (!best || best->objective >= current_of) break;
+    if (!best || best->ev.objective >= current_of) break;
 
     // Accept.
-    const Cluster& c = chain.clusters[static_cast<std::size_t>(best->cluster_id)];
-    selected_ids.insert(best->cluster_id);
-    occupied_chain_pos.insert(c.chain_pos);
-    Energy cluster_sw;
-    for (const auto& [fn, b] : c.blocks) {
-      cluster_sw += result.initial_run
-                        .block_costs[static_cast<std::size_t>(fn)][static_cast<std::size_t>(b)]
-                        .energy;
-    }
-    up_removed += cluster_sw;
-    asic_added += asic::EstimateEnergy(best->util, lib_);
-    geq_added += best->geq;
-    current_of = best->objective;
-    kept.push_back(std::move(*best));
-    LOPASS_LOG_INFO << "selected cluster '" << kept.back().cluster_label << "' with "
-                    << kept.back().resource_set << " (OF=" << kept.back().objective << ")";
-  }
-
-  if (kept.empty()) {
-    result.partitioned_run = result.initial_run;
-    return result;
-  }
-
-  // Self-check: the greedy selection must never map one chain position
-  // twice (a function cluster and the leaf hosting its call site
-  // shadow each other) and only real hardware candidates.
-  if (options_.self_check) {
-    DiagnosticSink sc;
-    ValidateHwSelection(chain, selected_ids, sc);
-    for (Diagnostic& d : sc.Take()) result.diagnostics.push_back(std::move(d));
+    const ClusterEvaluation& ev = best->ev;
+    const Cluster& c = chain.clusters[static_cast<std::size_t>(ev.cluster_id)];
+    accepted.ids.insert(ev.cluster_id);
+    accepted.chain_pos.insert(c.chain_pos);
+    accepted.up_removed += result.initial_run.CostOfBlocks(c.blocks).energy;
+    accepted.asic_added += asic::EstimateEnergy(ev.util, lib_);
+    accepted.geq += ev.geq;
+    current_of = ev.objective;
+    LOPASS_LOG_INFO << "selected cluster '" << ev.cluster_label << "' with "
+                    << ev.resource_set << " (OF=" << ev.objective << ")";
+    winners.push_back(std::move(*best));
   }
 
   // --- Fig. 1 line 14: synthesize the winning cores --------------------
-  for (const ClusterEvaluation& ev : kept) {
+  for (const Candidate& w : winners) {
     CheckCancel(options_.cancel, "partitioner (synthesis)");
+    const Cluster& c = chain.clusters[static_cast<std::size_t>(w.ev.cluster_id)];
     try {
-    PartitionDecision d;
-    d.cluster_id = ev.cluster_id;
-    d.cluster_label = ev.cluster_label;
-    d.transfers = traffic.Compute(chain.clusters[static_cast<std::size_t>(ev.cluster_id)],
-                                  options_.use_synergy ? selected_ids
-                                                       : std::unordered_set<int>{});
-    // Register file: one register per scalar the cluster touches, plus
-    // pipeline temporaries.
-    const GenUse& gu = traffic.cluster_gen_use(ev.cluster_id);
-    int regs = 2;
-    std::unordered_set<ir::SymbolId> scalars;
-    for (ir::SymbolId s : gu.gen) {
-      if (module_.symbol(s).kind == ir::SymbolKind::kScalar) scalars.insert(s);
-    }
-    for (ir::SymbolId s : gu.use) {
-      if (module_.symbol(s).kind == ir::SymbolKind::kScalar) scalars.insert(s);
-    }
-    regs += static_cast<int>(scalars.size());
-    if (options_.include_interconnect) {
-      // Rebuild the winner's scheduled blocks to derive its datapath
-      // (the evaluation keeps only the utilization result).
-      const Cluster& c = chain.clusters[static_cast<std::size_t>(ev.cluster_id)];
-      const sched::ResourceSet* rs = nullptr;
-      for (const sched::ResourceSet& s : options_.resource_sets) {
-        if (s.name == ev.resource_set) rs = &s;
-      }
-      LOPASS_CHECK(rs != nullptr, "winning resource set disappeared");
-      std::vector<sched::BlockDfg> dfgs;
-      std::vector<sched::BlockSchedule> schedules;
-      std::vector<asic::ScheduledBlock> sblocks;
-      for (const auto& [fn, b] : c.blocks) {
-        dfgs.push_back(sched::BuildBlockDfg(module_.function(fn).block(b)));
-        schedules.push_back(
-            sched::ListSchedule(dfgs.back(), *rs, lib_, sched_opts));
-      }
-      for (std::size_t i = 0; i < c.blocks.size(); ++i) {
-        sblocks.push_back(asic::ScheduledBlock{&dfgs[i], &schedules[i], 0});
-      }
-      const asic::Datapath dp = asic::BuildDatapath(sblocks, ev.util, lib_);
-      if (options_.self_check) {
-        DiagnosticSink sc;
-        asic::ValidateDatapath(sblocks, ev.util, dp, sc,
-                               "cluster '" + ev.cluster_label + "', set '" +
-                                   ev.resource_set + "'");
-        for (Diagnostic& diag : sc.Take()) {
-          result.diagnostics.push_back(std::move(diag));
-        }
-      }
-      d.core = asic::Synthesize(ev.cluster_label, ev.resource_set, ev.util, lib_, regs,
-                                asic::SynthesisOptions{}, &dp);
-    } else {
-      d.core = asic::Synthesize(ev.cluster_label, ev.resource_set, ev.util, lib_, regs);
-    }
-    result.asic_cycles += d.core.cycles;
-    result.asic_energy += d.core.refined_energy;
-    result.selected.push_back(std::move(d));
+      PartitionDecision d = SynthesizeWinner(in, c, w, result.diagnostics);
+      result.asic_cycles += d.core.cycles;
+      result.asic_energy += d.core.refined_energy;
+      result.selected.push_back(std::move(d));
     } catch (const CancelledError&) {
       throw;
     } catch (const Error& e) {
@@ -512,17 +494,33 @@ PartitionResult Partitioner::Run(const Workload& workload) const {
       // cluster simply stays in software.
       result.diagnostics.push_back(Diagnostic{
           Severity::kError, "partition.synthesize", SourceLoc{},
-          "synthesis of core for cluster '" + ev.cluster_label +
+          "synthesis of core for cluster '" + w.ev.cluster_label +
               "' failed (cluster stays in software): " + e.what()});
-      LOPASS_LOG_WARN << "synthesis failed for cluster '" << ev.cluster_label
+      LOPASS_LOG_WARN << "synthesis failed for cluster '" << w.ev.cluster_label
                          << "': " << e.what();
     }
   }
   if (result.selected.empty()) {
-    result.asic_cycles = 0;
-    result.asic_energy = Energy{};
-    result.partitioned_run = result.initial_run;
+    FallBackToSoftware(result);
     return result;
+  }
+
+  // Transfers and the selection check cover only the cores that
+  // synthesized: a neighbour whose synthesis failed stays in software,
+  // so its data crosses the shared memory after all.
+  std::unordered_set<int> hw_ids;
+  for (const PartitionDecision& d : result.selected) hw_ids.insert(d.cluster_id);
+  for (PartitionDecision& d : result.selected) {
+    d.transfers = traffic.Compute(chain.clusters[static_cast<std::size_t>(d.cluster_id)],
+                                  options_.use_synergy ? hw_ids : std::unordered_set<int>{});
+  }
+  // Self-check: the greedy selection must never map one chain position
+  // twice (a function cluster and the leaf hosting its call site
+  // shadow each other) and only real hardware candidates.
+  if (options_.self_check) {
+    DiagnosticSink sc;
+    ValidateHwSelection(chain, hw_ids, sc);
+    for (Diagnostic& d : sc.Take()) result.diagnostics.push_back(std::move(d));
   }
 
   // --- Fig. 1 line 15: whole-system partitioned re-estimation ----------
@@ -545,17 +543,10 @@ PartitionResult Partitioner::Run(const Workload& workload) const {
     partition.clusters.push_back(io);
   }
 
-  const iss::SystemConfig part_config =
-      options_.partitioned_config.value_or(options_.initial_config);
-  iss::Simulator part_sim(module_, program, part_config, lib_, up_model_);
-  if (workload.setup) {
-    SimTarget t(part_sim);
-    workload.setup(t);
-  }
   CheckCancel(options_.cancel, "partitioner (partitioned re-simulation)");
   try {
     result.partitioned_run =
-        part_sim.Run(workload.entry, workload.args, partition, options_.max_sim_instrs);
+        simulate(options_.partitioned_config.value_or(options_.initial_config), partition);
   } catch (const CancelledError&) {
     throw;
   } catch (const Error& e) {
@@ -565,10 +556,7 @@ PartitionResult Partitioner::Run(const Workload& workload) const {
         Severity::kError, "partition.resim", SourceLoc{},
         std::string("partitioned re-simulation failed (all-software fallback): ") +
             e.what()});
-    result.selected.clear();
-    result.asic_cycles = 0;
-    result.asic_energy = Energy{};
-    result.partitioned_run = result.initial_run;
+    FallBackToSoftware(result);
   }
   return result;
 }

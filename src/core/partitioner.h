@@ -125,6 +125,9 @@ struct PartitionDecision {
   int cluster_id = -1;
   std::string cluster_label;
   asic::AsicCore core;
+  // The core's structure (units, steering, FSM), built from the
+  // winner's evaluation schedules; set under include_interconnect.
+  std::optional<asic::Datapath> datapath;
   Transfers transfers;
 };
 

@@ -25,6 +25,23 @@ class DataTarget {
   virtual void FillArray(const std::string& name, std::span<const std::int64_t> values) = 0;
 };
 
+// Binds an execution engine (interp::Interpreter, iss::Simulator) to
+// the DataTarget interface.
+template <class Engine>
+class EngineTarget : public DataTarget {
+ public:
+  explicit EngineTarget(Engine& engine) : engine_(engine) {}
+  void SetScalar(const std::string& name, std::int64_t value) override {
+    engine_.SetScalar(name, value);
+  }
+  void FillArray(const std::string& name, std::span<const std::int64_t> values) override {
+    engine_.FillArray(name, values);
+  }
+
+ private:
+  Engine& engine_;
+};
+
 struct Workload {
   std::string entry = "main";
   std::vector<std::int64_t> args;

@@ -12,19 +12,29 @@ using isa::InstrClass;
 using isa::SlInstr;
 using isa::SlOp;
 
-double SimResult::UtilizationOfBlocks(
+BlockCost SimResult::CostOfBlocks(
     const std::vector<std::pair<ir::FunctionId, ir::BlockId>>& blocks) const {
-  Cycles total = 0;
-  std::array<std::uint64_t, kNumUpResources> active{};
+  BlockCost sum;
   for (const auto& [fn, b] : blocks) {
     const BlockCost& c = block_costs[static_cast<std::size_t>(fn)][static_cast<std::size_t>(b)];
-    total += c.cycles;
-    for (int r = 0; r < kNumUpResources; ++r) active[static_cast<std::size_t>(r)] += c.active_cycles[static_cast<std::size_t>(r)];
+    sum.cycles += c.cycles;
+    sum.energy += c.energy;
+    sum.instrs += c.instrs;
+    for (std::size_t r = 0; r < sum.active_cycles.size(); ++r) {
+      sum.active_cycles[r] += c.active_cycles[r];
+    }
   }
-  if (total == 0) return 0.0;
+  return sum;
+}
+
+double SimResult::UtilizationOfBlocks(
+    const std::vector<std::pair<ir::FunctionId, ir::BlockId>>& blocks) const {
+  const BlockCost cost = CostOfBlocks(blocks);
+  if (cost.cycles == 0) return 0.0;
   double sum = 0.0;
   for (int r = 0; r < kNumAveragedUpResources; ++r) {
-    sum += static_cast<double>(active[static_cast<std::size_t>(r)]) / static_cast<double>(total);
+    sum += static_cast<double>(cost.active_cycles[static_cast<std::size_t>(r)]) /
+           static_cast<double>(cost.cycles);
   }
   return sum / kNumAveragedUpResources;
 }

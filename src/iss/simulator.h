@@ -120,6 +120,10 @@ struct SimResult {
   // Sampled when SystemConfig::timeline_interval_cycles > 0.
   std::vector<EnergySample> timeline;
 
+  // Software cost of a set of blocks, summed in the order given (so
+  // every caller's energy sum rounds the same way).
+  BlockCost CostOfBlocks(
+      const std::vector<std::pair<ir::FunctionId, ir::BlockId>>& blocks) const;
   // Average µP utilization restricted to a set of blocks (the paper's
   // U_µP^core for a candidate cluster).
   double UtilizationOfBlocks(

@@ -7,6 +7,7 @@
 #   FAULT_SPEC   value for LOPASS_FAULT_INJECT ("" = no injection)
 #   EXPECT_RC    required exit code
 #   EXPECT_ERR   substring that must appear on stderr ("" = skip check)
+#   EXPECT_OUT   substring that must appear on stdout (unset = skip check)
 #
 # The invocation is wrapped in a timeout by the caller (ctest TIMEOUT),
 # so a hang also fails — "exits with a diagnostic, never crashes or
@@ -35,5 +36,13 @@ if(EXPECT_ERR)
   if(found EQUAL -1)
     message(FATAL_ERROR
       "stderr does not contain '${EXPECT_ERR}'\nstderr was:\n${err}")
+  endif()
+endif()
+
+if(EXPECT_OUT)
+  string(FIND "${out}" "${EXPECT_OUT}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR
+      "stdout does not contain '${EXPECT_OUT}'\nstdout was:\n${out}")
   endif()
 endif()

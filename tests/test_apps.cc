@@ -12,30 +12,6 @@
 namespace lopass::apps {
 namespace {
 
-class InterpTarget : public core::DataTarget {
- public:
-  explicit InterpTarget(interp::Interpreter& it) : it_(it) {}
-  void SetScalar(const std::string& n, std::int64_t v) override { it_.SetScalar(n, v); }
-  void FillArray(const std::string& n, std::span<const std::int64_t> v) override {
-    it_.FillArray(n, v);
-  }
-
- private:
-  interp::Interpreter& it_;
-};
-
-class SimTarget : public core::DataTarget {
- public:
-  explicit SimTarget(iss::Simulator& s) : s_(s) {}
-  void SetScalar(const std::string& n, std::int64_t v) override { s_.SetScalar(n, v); }
-  void FillArray(const std::string& n, std::span<const std::int64_t> v) override {
-    s_.FillArray(n, v);
-  }
-
- private:
-  iss::Simulator& s_;
-};
-
 TEST(Apps, RegistryHasTheSixPaperApplications) {
   const auto apps = AllApplications();
   ASSERT_EQ(apps.size(), 6u);
@@ -69,7 +45,7 @@ TEST_P(AppBehaviour, CompilesAndEnginesAgree) {
 
   interp::Interpreter it(p.module);
   {
-    InterpTarget t(it);
+    core::EngineTarget<interp::Interpreter> t(it);
     w.setup(t);
   }
   const std::int64_t iv = it.Run(w.entry, w.args).return_value;
@@ -77,7 +53,7 @@ TEST_P(AppBehaviour, CompilesAndEnginesAgree) {
   const isa::SlProgram code = isa::Generate(p.module);
   iss::Simulator sim(p.module, code, iss::SystemConfig{});
   {
-    SimTarget t(sim);
+    core::EngineTarget<iss::Simulator> t(sim);
     w.setup(t);
   }
   const std::int64_t sv = sim.Run(w.entry, w.args).return_value;
@@ -90,7 +66,7 @@ TEST_P(AppBehaviour, WorkloadScalesWork) {
   auto run = [&](int scale) {
     const core::Workload w = app.workload(scale);
     interp::Interpreter it(p.module);
-    InterpTarget t(it);
+    core::EngineTarget<interp::Interpreter> t(it);
     w.setup(t);
     return it.Run(w.entry, w.args).steps;
   };
@@ -115,7 +91,7 @@ TEST(Apps, GoldenReturnValues) {
       const dsl::LoweredProgram p = dsl::Compile(app.dsl_source);
       const core::Workload w = app.workload(1);
       interp::Interpreter it(p.module);
-      InterpTarget t(it);
+      core::EngineTarget<interp::Interpreter> t(it);
       w.setup(t);
       m[app.name] = it.Run(w.entry, w.args).return_value;
     }
@@ -131,7 +107,7 @@ TEST(Apps, GoldenReturnValues) {
     const dsl::LoweredProgram p = dsl::Compile(app.dsl_source);
     const core::Workload w = app.workload(1);
     interp::Interpreter it(p.module);
-    InterpTarget t(it);
+    core::EngineTarget<interp::Interpreter> t(it);
     w.setup(t);
     EXPECT_EQ(it.Run(w.entry, w.args).return_value, golden.at(app.name)) << app.name;
   }

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "asic/netlist_check.h"
+#include "asic/verilog.h"
+#include "common/fault.h"
 #include "core/hotspots.h"
 #include "dsl/lower.h"
+#include "sched/dfg.h"
+#include "sched/list_scheduler.h"
 
 namespace lopass::core {
 namespace {
@@ -201,6 +206,134 @@ TEST(Partitioner, MultiClusterGreedySelection) {
   EXPECT_LT(row.saving_percent(), -20.0);
 }
 
+
+// Two adjacent profitable stages: with both on the ASIC core, the
+// `filt` words stage 1 writes for stage 2 never cross the shared
+// memory (Fig. 3 synergy terms).
+const char* kPipeline = R"(
+  var n;
+  array raw[2048];
+  array filt[2048];
+  array grad[2048];
+  var edges;
+  func main() {
+    var i;
+    for (i = 1; i < n - 1; i = i + 1) {
+      filt[i] = (raw[i - 1] + raw[i] * 2 + raw[i + 1]) >> 2;
+    }
+    for (i = 1; i < n - 1; i = i + 1) {
+      grad[i] = abs(filt[i + 1] - filt[i - 1]) * 3;
+    }
+    edges = 0;
+    for (i = 1; i < n - 1; i = i + 1) {
+      if (grad[i] > 96) { edges = edges + 1; }
+    }
+    return edges;
+  })";
+
+Workload PipelineWorkload() {
+  Workload w;
+  w.setup = [](DataTarget& t) {
+    t.SetScalar("n", 2048);
+    std::vector<std::int64_t> raw;
+    for (int i = 0; i < 2048; ++i) raw.push_back((i * 7919) % 251);
+    t.FillArray("raw", raw);
+  };
+  return w;
+}
+
+TEST(Partitioner, FailedSynthesisLeavesTheSurvivorPayingItsOwnTransfers) {
+  // One of the two winners fails synthesis and stays in software, so
+  // the survivor no longer shares data with it on the ASIC: its
+  // transfers are priced as if it were mapped alone.
+  const dsl::LoweredProgram p = dsl::Compile(kPipeline);
+  PartitionOptions opts;
+  opts.max_hw_clusters = 2;
+  for (const char* spec : {"synth:1", "synth:2"}) {
+    SCOPED_TRACE(spec);
+    PartitionResult r;
+    {
+      fault::ScopedSpec fault(spec);
+      r = Partitioner(p.module, p.regions, opts).Run(PipelineWorkload());
+    }
+    EXPECT_TRUE(r.degraded());
+    ASSERT_EQ(r.selected.size(), 1u);
+    const PartitionDecision& d = r.selected[0];
+    const BusTrafficAnalyzer traffic(p.module, r.chain, power::TechLibrary::Cmos6(),
+                                     opts.initial_config.memory_bytes);
+    const Transfers alone =
+        traffic.Compute(r.chain.clusters[static_cast<std::size_t>(d.cluster_id)],
+                        {d.cluster_id});
+    EXPECT_EQ(d.transfers.up_to_mem_words, alone.up_to_mem_words);
+    EXPECT_EQ(d.transfers.asic_to_mem_words, alone.asic_to_mem_words);
+    EXPECT_EQ(d.transfers.energy.joules, alone.energy.joules);
+    // The survivor's share of the `filt` hand-over reaches the
+    // partitioned run: stage 2 loads it on entry, stage 1 stores it on
+    // exit.
+    if (std::string(spec) == "synth:1") {
+      EXPECT_EQ(d.transfers.up_to_mem_words, 2049u);
+      EXPECT_EQ(r.partitioned_run.transfer_words_in, 2049u);
+    } else {
+      EXPECT_EQ(d.transfers.asic_to_mem_words, 2049u);
+      EXPECT_EQ(r.partitioned_run.transfer_words_out, 2049u);
+    }
+  }
+}
+
+TEST(Partitioner, InterconnectSynthesizesTheEvaluatedSchedules) {
+  const dsl::LoweredProgram p = dsl::Compile(kHotCold);
+  PartitionOptions opts;
+  opts.include_interconnect = true;
+  const PartitionResult r = Partitioner(p.module, p.regions, opts).Run(HotColdWorkload());
+  const PartitionResult plain = RunDefault(kHotCold, HotColdWorkload());
+  EXPECT_FALSE(r.degraded());
+  ASSERT_TRUE(r.partitioned());
+  ASSERT_EQ(r.selected.size(), plain.selected.size());
+  EXPECT_FALSE(plain.selected[0].datapath.has_value());
+
+  const power::TechLibrary& lib = power::TechLibrary::Cmos6();
+  for (std::size_t k = 0; k < r.selected.size(); ++k) {
+    const PartitionDecision& d = r.selected[k];
+    SCOPED_TRACE(d.cluster_label);
+    ASSERT_TRUE(d.datapath.has_value());
+    // The steering network costs area on top of the plain core.
+    EXPECT_EQ(plain.selected[k].cluster_id, d.cluster_id);
+    EXPECT_GT(d.core.cells, plain.selected[k].core.cells);
+
+    // Rebuild the datapath from scratch and compare its structure.
+    const Cluster& c = r.chain.clusters[static_cast<std::size_t>(d.cluster_id)];
+    const auto rs = std::find_if(
+        opts.resource_sets.begin(), opts.resource_sets.end(),
+        [&](const sched::ResourceSet& s) { return s.name == d.core.resource_set; });
+    ASSERT_NE(rs, opts.resource_sets.end());
+    std::vector<sched::BlockDfg> dfgs;
+    std::vector<sched::BlockSchedule> schedules;
+    dfgs.reserve(c.blocks.size());
+    schedules.reserve(c.blocks.size());
+    std::vector<asic::ScheduledBlock> blocks;
+    for (const auto& [fn, b] : c.blocks) {
+      dfgs.push_back(sched::BuildBlockDfg(p.module.function(fn).block(b)));
+      schedules.push_back(sched::ListSchedule(dfgs.back(), *rs, lib, opts.scheduler));
+      blocks.push_back(asic::ScheduledBlock{&dfgs.back(), &schedules.back(), 1});
+    }
+    const asic::Datapath want =
+        asic::BuildDatapath(blocks, asic::ComputeUtilization(blocks, *rs, lib), lib);
+    const asic::Datapath& got = *d.datapath;
+    EXPECT_EQ(got.fsm_states, want.fsm_states);
+    EXPECT_EQ(got.total_mux_legs, want.total_mux_legs);
+    EXPECT_EQ(got.mux_geq, want.mux_geq);
+    ASSERT_EQ(got.units.size(), want.units.size());
+    for (std::size_t u = 0; u < want.units.size(); ++u) {
+      EXPECT_EQ(got.units[u].type, want.units[u].type);
+      EXPECT_EQ(got.units[u].instance, want.units[u].instance);
+      EXPECT_EQ(got.units[u].producers, want.units[u].producers);
+    }
+
+    DiagnosticSink sink;
+    EXPECT_TRUE(asic::ValidateVerilog(asic::EmitVerilog(d.core, got), got, 32, sink));
+    EXPECT_FALSE(sink.has_errors());
+  }
+}
 
 TEST(Partitioner, PerformanceStrategySkipsUtilizationGate) {
   PartitionOptions opts;

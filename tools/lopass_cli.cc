@@ -418,7 +418,7 @@ int main(int argc, char** argv) {
       hotspots = true;
     } else if (a == "--emit-verilog") {
       emit_verilog = true;
-      options.include_interconnect = true;  // builds the datapath
+      options.include_interconnect = true;  // synthesis keeps the datapath
     } else if (a == "--dump-ir") {
       dump_ir = true;
     } else if (a == "--dump-asm") {
@@ -484,31 +484,7 @@ int main(int argc, char** argv) {
                 result.evaluations.size());
     if (emit_verilog) {
       for (const core::PartitionDecision& d : result.selected) {
-        // Rebuild the datapath for emission (mirrors the partitioner's
-        // include_interconnect path).
-        const core::Cluster& c =
-            result.chain.clusters[static_cast<std::size_t>(d.cluster_id)];
-        const auto rsets = options.resource_sets;
-        const sched::ResourceSet* rs = nullptr;
-        for (const sched::ResourceSet& set : rsets) {
-          if (set.name == d.core.resource_set) rs = &set;
-        }
-        if (rs == nullptr) continue;
-        std::vector<sched::BlockDfg> dfgs;
-        std::vector<sched::BlockSchedule> schedules;
-        std::vector<asic::ScheduledBlock> sblocks;
-        for (const auto& [fn, b] : c.blocks) {
-          dfgs.push_back(sched::BuildBlockDfg(program.module.function(fn).block(b)));
-          schedules.push_back(sched::ListSchedule(dfgs.back(), *rs,
-                                                  power::TechLibrary::Cmos6(),
-                                                  options.scheduler));
-        }
-        for (std::size_t i = 0; i < c.blocks.size(); ++i) {
-          sblocks.push_back(asic::ScheduledBlock{&dfgs[i], &schedules[i], 0});
-        }
-        const auto util = asic::ComputeUtilization(sblocks, *rs, power::TechLibrary::Cmos6());
-        const auto dp = asic::BuildDatapath(sblocks, util, power::TechLibrary::Cmos6());
-        std::printf("%s\n", asic::EmitVerilog(d.core, dp).c_str());
+        std::printf("%s\n", asic::EmitVerilog(d.core, *d.datapath).c_str());
       }
     }
     for (const core::PartitionDecision& d : result.selected) {
