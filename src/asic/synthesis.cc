@@ -21,6 +21,19 @@ Energy EstimateEnergy(const UtilizationResult& util, const power::TechLibrary& l
   return sum * util.u_core;
 }
 
+Duration CoreClockPeriod(const std::array<int, power::kNumResourceTypes>& instances,
+                         const power::TechLibrary& lib) {
+  // The controller's state register chain is never the critical path;
+  // the slowest instantiated datapath resource sets the clock.
+  Duration period = Duration::from_nanoseconds(8.0);  // controller floor
+  for (int t = 0; t < power::kNumResourceTypes; ++t) {
+    if (instances[static_cast<std::size_t>(t)] == 0) continue;
+    const power::ResourceSpec& spec = lib.spec(static_cast<power::ResourceType>(t));
+    if (spec.min_cycle_time > period) period = spec.min_cycle_time;
+  }
+  return period;
+}
+
 AsicCore Synthesize(const std::string& name, const std::string& resource_set,
                     const UtilizationResult& util, const power::TechLibrary& lib,
                     int datapath_registers, const SynthesisOptions& options,
@@ -33,14 +46,7 @@ AsicCore Synthesize(const std::string& name, const std::string& resource_set,
   core.control_steps = util.total_cycles;
   core.instances = util.instances;
 
-  // The controller's state register chain is never the critical path;
-  // the slowest instantiated datapath resource sets the clock.
-  Duration period = Duration::from_nanoseconds(8.0);  // controller floor
-  for (int t = 0; t < power::kNumResourceTypes; ++t) {
-    if (util.instances[static_cast<std::size_t>(t)] == 0) continue;
-    const power::ResourceSpec& spec = lib.spec(static_cast<power::ResourceType>(t));
-    if (spec.min_cycle_time > period) period = spec.min_cycle_time;
-  }
+  const Duration period = CoreClockPeriod(util.instances, lib);
   core.clock_period = period;
 
   // Express execution time in µP-clock-equivalent cycles so both cores

@@ -49,8 +49,14 @@ struct AsicCore {
   std::array<int, power::kNumResourceTypes> instances{};
 };
 
-// Builds the core from a utilization/binding result. The ASIC's clock
-// period is the max min_cycle_time among instantiated resources.
+// The core's clock period: the largest min_cycle_time among the
+// instantiated resources (`instances` counts them per type), never
+// below the controller's 8 ns floor.
+Duration CoreClockPeriod(const std::array<int, power::kNumResourceTypes>& instances,
+                         const power::TechLibrary& lib);
+
+// Builds the core from a utilization/binding result, clocked at
+// CoreClockPeriod(util.instances, lib).
 // `datapath_registers` sizes the register file (scalar values the
 // cluster keeps locally); it contributes area and is clocked — hence
 // burns power — every cycle.

@@ -154,20 +154,13 @@ Candidate EvaluateCandidate(const FlowInputs& in, const Cluster& c,
                                            : ev.util.u_core;
   ev.u_up = initial.UtilizationOfBlocks(c.blocks);
   ev.asic_cycles = ev.util.total_cycles;
-  ev.geq = ev.util.geq * 1.10;  // controller share, cf. SynthesisOptions
+  ev.geq = ev.util.geq * (1.0 + asic::SynthesisOptions{}.controller_geq_fraction);
 
-  // µP-clock-equivalent ASIC cycles (the core runs at the speed of
-  // its slowest instantiated resource).
-  double asic_period = 8e-9;
-  for (int t = 0; t < power::kNumResourceTypes; ++t) {
-    if (ev.util.instances[static_cast<std::size_t>(t)] == 0) continue;
-    asic_period = std::max(
-        asic_period,
-        in.lib.spec(static_cast<power::ResourceType>(t)).min_cycle_time.seconds);
-  }
-  const double up_equiv_cycles = static_cast<double>(ev.util.total_cycles) *
-                                 asic_period /
-                                 in.lib.params().clock_period().seconds;
+  // µP-clock-equivalent ASIC cycles at the core's own clock.
+  const double up_equiv_cycles =
+      static_cast<double>(ev.util.total_cycles) *
+      asic::CoreClockPeriod(ev.util.instances, in.lib).seconds /
+      in.lib.params().clock_period().seconds;
 
   const iss::BlockCost sw = initial.CostOfBlocks(c.blocks);
   ev.sw_cycles = sw.cycles;

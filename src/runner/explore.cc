@@ -1,10 +1,13 @@
 #include "runner/explore.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -130,8 +133,8 @@ namespace {
 // LOPASS_EXPLORE_KILL_AFTER=N is set, the process kills itself (no
 // cleanup, no flush beyond the journal's own per-record flush) right
 // after the N-th journal append of this run. An honest crash, not a
-// simulated one — under --jobs it fires on the committer with workers
-// still evaluating in flight.
+// simulated one — it fires on the committing thread with workers still
+// evaluating in flight.
 void MaybeKillAfter(std::uint64_t appends) {
   static const std::int64_t kill_after = [] {
     const char* env = std::getenv("LOPASS_EXPLORE_KILL_AFTER");
@@ -141,6 +144,10 @@ void MaybeKillAfter(std::uint64_t appends) {
     std::raise(SIGKILL);
   }
 }
+
+// Cap on the exponential part of a retry backoff; the jitter in
+// [0, RetryPolicy::base_ms) comes on top.
+constexpr std::int64_t kMaxBackoffMs = 1000;
 
 // Sleeps `ms` in small slices, giving up as soon as the job's token
 // fires. Returns false when the sleep was cut short by cancellation —
@@ -226,10 +233,13 @@ struct JobSpec {
   std::string key;  // "app/resource-set", the journal identity
 };
 
-// Everything one job hands back to the committer.
+// Everything one job hands back to the committing thread.
 struct Completion {
   JobResult job;
   std::vector<Diagnostic> notes;
+  // Anything but a lopass::Error escaping the job; rethrown when the
+  // job's turn to commit comes, as a sequential loop would have.
+  std::exception_ptr error;
 };
 
 // Compiles each application once, shared across workers. Concurrent
@@ -368,9 +378,8 @@ Completion EvaluateJob(const JobSpec& spec, const ExploreOptions& options,
 
     if (options.retry.base_ms > 0) {
       const std::int64_t shifted =
-          attempt_no >= 62 ? options.retry.max_ms
-                           : options.retry.base_ms << (attempt_no - 1);
-      const std::int64_t backoff = std::min(options.retry.max_ms, shifted) +
+          attempt_no >= 62 ? kMaxBackoffMs : options.retry.base_ms << (attempt_no - 1);
+      const std::int64_t backoff = std::min(kMaxBackoffMs, shifted) +
                                    static_cast<std::int64_t>(backoff_rng.next_below(
                                        static_cast<std::uint64_t>(options.retry.base_ms)));
       if (!SleepWithCancel(token_ptr, backoff)) {
@@ -489,7 +498,7 @@ ExploreReport RunExplore(const ExploreOptions& options) {
   // always in job-queue order: append the report row and notes, write
   // the journal line (replayed jobs are already in the file), and give
   // the crash-test kill switch its deterministic trigger point.
-  const auto commit = [&](std::size_t, Completion&& done) {
+  const auto commit = [&](Completion&& done) {
     report.jobs.push_back(std::move(done.job));
     for (Diagnostic& d : done.notes) report.notes.push_back(std::move(d));
     if (journal != nullptr && !report.jobs.back().replayed) {
@@ -498,42 +507,54 @@ ExploreReport RunExplore(const ExploreOptions& options) {
     }
   };
 
-  // Replay hits are resolved without a worker; the map is read-only
-  // from here on, so workers may consult it concurrently.
+  // Replay hits skip evaluation; the map is read-only from here on,
+  // so workers may consult it concurrently.
   const auto resolve = [&](const JobSpec& spec) -> Completion {
     const auto hit = replayed.find(spec.key);
-    if (hit != replayed.end()) return Completion{hit->second, {}};
+    if (hit != replayed.end()) return Completion{hit->second, {}, nullptr};
     return EvaluateJob(spec, options, compiled, scale);
   };
 
-  if (options.jobs <= 1) {
-    // Sequential: evaluate and commit in queue order on this thread.
-    for (const JobSpec& spec : queue) commit(0, resolve(spec));
-    return report;
-  }
-
-  // Parallel: workers evaluate out of order and push completions into
-  // the bounded queue; this thread is the single consumer, merging them
-  // back into queue order before committing. Everything the workers
-  // share — the compile cache, the fault tables, the journal — is
-  // internally synchronized; the report is touched only here.
-  struct Indexed {
-    std::size_t index = 0;
-    Completion completion;
-  };
+  // Workers evaluate jobs out of order and park each completion in its
+  // job's slot; this thread waits for slot 0, 1, 2, ... in turn and
+  // commits it. Everything the workers share — the compile cache, the
+  // fault tables, the journal — is internally synchronized; the report
+  // is touched only here. Once a commit throws, workers claim no new
+  // job and the error propagates after the in-flight ones finish, so a
+  // failed journal append ends the sweep for every --jobs value.
+  std::vector<std::optional<Completion>> slots(queue.size());
+  std::mutex mu;
+  std::condition_variable filled;
+  std::atomic<bool> stop{false};
   const int workers = std::min(options.jobs, static_cast<int>(queue.size()));
-  BoundedMpscQueue<Indexed> completions(2 * static_cast<std::size_t>(workers));
   WorkerPool pool(workers, queue.size(), [&](std::size_t index) {
-    completions.Push(Indexed{index, resolve(queue[index])});
+    if (stop.load(std::memory_order_relaxed)) return;
+    Completion done;
+    try {
+      done = resolve(queue[index]);
+    } catch (...) {
+      done.error = std::current_exception();
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    slots[index] = std::move(done);
+    filled.notify_one();
   });
 
-  OrderedMerger<Completion> merger;
-  for (std::size_t received = 0; received < queue.size(); ++received) {
-    Indexed done;
-    if (!completions.Pop(done)) break;  // unreachable: queue never closes early
-    merger.Add(done.index, std::move(done.completion), commit);
+  try {
+    for (std::optional<Completion>& slot : slots) {
+      std::unique_lock<std::mutex> lock(mu);
+      filled.wait(lock, [&] { return slot.has_value(); });
+      Completion done = std::move(*slot);
+      slot.reset();
+      lock.unlock();
+      if (done.error) std::rethrow_exception(done.error);
+      commit(std::move(done));
+    }
+  } catch (...) {
+    stop.store(true, std::memory_order_relaxed);
+    pool.Join();
+    throw;
   }
-  pool.Join();
   return report;
 }
 

@@ -28,15 +28,20 @@
 //    chaos fault is one-shot and transient, the retried sweep must
 //    produce the same report as a clean run.
 //
-// With --jobs N > 1 the queue is drained by a pool of N worker threads
-// (runner/worker_pool.h). Each worker evaluates whole jobs — own PRNG
-// seed, own CancelToken deadline, own retry/breaker state, and (under
-// chaos) its own thread-local fault::JobScope, so concurrent jobs can
-// never observe each other's injected faults. Completions flow through
-// a bounded MPSC queue to a single committer that journals and reports
-// them in job-queue order (OrderedMerger): the report, the journal
-// bytes, and the committed prefix a later --resume replays are all
-// byte-identical to a 1-worker run, regardless of completion order.
+// The queue is drained by a pool of --jobs worker threads
+// (runner/worker_pool.h); --jobs 1 is the same path on one worker.
+// Each worker evaluates whole jobs — own PRNG seed, own CancelToken
+// deadline, own retry/breaker state, and (under chaos) its own
+// thread-local fault::JobScope, so concurrent jobs can never observe
+// each other's injected faults. A worker parks each completion in its
+// job's slot, and the calling thread commits the slots in job-queue
+// order — report rows, journal appends and notes — so the report, the
+// journal bytes, and the committed prefix a later --resume replays are
+// all byte-identical for every worker count, regardless of completion
+// order. A commit that throws (a failed journal append) ends the
+// sweep: workers claim no new job, and RunExplore rethrows once the
+// in-flight ones finish.
+//
 // The one semantic caveat: a *global* fault spec (LOPASS_FAULT_INJECT /
 // SetSpec) with one-shot site:N arms is consumed in completion order
 // under parallelism, which is inherently nondeterministic — per-job
@@ -57,11 +62,10 @@ namespace lopass::runner {
 struct RetryPolicy {
   // Attempts per job including the first (1 = no retry).
   int max_attempts = 3;
-  // Backoff before retry k (1-based) is min(max_ms, base_ms << (k-1))
+  // Backoff before retry k (1-based) is min(1000 ms, base_ms << (k-1))
   // plus jitter in [0, base_ms), drawn from the job's own PRNG stream.
   // base_ms = 0 disables sleeping (tests).
   std::int64_t base_ms = 0;
-  std::int64_t max_ms = 1000;
 };
 
 struct ExploreOptions {
@@ -73,9 +77,8 @@ struct ExploreOptions {
   std::vector<std::string> apps;
   // Workload scale; <= 0 uses each app's test-friendly scale 1.
   int scale = 1;
-  // Worker threads draining the job queue; values < 1 mean 1
-  // (sequential). The report and journal are byte-identical for every
-  // value.
+  // Worker threads draining the job queue; values < 1 mean 1. The
+  // report and journal are byte-identical for every value.
   int jobs = 1;
   // Per-job wall-clock deadline covering all attempts and the backoff
   // sleeps between them; <= 0 disables.
@@ -138,7 +141,8 @@ std::string JobRecordJson(const JobResult& job);
 bool ParseJobRecord(const std::string& record, JobResult& job);
 
 // Runs the sweep. Throws lopass::Error only for unusable setup (bad
-// app name, unwritable journal); per-job failures land in the report.
+// app name, unwritable journal) or a failed journal append; per-job
+// failures land in the report.
 ExploreReport RunExplore(const ExploreOptions& options);
 
 }  // namespace lopass::runner

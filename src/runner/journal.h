@@ -53,8 +53,8 @@ std::optional<std::int64_t> JsonIntField(std::string_view record, std::string_vi
 //
 // Append is thread-safe: a mutex serializes the write+flush pair, so
 // concurrent producers can never interleave bytes of two lines. (The
-// parallel exploration runner still funnels every record through one
-// committer thread for deterministic ordering; the lock is the safety
+// exploration runner still appends every record from its one
+// committing thread for deterministic ordering; the lock is the safety
 // net that keeps even a misuse from corrupting the journal, and what
 // the concurrent-producer fuzz test hammers.)
 class JournalWriter {

@@ -1,87 +1,22 @@
 #pragma once
 
-// Concurrency substrate for the parallel exploration runner
-// (runner/explore.cc): a bounded multi-producer single-consumer queue,
-// a self-dispatching worker pool, and a deterministic in-order merge.
-//
-// The design splits responsibilities so each piece is trivially
-// verifiable under ThreadSanitizer (tests/test_runner_parallel.cc):
-//
-//  - N workers pull job indices from one atomic counter and evaluate
-//    jobs concurrently — evaluation order is nondeterministic;
-//  - every completion is pushed through a BoundedMpscQueue to exactly
-//    one consumer (the committer). The bound applies backpressure: a
-//    burst of fast workers blocks on Push until the committer drains,
-//    so memory stays proportional to the worker count, not the sweep;
-//  - the committer feeds an OrderedMerger, which buffers out-of-order
-//    completions and releases them in job-index order. Everything
-//    order-sensitive — the journal append sequence, the report rows,
-//    the supervision notes — happens on the committer's side of the
-//    queue, which is what makes an 8-worker sweep byte-identical to a
-//    1-worker run regardless of completion interleaving.
+// Self-dispatching worker pool for the exploration runner
+// (runner/explore.cc). N workers pull job indices from one atomic
+// counter and evaluate jobs concurrently, so evaluation order is
+// nondeterministic. Determinism is the caller's job: the runner has
+// each worker park its completion in that job's slot and commits the
+// slots in index order on its own thread, which is what makes an
+// 8-worker sweep byte-identical to a 1-worker run regardless of
+// completion interleaving. tests/test_runner_parallel.cc checks the
+// pool's exactly-once dispatch under ThreadSanitizer.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace lopass::runner {
-
-// Bounded blocking MPSC queue. Any number of producers may Push
-// concurrently; a single consumer Pops. Push blocks while the queue
-// holds `capacity` items (backpressure); Pop blocks until an item
-// arrives or the queue is closed and drained.
-template <typename T>
-class BoundedMpscQueue {
- public:
-  explicit BoundedMpscQueue(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-  BoundedMpscQueue(const BoundedMpscQueue&) = delete;
-  BoundedMpscQueue& operator=(const BoundedMpscQueue&) = delete;
-
-  // Blocks until there is room. Must not be called after Close().
-  void Push(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [&] { return items_.size() < capacity_; });
-    items_.push_back(std::move(item));
-    not_empty_.notify_one();
-  }
-
-  // Returns false only once the queue is closed and fully drained.
-  bool Pop(T& out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
-    if (items_.empty()) return false;
-    out = std::move(items_.front());
-    items_.pop_front();
-    not_full_.notify_one();
-    return true;
-  }
-
-  // After Close, pending and future Pops drain the remaining items and
-  // then return false.
-  void Close() {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    not_empty_.notify_all();
-  }
-
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::deque<T> items_;
-  const std::size_t capacity_;
-  bool closed_ = false;
-};
 
 // Spawns `workers` threads that drain job indices [0, jobs) from a
 // shared atomic counter, calling `job(index)` for each. Construction
@@ -102,35 +37,6 @@ class WorkerPool {
   std::size_t jobs_ = 0;
   std::function<void(std::size_t)> job_;
   std::vector<std::thread> threads_;
-};
-
-// Reorders out-of-order completions into index order. Single-threaded
-// (the committer owns it): Add buffers (index, value) and invokes
-// `commit(index, value)` for every contiguous prefix now available,
-// in strictly increasing index order starting at 0. Each index must be
-// added exactly once.
-template <typename T>
-class OrderedMerger {
- public:
-  template <typename Fn>
-  void Add(std::size_t index, T value, Fn&& commit) {
-    pending_.emplace(index, std::move(value));
-    auto it = pending_.begin();
-    while (it != pending_.end() && it->first == next_) {
-      commit(it->first, std::move(it->second));
-      it = pending_.erase(it);
-      ++next_;
-    }
-  }
-
-  // Indices committed so far (== the length of the released prefix).
-  std::size_t committed() const { return next_; }
-  // True when nothing is buffered waiting for a missing index.
-  bool drained() const { return pending_.empty(); }
-
- private:
-  std::map<std::size_t, T> pending_;
-  std::size_t next_ = 0;
 };
 
 }  // namespace lopass::runner

@@ -1,23 +1,20 @@
-// Concurrency suite for the parallel exploration runner, written to
-// run under ThreadSanitizer (the `tsan` preset): the bounded MPSC
-// queue (FIFO, backpressure, close), the worker pool, the
-// deterministic in-order merge, per-job thread-local fault scoping
-// (two concurrent jobs must never observe each other's injected
-// faults), the thread-safe journal writer under concurrent producers,
-// and the headline identities — an N-worker sweep renders a report
-// and writes a journal byte-identical to a 1-worker run, clean, under
-// chaos, and across a resume.
+// Concurrency suite for the exploration runner, written to run under
+// ThreadSanitizer (the `tsan` preset): the worker pool's exactly-once
+// dispatch, per-job thread-local fault scoping (two concurrent jobs
+// must never observe each other's injected faults), the thread-safe
+// journal writer under concurrent producers, and the headline
+// identities — an N-worker sweep, whose workers fill per-job slots
+// that the caller commits in job-queue order, renders a report and
+// writes a journal byte-identical to a 1-worker run, clean, under
+// chaos, and across a resume — and a failed journal append ends the
+// sweep.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <barrier>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <numeric>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -47,86 +44,6 @@ void WriteFile(const std::string& path, const std::string& content) {
   out << content;
 }
 
-// --- BoundedMpscQueue -------------------------------------------------
-
-TEST(BoundedMpscQueueTest, FifoSingleThread) {
-  BoundedMpscQueue<int> q(8);
-  q.Push(1);
-  q.Push(2);
-  q.Push(3);
-  int v = 0;
-  ASSERT_TRUE(q.Pop(v));
-  EXPECT_EQ(v, 1);
-  ASSERT_TRUE(q.Pop(v));
-  EXPECT_EQ(v, 2);
-  ASSERT_TRUE(q.Pop(v));
-  EXPECT_EQ(v, 3);
-  q.Close();
-  EXPECT_FALSE(q.Pop(v));
-}
-
-TEST(BoundedMpscQueueTest, CloseDrainsRemainingItemsFirst) {
-  BoundedMpscQueue<int> q(4);
-  q.Push(7);
-  q.Push(8);
-  q.Close();
-  int v = 0;
-  ASSERT_TRUE(q.Pop(v));
-  EXPECT_EQ(v, 7);
-  ASSERT_TRUE(q.Pop(v));
-  EXPECT_EQ(v, 8);
-  EXPECT_FALSE(q.Pop(v));
-  EXPECT_FALSE(q.Pop(v));  // stays drained
-}
-
-TEST(BoundedMpscQueueTest, BackpressureBlocksProducerUntilConsumed) {
-  BoundedMpscQueue<int> q(2);
-  q.Push(0);
-  q.Push(1);  // queue now full
-  std::atomic<bool> third_pushed{false};
-  std::thread producer([&] {
-    q.Push(2);  // must block until the consumer makes room
-    third_pushed.store(true, std::memory_order_release);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(third_pushed.load(std::memory_order_acquire))
-      << "Push must block while the queue is at capacity";
-  int v = 0;
-  ASSERT_TRUE(q.Pop(v));
-  EXPECT_EQ(v, 0);
-  producer.join();
-  EXPECT_TRUE(third_pushed.load(std::memory_order_acquire));
-  ASSERT_TRUE(q.Pop(v));
-  EXPECT_EQ(v, 1);
-  ASSERT_TRUE(q.Pop(v));
-  EXPECT_EQ(v, 2);
-}
-
-TEST(BoundedMpscQueueTest, ManyProducersOneConsumerLosesNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 500;
-  BoundedMpscQueue<int> q(3);  // tiny bound: constant backpressure
-  std::vector<std::thread> producers;
-  producers.reserve(kProducers);
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.Push(p * kPerProducer + i);
-    });
-  }
-  std::vector<int> seen;
-  seen.reserve(kProducers * kPerProducer);
-  for (int i = 0; i < kProducers * kPerProducer; ++i) {
-    int v = 0;
-    ASSERT_TRUE(q.Pop(v));
-    seen.push_back(v);
-  }
-  for (std::thread& t : producers) t.join();
-  std::sort(seen.begin(), seen.end());
-  for (int i = 0; i < kProducers * kPerProducer; ++i) {
-    ASSERT_EQ(seen[static_cast<std::size_t>(i)], i) << "lost or duplicated item";
-  }
-}
-
 // --- WorkerPool -------------------------------------------------------
 
 TEST(WorkerPoolTest, RunsEveryJobExactlyOnce) {
@@ -149,37 +66,6 @@ TEST(WorkerPoolTest, MoreWorkersThanJobsIsFine) {
   WorkerPool pool(16, 3, [&](std::size_t) { total.fetch_add(1); });
   pool.Join();
   EXPECT_EQ(total.load(), 3);
-}
-
-// --- OrderedMerger ----------------------------------------------------
-
-TEST(OrderedMergerTest, ReleasesShuffledCompletionsInIndexOrder) {
-  // A worst-case completion order: all high indices first.
-  const std::vector<std::size_t> arrival = {9, 7, 8, 3, 5, 4, 6, 0, 2, 1};
-  OrderedMerger<std::size_t> merger;
-  std::vector<std::size_t> committed;
-  for (const std::size_t index : arrival) {
-    merger.Add(index, index * 10, [&](std::size_t i, std::size_t&& v) {
-      EXPECT_EQ(v, i * 10);
-      committed.push_back(i);
-    });
-  }
-  EXPECT_TRUE(merger.drained());
-  EXPECT_EQ(merger.committed(), 10u);
-  for (std::size_t i = 0; i < committed.size(); ++i) EXPECT_EQ(committed[i], i);
-}
-
-TEST(OrderedMergerTest, HoldsBackUntilTheMissingIndexArrives) {
-  OrderedMerger<int> merger;
-  int commits = 0;
-  const auto count = [&](std::size_t, int&&) { ++commits; };
-  merger.Add(1, 10, count);
-  merger.Add(2, 20, count);
-  EXPECT_EQ(commits, 0) << "nothing may commit before index 0 exists";
-  EXPECT_FALSE(merger.drained());
-  merger.Add(0, 0, count);
-  EXPECT_EQ(commits, 3);
-  EXPECT_TRUE(merger.drained());
 }
 
 // --- per-job fault scoping (satellite: concurrent jobs must never ----
@@ -362,7 +248,7 @@ TEST(ParallelExploreTest, JournalBytesAreIdenticalAcrossWorkerCounts) {
     const ExploreReport b = RunExplore(parallel);
     EXPECT_EQ(a.Render(), b.Render()) << "chaos seed " << chaos_seed;
     EXPECT_EQ(ReadFile(seq_path), ReadFile(par_path))
-        << "the committer must journal completions in job-queue order (chaos seed "
+        << "completions must be journaled in job-queue order (chaos seed "
         << chaos_seed << ")";
   }
   std::remove(seq_path.c_str());
@@ -413,6 +299,22 @@ TEST(ParallelExploreTest, ResumeOfAParallelSweepIsByteIdentical) {
   EXPECT_EQ(resumed.Render(), full.Render());
   EXPECT_EQ(LoadJournal(path).records.size(), 4u);
   std::remove(path.c_str());
+}
+
+TEST(ParallelExploreTest, AFailedJournalAppendEndsTheSweep) {
+  // /dev/full opens fine and fails every write, so the first commit
+  // throws. From then on workers must claim no new job: only the jobs
+  // already in flight reach the profiler, far fewer than the 24 of the
+  // whole sweep. The armed-but-unreachable spec just counts the hits.
+  if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  for (const int jobs : {1, 4}) {
+    fault::ScopedSpec count_hits("profile:1000000");
+    ExploreOptions options;
+    options.journal_path = "/dev/full";
+    options.jobs = jobs;
+    EXPECT_THROW(RunExplore(options), Error) << "--jobs " << jobs;
+    EXPECT_LT(fault::HitCount("profile"), 24u) << "--jobs " << jobs;
+  }
 }
 
 }  // namespace
