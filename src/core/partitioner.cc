@@ -248,11 +248,11 @@ PartitionDecision SynthesizeWinner(const FlowInputs& in, const Cluster& c,
 }
 
 // The all-software baseline: nothing mapped, no ASIC core.
-void FallBackToSoftware(PartitionResult& result) {
+void FallBackToSoftware(PartitionResult& result, const iss::SimResult& initial_run) {
   result.selected.clear();
   result.asic_cycles = 0;
   result.asic_energy = Energy{};
-  result.partitioned_run = result.initial_run;
+  result.partitioned_run = initial_run;
 }
 
 }  // namespace
@@ -310,7 +310,150 @@ Partitioner::Partitioner(const ir::Module& module, const ir::RegionTree& regions
   LOPASS_CHECK(!options_.resource_sets.empty(), "at least one resource set required");
 }
 
+namespace {
+
+// One whole-system run of the baseline's workload on the ISS.
+iss::SimResult Simulate(const AppBaseline& b, const iss::SystemConfig& config,
+                        const iss::HwPartition& partition, const power::TechLibrary& lib,
+                        const iss::TiwariModel& up_model, std::uint64_t max_instrs) {
+  iss::Simulator sim(*b.module, b.program, config, lib, up_model);
+  if (b.workload.setup) {
+    EngineTarget<iss::Simulator> t(sim);
+    b.workload.setup(t);
+  }
+  return sim.Run(b.workload.entry, b.workload.args, partition, max_instrs);
+}
+
+// Hands the baseline's initial run, and its chain once line 2 stood, to
+// the result: moved out of a private baseline, copied from a shared one.
+void TakeBaseline(PartitionResult& result, const AppBaseline& b, AppBaseline* own,
+                  bool with_chain) {
+  if (own != nullptr) {
+    result.initial_run = std::move(own->initial_run);
+    if (with_chain) result.chain = std::move(own->chain);
+  } else {
+    result.initial_run = b.initial_run;
+    if (with_chain) result.chain = b.chain;
+  }
+}
+
+}  // namespace
+
+bool ResimMemo::Find(const iss::HwPartition& partition, iss::SimResult& out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [key, run] : entries_) {
+    if (key == partition) {
+      out = run;
+      ++reused_;
+      return true;
+    }
+  }
+  return false;
+}
+
+void ResimMemo::Publish(const iss::HwPartition& partition, const iss::SimResult& run) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++runs_;
+  for (const auto& entry : entries_) {
+    if (entry.first == partition) return;  // a concurrent duplicate: first wins
+  }
+  entries_.emplace_back(partition, run);
+}
+
+int ResimMemo::runs() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return runs_;
+}
+
+int ResimMemo::reused() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return reused_;
+}
+
+std::shared_ptr<AppBaseline> Partitioner::BuildBaseline(const Workload& workload) const {
+  const fault::JobScope masked("");
+  CheckCancel(options_.cancel, "partitioner (startup)");
+  auto b = std::make_shared<AppBaseline>();
+  b->module = &module_;
+  b->workload = workload;
+
+  // --- Fig. 1 line 1: the graph is the IR; build the SL32 program. ----
+  b->program = isa::Generate(module_);
+  if (options_.peephole) isa::Peephole(b->program);
+
+  // --- profiling (#ex_times, Fig. 4 footnote 14) -----------------------
+  CheckCancel(options_.cancel, "partitioner (profiling)");
+  interp::Interpreter profiler(module_);
+  if (workload.setup) {
+    EngineTarget<interp::Interpreter> t(profiler);
+    workload.setup(t);
+  }
+  profiler.Run(workload.entry, workload.args, options_.max_interp_steps);
+  b->profile = profiler.profile();
+
+  // --- initial whole-system simulation ---------------------------------
+  CheckCancel(options_.cancel, "partitioner (initial simulation)");
+  b->initial_run = Simulate(*b, options_.initial_config, iss::HwPartition{}, lib_, up_model_,
+                            options_.max_sim_instrs);
+
+  // --- Fig. 1 line 2: cluster decomposition ----------------------------
+  // Isolation boundary: if decomposition fails, the all-software
+  // baseline is still a valid answer — Run records the failure and
+  // returns it.
+  try {
+    b->chain = DecomposeIntoClusters(module_, regions_, options_.entry);
+  } catch (const CancelledError&) {
+    throw;  // deadlines abort the whole run, not one stage
+  } catch (const Error& e) {
+    b->decomposition_error = e.what();
+    return b;
+  }
+
+  // --- Fig. 1 lines 3-4: bus-transfer energy (Fig. 3) ------------------
+  b->traffic = std::make_unique<BusTrafficAnalyzer>(module_, b->chain, lib_,
+                                                    options_.initial_config.memory_bytes);
+
+  // Self-check: the decomposition and the gen/use sets behind the
+  // traffic model are the foundation every later estimate rests on.
+  if (options_.self_check) {
+    DiagnosticSink sc;
+    ValidateClusterChain(module_, b->chain, sc);
+    ValidateGenUse(module_, b->chain, *b->traffic, sc);
+    b->chain_findings = sc.Take();
+  }
+
+  // --- Fig. 1 line 5: pre-selection ------------------------------------
+  struct Ranked {
+    const Cluster* cluster;
+    double benefit;  // SW energy of the cluster minus transfer energy
+  };
+  std::vector<Ranked> ranked;
+  for (const Cluster& c : b->chain.clusters) {
+    if (!c.hw_candidate) continue;
+    const Energy sw_energy = b->initial_run.CostOfBlocks(c.blocks).energy;
+    const Transfers t = b->traffic->Compute(c);
+    ranked.push_back(Ranked{&c, sw_energy.joules - t.energy.joules});
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Ranked& x, const Ranked& y) { return x.benefit > y.benefit; });
+  if (static_cast<int>(ranked.size()) > options_.max_preselect) {
+    ranked.resize(static_cast<std::size_t>(options_.max_preselect));
+  }
+  for (const Ranked& r : ranked) b->ranked.push_back(r.cluster);
+  return b;
+}
+
 PartitionResult Partitioner::Run(const Workload& workload) const {
+  const std::shared_ptr<AppBaseline> baseline = BuildBaseline(workload);
+  return RunSets(*baseline, baseline.get());
+}
+
+PartitionResult Partitioner::Run(const AppBaseline& baseline) const {
+  LOPASS_CHECK(baseline.module == &module_, "baseline built for another module");
+  return RunSets(baseline, nullptr);
+}
+
+PartitionResult Partitioner::RunSets(const AppBaseline& b, AppBaseline* own) const {
   PartitionResult result;
 
   // Reproducibility header: the first diagnostic of every run names the
@@ -328,99 +471,50 @@ PartitionResult Partitioner::Run(const Workload& workload) const {
   }
   CheckCancel(options_.cancel, "partitioner (startup)");
 
+  // The application stage ran masked (see BuildBaseline): its fault
+  // sites fire here, in Fig. 1 order, with the effect they have there.
+  // Profiling and the initial simulation throw out of Run.
+  fault::MaybeInject("profile");
+  fault::MaybeInject("sim");
+  const iss::SimResult& initial = b.initial_run;
+
+  // Line 2 failed, or its alloc site fires: all-software fallback.
+  std::string decomposition_error = b.decomposition_error;
+  try {
+    fault::MaybeInject("alloc");
+  } catch (const InjectedFault& e) {
+    decomposition_error = e.what();
+  }
+  if (!decomposition_error.empty()) {
+    result.diagnostics.push_back(
+        Diagnostic{Severity::kError, "partition.cluster", SourceLoc{},
+                   "cluster decomposition failed (all-software fallback): " +
+                       decomposition_error});
+    FallBackToSoftware(result, initial);
+    TakeBaseline(result, b, own, /*with_chain=*/false);
+    return result;
+  }
+  const ClusterChain& chain = b.chain;
+  const BusTrafficAnalyzer& traffic = *b.traffic;
+  result.diagnostics.insert(result.diagnostics.end(), b.chain_findings.begin(),
+                            b.chain_findings.end());
+
   // Scheduler options with the run's cancel token threaded through, so
   // a deadline also interrupts a long list schedule mid-cluster.
   sched::SchedulerOptions sched_opts = options_.scheduler;
   if (options_.cancel != nullptr) sched_opts.cancel = options_.cancel;
 
-  // --- Fig. 1 line 1: the graph is the IR; build the SL32 program. ----
-  isa::SlProgram program = isa::Generate(module_);
-  if (options_.peephole) isa::Peephole(program);
-
-  // --- profiling (#ex_times, Fig. 4 footnote 14) -----------------------
-  CheckCancel(options_.cancel, "partitioner (profiling)");
-  interp::Interpreter profiler(module_);
-  if (workload.setup) {
-    EngineTarget<interp::Interpreter> t(profiler);
-    workload.setup(t);
-  }
-  profiler.Run(workload.entry, workload.args, options_.max_interp_steps);
-
-  // One whole-system run of the workload on the ISS.
-  auto simulate = [&](const iss::SystemConfig& config, const iss::HwPartition& partition) {
-    iss::Simulator sim(module_, program, config, lib_, up_model_);
-    if (workload.setup) {
-      EngineTarget<iss::Simulator> t(sim);
-      workload.setup(t);
-    }
-    return sim.Run(workload.entry, workload.args, partition, options_.max_sim_instrs);
-  };
-
-  // --- initial whole-system simulation ---------------------------------
-  CheckCancel(options_.cancel, "partitioner (initial simulation)");
-  result.initial_run = simulate(options_.initial_config, iss::HwPartition{});
-
-  // --- Fig. 1 line 2: cluster decomposition ----------------------------
-  // Isolation boundary: if decomposition fails, the all-software
-  // baseline is still a valid answer — record the failure and return it.
-  try {
-    result.chain = DecomposeIntoClusters(module_, regions_, options_.entry);
-  } catch (const CancelledError&) {
-    throw;  // deadlines abort the whole run, not one stage
-  } catch (const Error& e) {
-    result.diagnostics.push_back(
-        Diagnostic{Severity::kError, "partition.cluster",
-                   SourceLoc{},
-                   std::string("cluster decomposition failed (all-software fallback): ") +
-                       e.what()});
-    FallBackToSoftware(result);
-    return result;
-  }
-  const ClusterChain& chain = result.chain;
-
-  // --- Fig. 1 lines 3-4: bus-transfer energy (Fig. 3) ------------------
-  BusTrafficAnalyzer traffic(module_, chain, lib_,
-                             options_.initial_config.memory_bytes);
-
-  // Self-check: the decomposition and the gen/use sets behind the
-  // traffic model are the foundation every later estimate rests on.
-  if (options_.self_check) {
-    DiagnosticSink sc;
-    ValidateClusterChain(module_, chain, sc);
-    ValidateGenUse(module_, chain, traffic, sc);
-    for (Diagnostic& d : sc.Take()) result.diagnostics.push_back(std::move(d));
-  }
-
-  // --- Fig. 1 line 5: pre-selection ------------------------------------
-  struct Ranked {
-    const Cluster* cluster;
-    double benefit;  // SW energy of the cluster minus transfer energy
-  };
-  std::vector<Ranked> ranked;
-  for (const Cluster& c : chain.clusters) {
-    if (!c.hw_candidate) continue;
-    const Energy sw_energy = result.initial_run.CostOfBlocks(c.blocks).energy;
-    const Transfers t = traffic.Compute(c);
-    ranked.push_back(Ranked{&c, sw_energy.joules - t.energy.joules});
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [](const Ranked& a, const Ranked& b) { return a.benefit > b.benefit; });
-  if (static_cast<int>(ranked.size()) > options_.max_preselect) {
-    ranked.resize(static_cast<std::size_t>(options_.max_preselect));
-  }
-
   // --- Fig. 1 lines 6-13: evaluate cluster × resource set --------------
   // Greedy selection of up to max_hw_clusters clusters.
-  const FlowInputs in{module_, options_, sched_opts, lib_,
-                      profiler.profile(), result.initial_run, traffic};
+  const FlowInputs in{module_, options_, sched_opts, lib_, b.profile, initial, traffic};
   Accepted accepted;
   double current_of = BaselineObjective(options_.objective);
   std::vector<Candidate> winners;
 
   for (int round = 0; round < options_.max_hw_clusters; ++round) {
     std::optional<Candidate> best;
-    for (const Ranked& r : ranked) {
-      const Cluster& c = *r.cluster;
+    for (const Cluster* candidate : b.ranked) {
+      const Cluster& c = *candidate;
       if (accepted.ids.count(c.id) || accepted.chain_pos.count(c.chain_pos)) continue;
       for (const sched::ResourceSet& rs : options_.resource_sets) {
         Candidate cand;
@@ -462,7 +556,7 @@ PartitionResult Partitioner::Run(const Workload& workload) const {
     const Cluster& c = chain.clusters[static_cast<std::size_t>(ev.cluster_id)];
     accepted.ids.insert(ev.cluster_id);
     accepted.chain_pos.insert(c.chain_pos);
-    accepted.up_removed += result.initial_run.CostOfBlocks(c.blocks).energy;
+    accepted.up_removed += initial.CostOfBlocks(c.blocks).energy;
     accepted.asic_added += asic::EstimateEnergy(ev.util, lib_);
     accepted.geq += ev.geq;
     current_of = ev.objective;
@@ -494,7 +588,8 @@ PartitionResult Partitioner::Run(const Workload& workload) const {
     }
   }
   if (result.selected.empty()) {
-    FallBackToSoftware(result);
+    FallBackToSoftware(result, initial);
+    TakeBaseline(result, b, own, /*with_chain=*/true);
     return result;
   }
 
@@ -526,8 +621,8 @@ PartitionResult Partitioner::Run(const Workload& workload) const {
   for (std::size_t k = 0; k < result.selected.size(); ++k) {
     const PartitionDecision& d = result.selected[k];
     const Cluster& c = chain.clusters[static_cast<std::size_t>(d.cluster_id)];
-    for (const auto& [fn, b] : c.blocks) {
-      partition.block_cluster[static_cast<std::size_t>(fn)][static_cast<std::size_t>(b)] =
+    for (const auto& [fn, block] : c.blocks) {
+      partition.block_cluster[static_cast<std::size_t>(fn)][static_cast<std::size_t>(block)] =
           static_cast<int>(k);
     }
     iss::HwPartition::ClusterIo io;
@@ -538,8 +633,17 @@ PartitionResult Partitioner::Run(const Workload& workload) const {
 
   CheckCancel(options_.cancel, "partitioner (partitioned re-simulation)");
   try {
-    result.partitioned_run =
-        simulate(options_.partitioned_config.value_or(options_.initial_config), partition);
+    const iss::SystemConfig& config =
+        options_.partitioned_config.value_or(options_.initial_config);
+    // A shared baseline reuses an earlier run of the same partition,
+    // hitting the sim site the simulation would have hit.
+    if (own == nullptr && b.resims.Find(partition, result.partitioned_run)) {
+      fault::MaybeInject("sim");
+    } else {
+      result.partitioned_run =
+          Simulate(b, config, partition, lib_, up_model_, options_.max_sim_instrs);
+      if (own == nullptr) b.resims.Publish(partition, result.partitioned_run);
+    }
   } catch (const CancelledError&) {
     throw;
   } catch (const Error& e) {
@@ -549,8 +653,9 @@ PartitionResult Partitioner::Run(const Workload& workload) const {
         Severity::kError, "partition.resim", SourceLoc{},
         std::string("partitioned re-simulation failed (all-software fallback): ") +
             e.what()});
-    FallBackToSoftware(result);
+    FallBackToSoftware(result, initial);
   }
+  TakeBaseline(result, b, own, /*with_chain=*/true);
   return result;
 }
 

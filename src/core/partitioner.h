@@ -15,9 +15,16 @@
 //   6. synthesize the best core(s)              (line 14)
 //   7. gate-level-style energy estimation and
 //      whole-system partitioned re-simulation   (line 15)
+//
+// Steps 1-4, with profiling and the initial whole-system run, read the
+// application only: Partitioner::BuildBaseline runs them once into an
+// AppBaseline that every resource-set run of the application can share.
 
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "asic/synthesis.h"
@@ -30,6 +37,7 @@
 #include "core/report.h"
 #include "core/workload.h"
 #include "dsl/lower.h"
+#include "interp/interpreter.h"
 #include "iss/simulator.h"
 #include "sched/resource_set.h"
 
@@ -161,6 +169,56 @@ struct PartitionResult {
   AppRow ToRow(const std::string& app_name) const;
 };
 
+// Line-15 re-simulations already run on one AppBaseline, keyed on the
+// full HwPartition (block -> cluster map and each cluster's I/O words).
+// Thread-safe: a miss simulates outside the lock, and the first result
+// published for a key wins.
+class ResimMemo {
+ public:
+  // Copies the stored run for `partition` into `out`; false on a miss.
+  bool Find(const iss::HwPartition& partition, iss::SimResult& out) const;
+  void Publish(const iss::HwPartition& partition, const iss::SimResult& run);
+  int runs() const;    // simulations published or discarded as duplicates
+  int reused() const;  // Find hits
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::pair<iss::HwPartition, iss::SimResult>> entries_;
+  int runs_ = 0;
+  mutable int reused_ = 0;
+};
+
+// The steps of Fig. 1 that read the application, never the resource
+// sets: the SL32 program, profiling (#ex_times), the initial
+// whole-system run, decomposition (line 2), transfer energy (lines 3-4)
+// and the ranked pre-selection (line 5). Partitioner::Run(const
+// AppBaseline&) runs lines 6-15 on it, so one baseline serves every
+// resource set of an application.
+//
+// A baseline fits any Partitioner over the same module, regions,
+// library, µP model, workload and PartitionOptions, except that
+// resource_sets, prng_seed and cancel may differ. It is immutable once
+// built except for its internally locked re-simulation memo, so threads
+// may share one.
+struct AppBaseline {
+  const ir::Module* module = nullptr;
+  Workload workload;
+  isa::SlProgram program;
+  interp::Profile profile;
+  iss::SimResult initial_run;
+  ClusterChain chain;
+  // Why line 2 failed (the flow then falls back to all-software);
+  // empty when the chain is valid.
+  std::string decomposition_error;
+  // Self-check findings on the chain and its gen/use sets.
+  std::vector<Diagnostic> chain_findings;
+  // Reads `chain`; null when decomposition failed.
+  std::unique_ptr<BusTrafficAnalyzer> traffic;
+  // Pre-selected clusters, best benefit first (points into `chain`).
+  std::vector<const Cluster*> ranked;
+  mutable ResimMemo resims;
+};
+
 class Partitioner {
  public:
   Partitioner(const ir::Module& module, const ir::RegionTree& regions,
@@ -168,14 +226,33 @@ class Partitioner {
               const power::TechLibrary& lib = power::TechLibrary::Cmos6(),
               const iss::TiwariModel& up_model = iss::TiwariModel::Sparclite());
 
-  // Runs the full flow of Fig. 5 on the given workload. Throws
-  // CancelledError if options().cancel fires mid-flow; every other
-  // per-candidate failure is isolated into the result's diagnostics.
+  // Runs the full flow of Fig. 5 on the given workload: BuildBaseline,
+  // then lines 6-15. Throws CancelledError if options().cancel fires
+  // mid-flow; every other per-candidate failure is isolated into the
+  // result's diagnostics.
   PartitionResult Run(const Workload& workload) const;
+
+  // Lines 6-15 on a baseline that may be shared with other runs; the
+  // result equals Run(baseline.workload). The line-15 re-simulation is
+  // memoized in the baseline.
+  PartitionResult Run(const AppBaseline& baseline) const;
+
+  // The application stage. It runs with fault injection masked: Run
+  // hits the profile, sim and alloc sites instead, so every run hits
+  // each once whether it built its baseline or shares one, and a
+  // baseline never holds an injected failure. Throws CancelledError or
+  // Error when profiling or the initial simulation fails.
+  std::shared_ptr<AppBaseline> BuildBaseline(const Workload& workload) const;
 
   const PartitionOptions& options() const { return options_; }
 
  private:
+  // Lines 6-15 on `baseline`. `own` is null for a shared baseline; for
+  // Run(workload)'s private one it is the same object, whose initial
+  // run and chain then move into the result and whose line 15 skips
+  // the memo.
+  PartitionResult RunSets(const AppBaseline& baseline, AppBaseline* own) const;
+
   const ir::Module& module_;
   const ir::RegionTree& regions_;
   PartitionOptions options_;

@@ -59,8 +59,11 @@ struct HwPartition {
     // mem, Fig. 3 step 1/2) and exit (mem -> µP, step 3/4).
     std::uint32_t entry_words = 0;
     std::uint32_t exit_words = 0;
+    bool operator==(const ClusterIo&) const = default;
   };
   std::vector<ClusterIo> clusters;
+
+  bool operator==(const HwPartition&) const = default;
 
   bool empty() const { return clusters.empty(); }
   int ClusterOf(ir::FunctionId fn, ir::BlockId b) const {

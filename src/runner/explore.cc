@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -24,6 +23,7 @@
 #include "common/prng.h"
 #include "core/partitioner.h"
 #include "dsl/lower.h"
+#include "runner/app_cache.h"
 #include "runner/journal.h"
 #include "runner/worker_pool.h"
 
@@ -175,7 +175,7 @@ struct Attempt {
 
 Attempt RunAttempt(const dsl::LoweredProgram& prog, const apps::Application& app,
                    const sched::ResourceSet& rs, std::uint64_t seed,
-                   CancelToken* token, int scale) {
+                   CancelToken* token, int scale, AppCache& cache) {
   Attempt attempt;
   core::PartitionOptions options = app.options;
   options.resource_sets = {rs};
@@ -183,7 +183,7 @@ Attempt RunAttempt(const dsl::LoweredProgram& prog, const apps::Application& app
   options.cancel = token;
   try {
     core::Partitioner partitioner(prog.module, prog.regions, options);
-    attempt.result = partitioner.Run(app.workload(scale));
+    attempt.result = partitioner.Run(*cache.Baseline(app, partitioner, scale));
   } catch (const CancelledError& e) {
     attempt.threw = true;
     attempt.cancelled = true;
@@ -242,70 +242,33 @@ struct Completion {
   std::exception_ptr error;
 };
 
-// Compiles each application once, shared across workers. Concurrent
-// Get()s serialize on the mutex (compiles are cheap next to the
-// partitioning flow); map nodes keep the returned pointers stable.
-class CompileCache {
- public:
-  // Returns the compiled program, or nullptr with `error` set when the
-  // compile failed — every job of that app records the same permanent
-  // failure.
-  const dsl::LoweredProgram* Get(const apps::Application& app, std::string* error) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(app.name);
-    if (it == entries_.end()) {
-      Entry entry;
-      try {
-        entry.program.emplace(dsl::Compile(app.dsl_source));
-      } catch (const Error& e) {
-        entry.error = e.what();
-      }
-      it = entries_.emplace(app.name, std::move(entry)).first;
-    }
-    if (!it->second.program.has_value()) {
-      *error = it->second.error;
-      return nullptr;
-    }
-    return &*it->second.program;
-  }
-
- private:
-  struct Entry {
-    std::optional<dsl::LoweredProgram> program;
-    std::string error;
-  };
-  std::mutex mu_;
-  std::map<std::string, Entry> entries_;
-};
-
 // Runs one job end to end: compile lookup, chaos scope, the
 // attempt/retry/breaker loop under the job's own deadline token.
 // Called concurrently from workers; touches no shared mutable state
-// beyond the (locked) compile cache and, without chaos, the global
-// fault table.
-Completion EvaluateJob(const JobSpec& spec, const ExploreOptions& options,
-                       CompileCache& compiled, int scale) {
+// beyond the (locked) app cache and, without chaos, the global fault
+// table.
+Completion EvaluateJob(const JobSpec& spec, const ExploreOptions& options, AppCache& cache,
+                       int scale) {
   Completion c;
   JobResult& job = c.job;
   job.app = spec.app->name;
   job.resource_set = spec.rs->name;
   job.seed = options.base_seed ^ Fnv1a(spec.key);
 
-  // A compile failure is permanent by construction — it happens once
-  // per app, outside the attempt loop, and every job of the app is
-  // recorded failed without sinking the sweep.
-  std::string compile_error;
-  const dsl::LoweredProgram* prog = compiled.Get(*spec.app, &compile_error);
-  if (prog == nullptr) {
+  // A compile failure is permanent by construction — the app cache
+  // keeps one outcome per app, outside the attempt loop, and every job
+  // of the app is recorded failed without sinking the sweep.
+  const std::shared_ptr<const AppCache::Compiled> compiled = cache.Compile(*spec.app);
+  if (!compiled->program.has_value()) {
     job.attempts = 1;
     job.status = JobStatus::kFailed;
     job.errors = 1;
-    job.detail = compile_error;
+    job.detail = compiled->error;
     job.fault_spec = fault::CurrentSpec();
     c.notes.push_back(Diagnostic{
         Severity::kWarning, "runner.breaker", SourceLoc{},
         "job '" + spec.key + "': compile failed, circuit breaker open: " +
-            compile_error});
+            compiled->error});
     return c;
   }
 
@@ -344,7 +307,8 @@ Completion EvaluateJob(const JobSpec& spec, const ExploreOptions& options,
   std::string last_error;
   for (int attempt_no = 1; attempt_no <= max_attempts; ++attempt_no) {
     job.attempts = attempt_no;
-    Attempt attempt = RunAttempt(*prog, *spec.app, *spec.rs, job.seed, token_ptr, scale);
+    Attempt attempt =
+        RunAttempt(*compiled->program, *spec.app, *spec.rs, job.seed, token_ptr, scale, cache);
 
     if (!attempt.threw) {
       if (DegradedOnlyTransiently(attempt.result) && attempt_no < max_attempts) {
@@ -492,7 +456,7 @@ ExploreReport RunExplore(const ExploreOptions& options) {
     journal = std::make_unique<JournalWriter>(options.journal_path,
                                               /*truncate=*/!options.resume);
   }
-  CompileCache compiled;
+  AppCache cache;
 
   // The commit path — the single place order-sensitive effects happen,
   // always in job-queue order: append the report row and notes, write
@@ -512,12 +476,12 @@ ExploreReport RunExplore(const ExploreOptions& options) {
   const auto resolve = [&](const JobSpec& spec) -> Completion {
     const auto hit = replayed.find(spec.key);
     if (hit != replayed.end()) return Completion{hit->second, {}, nullptr};
-    return EvaluateJob(spec, options, compiled, scale);
+    return EvaluateJob(spec, options, cache, scale);
   };
 
   // Workers evaluate jobs out of order and park each completion in its
   // job's slot; this thread waits for slot 0, 1, 2, ... in turn and
-  // commits it. Everything the workers share — the compile cache, the
+  // commits it. Everything the workers share — the app cache, the
   // fault tables, the journal — is internally synchronized; the report
   // is touched only here. Once a commit throws, workers claim no new
   // job and the error propagates after the in-flight ones finish, so a
@@ -541,20 +505,26 @@ ExploreReport RunExplore(const ExploreOptions& options) {
   });
 
   try {
-    for (std::optional<Completion>& slot : slots) {
+    for (std::size_t i = 0; i < slots.size(); ++i) {
       std::unique_lock<std::mutex> lock(mu);
-      filled.wait(lock, [&] { return slot.has_value(); });
-      Completion done = std::move(*slot);
-      slot.reset();
+      filled.wait(lock, [&] { return slots[i].has_value(); });
+      Completion done = std::move(*slots[i]);
+      slots[i].reset();
       lock.unlock();
       if (done.error) std::rethrow_exception(done.error);
       commit(std::move(done));
+      // An app's jobs are contiguous in the queue, so once its last one
+      // is committed every one of them has run: free its baseline.
+      if (i + 1 == queue.size() || queue[i + 1].app != queue[i].app) {
+        cache.Release(queue[i].app->name);
+      }
     }
   } catch (...) {
     stop.store(true, std::memory_order_relaxed);
     pool.Join();
     throw;
   }
+  report.stats = cache.Stats();
   return report;
 }
 

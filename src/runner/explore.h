@@ -42,6 +42,17 @@
 // sweep: workers claim no new job, and RunExplore rethrows once the
 // in-flight ones finish.
 //
+// Jobs of one application share its compiled program and its
+// application stage (core::AppBaseline: profile, initial run,
+// decomposition, transfer energy, pre-selection) through a per-app
+// cache that lives for one RunExplore call, and the baseline memoizes
+// the line-15 re-simulation, so a sweep runs each app's baseline once
+// and each distinct partition once. A job still hits every fault site
+// of the flow exactly once whether it built or reused the baseline
+// (see core::Partitioner::BuildBaseline), and a build that throws is
+// never cached, so attempt counts and the journal do not depend on
+// which job filled the cache.
+//
 // The one semantic caveat: a *global* fault spec (LOPASS_FAULT_INJECT /
 // SetSpec) with one-shot site:N arms is consumed in completion order
 // under parallelism, which is inherently nondeterministic — per-job
@@ -114,12 +125,21 @@ struct JobResult {
   std::string detail;       // first error message, or ""
 };
 
+// Run counts of one sweep's shared per-app work. Out of band, like
+// ExploreReport::notes: never rendered or journaled.
+struct ExploreStats {
+  int baselines_built = 0;  // app stages run; a discarded duplicate counts
+  int resims_run = 0;       // line-15 re-simulations run on shared baselines
+  int resims_reused = 0;    // line-15 re-simulations served from the memo
+};
+
 struct ExploreReport {
   std::vector<JobResult> jobs;
   // Supervision metadata — journal warnings, retry notices, circuit
   // breaker trips. Deliberately excluded from Render() so a resumed or
   // chaos run stays byte-identical to a clean one.
   std::vector<Diagnostic> notes;
+  ExploreStats stats;
 
   int failed() const;
   int degraded() const;

@@ -13,6 +13,9 @@
 #                       both journaled, and require stdout AND journal
 #                       bytes to be identical — the parallel runner's
 #                       determinism contract on the real binary.
+#   MODE=chaos_fixture  run `--chaos SEED --retries 4` journaled with
+#                       --jobs ${JOBS} and require stdout and journal
+#                       bytes to equal pinned fixture files.
 #
 # Arguments (via -D):
 #   CLI           path to the lopass_cli binary
@@ -24,7 +27,9 @@
 #                 kill_resume/chaos with JOBS>1 also prove the parallel
 #                 runs match the sequential report byte-for-byte
 #   KILL_AFTER    (kill_resume) append count before the self-SIGKILL
-#   CHAOS_SEED    (chaos) seed for the fault schedule
+#   CHAOS_SEED    (chaos, chaos_fixture) seed for the fault schedule
+#   FIXTURE_REPORT, FIXTURE_JOURNAL
+#                 (chaos_fixture) expected stdout and journal files
 
 if(NOT DEFINED CLI OR NOT DEFINED MODE OR NOT DEFINED WORKDIR OR NOT DEFINED APPS)
   message(FATAL_ERROR "explore_check.cmake needs -DCLI, -DMODE, -DWORKDIR, -DAPPS")
@@ -35,6 +40,37 @@ endif()
 
 file(MAKE_DIRECTORY "${WORKDIR}")
 set(ENV{LOPASS_FAULT_INJECT} "")
+
+if(MODE STREQUAL "chaos_fixture")
+  if(NOT DEFINED CHAOS_SEED OR NOT DEFINED FIXTURE_REPORT OR NOT DEFINED FIXTURE_JOURNAL)
+    message(FATAL_ERROR
+      "chaos_fixture mode needs -DCHAOS_SEED, -DFIXTURE_REPORT, -DFIXTURE_JOURNAL")
+  endif()
+  set(journal "${WORKDIR}/chaos_fixture.jsonl")
+  file(REMOVE "${journal}")
+  execute_process(
+    COMMAND ${CLI} explore --apps ${APPS} --chaos ${CHAOS_SEED} --retries 4
+            --journal ${journal} --jobs ${JOBS}
+    RESULT_VARIABLE chaos_rc
+    OUTPUT_VARIABLE chaos_out
+    ERROR_VARIABLE chaos_err
+  )
+  if(NOT chaos_rc STREQUAL "0")
+    message(FATAL_ERROR "chaos explore run failed (rc=${chaos_rc})\n${chaos_err}")
+  endif()
+  file(READ "${FIXTURE_REPORT}" want_out)
+  file(READ "${FIXTURE_JOURNAL}" want_journal)
+  file(READ "${journal}" got_journal)
+  if(NOT chaos_out STREQUAL want_out)
+    message(FATAL_ERROR
+      "chaos report differs from ${FIXTURE_REPORT}\n--- got ---\n${chaos_out}")
+  endif()
+  if(NOT got_journal STREQUAL want_journal)
+    message(FATAL_ERROR
+      "chaos journal differs from ${FIXTURE_JOURNAL}\n--- got ---\n${got_journal}")
+  endif()
+  return()
+endif()
 
 # The uninterrupted sequential reference sweep.
 execute_process(

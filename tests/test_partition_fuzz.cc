@@ -5,49 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "common/fault.h"
 #include "common/prng.h"
 #include "core/partitioner.h"
 #include "dsl/lower.h"
+#include "program_gen.h"
 
 namespace lopass::core {
 namespace {
-
-std::string GenerateProgram(Prng& rng) {
-  std::ostringstream os;
-  os << "var g0; var g1;\n";
-  os << "array a[32]; array b[32];\n";
-  os << "func main(p) {\n  var i; var t;\n  t = p;\n";
-
-  const int nloops = 2 + static_cast<int>(rng.next_below(2));
-  for (int l = 0; l < nloops; ++l) {
-    const int trip = static_cast<int>(rng.next_in(40, 400));
-    os << "  for (i = 0; i < " << trip << "; i = i + 1) {\n";
-    switch (rng.next_below(4)) {
-      case 0:  // MAC over arrays
-        os << "    a[i & 31] = b[i & 31] * " << rng.next_in(1, 7) << " + t;\n"
-           << "    t = t + a[(i * 3) & 31];\n";
-        break;
-      case 1:  // scalar recurrence with division
-        os << "    t = t + (1000 - t) / " << rng.next_in(3, 17) << ";\n"
-           << "    g0 = g0 + (t & 15);\n";
-        break;
-      case 2:  // branchy accumulation
-        os << "    if ((i & 3) == 1) { g1 = g1 + b[i & 31]; }\n"
-           << "    else { t = t ^ (i << 1); }\n";
-        break;
-      default:  // shifts and min/max
-        os << "    t = max(t, b[i & 31] << 1) - min(i, 100);\n"
-           << "    b[i & 31] = t & 255;\n";
-        break;
-    }
-    os << "  }\n";
-  }
-  os << "  return t + g0 * 3 - g1;\n}\n";
-  return os.str();
-}
 
 class PartitionFuzz : public ::testing::TestWithParam<int> {};
 
@@ -58,20 +23,7 @@ TEST_P(PartitionFuzz, PartitionedSystemIsFunctionallyIdentical) {
 
   const dsl::LoweredProgram p = dsl::Compile(src);
 
-  Workload w;
-  const std::int64_t arg = rng.next_in(-100, 100);
-  w.args = {arg};
-  w.setup = [](DataTarget& t) {
-    // The same fixed data for every seed.
-    Prng data(0xdada);
-    std::vector<std::int64_t> va, vb;
-    for (int i = 0; i < 32; ++i) {
-      va.push_back(data.next_in(-50, 50));
-      vb.push_back(data.next_in(-50, 50));
-    }
-    t.FillArray("a", va);
-    t.FillArray("b", vb);
-  };
+  const Workload w = GeneratedWorkload(rng.next_in(-100, 100));
 
   PartitionOptions opts;
   opts.max_hw_clusters = 1 + static_cast<int>(rng.next_below(2));
@@ -103,18 +55,7 @@ TEST_P(PartitionFuzz, InjectedFaultsNeverCorruptResults) {
   Prng rng(static_cast<std::uint64_t>(GetParam()) * 6364136223846793005ull + 7);
   const std::string src = GenerateProgram(rng);
 
-  Workload w;
-  w.args = {rng.next_in(-100, 100)};
-  w.setup = [](DataTarget& t) {
-    Prng data(0xdada);
-    std::vector<std::int64_t> va, vb;
-    for (int i = 0; i < 32; ++i) {
-      va.push_back(data.next_in(-50, 50));
-      vb.push_back(data.next_in(-50, 50));
-    }
-    t.FillArray("a", va);
-    t.FillArray("b", vb);
-  };
+  const Workload w = GeneratedWorkload(rng.next_in(-100, 100));
 
   PartitionOptions opts;
   opts.max_hw_clusters = 1 + static_cast<int>(rng.next_below(2));

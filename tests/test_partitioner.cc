@@ -1,9 +1,12 @@
 #include "core/partitioner.h"
 
 #include <algorithm>
+#include <map>
+#include <memory>
 
 #include <gtest/gtest.h>
 
+#include "apps/app.h"
 #include "asic/netlist_check.h"
 #include "asic/verilog.h"
 #include "common/fault.h"
@@ -11,6 +14,7 @@
 #include "dsl/lower.h"
 #include "sched/dfg.h"
 #include "sched/list_scheduler.h"
+#include "program_gen.h"
 
 namespace lopass::core {
 namespace {
@@ -436,6 +440,290 @@ TEST(Hotspots, SharesSumAndOrder) {
   // Render mentions the top cluster.
   const std::string text = RenderHotspots(hs);
   EXPECT_NE(text.find(hs.front().label), std::string::npos);
+}
+
+// --- a shared baseline (Run(const AppBaseline&)) equals the cold flow --
+
+// Field-by-field equality; doubles must match exactly.
+void ExpectSameEnergy(Energy a, Energy b, const char* what) {
+  EXPECT_EQ(a.joules, b.joules) << what;
+}
+
+void ExpectSameCacheStats(const cache::CacheStats& a, const cache::CacheStats& b) {
+  EXPECT_EQ(a.read_hits, b.read_hits);
+  EXPECT_EQ(a.read_misses, b.read_misses);
+  EXPECT_EQ(a.write_hits, b.write_hits);
+  EXPECT_EQ(a.write_misses, b.write_misses);
+  EXPECT_EQ(a.writebacks, b.writebacks);
+  EXPECT_EQ(a.line_fills, b.line_fills);
+}
+
+void ExpectSameSim(const iss::SimResult& a, const iss::SimResult& b) {
+  EXPECT_EQ(a.return_value, b.return_value);
+  EXPECT_EQ(a.instr_count, b.instr_count);
+  EXPECT_EQ(a.up_cycles, b.up_cycles);
+  ExpectSameEnergy(a.energy.up_core, b.energy.up_core, "up_core");
+  ExpectSameEnergy(a.energy.icache, b.energy.icache, "icache");
+  ExpectSameEnergy(a.energy.dcache, b.energy.dcache, "dcache");
+  ExpectSameEnergy(a.energy.mem, b.energy.mem, "mem");
+  ExpectSameEnergy(a.energy.bus, b.energy.bus, "bus");
+  ExpectSameEnergy(a.energy.asic_core, b.energy.asic_core, "asic_core");
+  ExpectSameCacheStats(a.icache_stats, b.icache_stats);
+  ExpectSameCacheStats(a.dcache_stats, b.dcache_stats);
+  EXPECT_EQ(a.active_cycles, b.active_cycles);
+  EXPECT_EQ(a.up_utilization, b.up_utilization);
+  ASSERT_EQ(a.block_costs.size(), b.block_costs.size());
+  for (std::size_t f = 0; f < a.block_costs.size(); ++f) {
+    ASSERT_EQ(a.block_costs[f].size(), b.block_costs[f].size());
+    for (std::size_t k = 0; k < a.block_costs[f].size(); ++k) {
+      const iss::BlockCost& x = a.block_costs[f][k];
+      const iss::BlockCost& y = b.block_costs[f][k];
+      EXPECT_EQ(x.cycles, y.cycles);
+      ExpectSameEnergy(x.energy, y.energy, "block energy");
+      EXPECT_EQ(x.instrs, y.instrs);
+      EXPECT_EQ(x.active_cycles, y.active_cycles);
+    }
+  }
+  EXPECT_EQ(a.cluster_entries, b.cluster_entries);
+  EXPECT_EQ(a.transfer_words_in, b.transfer_words_in);
+  EXPECT_EQ(a.transfer_words_out, b.transfer_words_out);
+  EXPECT_EQ(a.mem_reads, b.mem_reads);
+  EXPECT_EQ(a.mem_writes, b.mem_writes);
+  ASSERT_EQ(a.timeline.size(), b.timeline.size());
+  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
+    EXPECT_EQ(a.timeline[i].cycle, b.timeline[i].cycle);
+    ExpectSameEnergy(a.timeline[i].up_core, b.timeline[i].up_core, "timeline up_core");
+    ExpectSameEnergy(a.timeline[i].total, b.timeline[i].total, "timeline total");
+  }
+}
+
+void ExpectSameBreakdown(const EnergyBreakdown& a, const EnergyBreakdown& b) {
+  ExpectSameEnergy(a.icache, b.icache, "row icache");
+  ExpectSameEnergy(a.dcache, b.dcache, "row dcache");
+  ExpectSameEnergy(a.mem, b.mem, "row mem");
+  ExpectSameEnergy(a.bus, b.bus, "row bus");
+  ExpectSameEnergy(a.up_core, b.up_core, "row up_core");
+  ExpectSameEnergy(a.asic_core, b.asic_core, "row asic_core");
+}
+
+void ExpectSameUtilization(const asic::UtilizationResult& a, const asic::UtilizationResult& b) {
+  EXPECT_EQ(a.u_core, b.u_core);
+  EXPECT_EQ(a.geq, b.geq);
+  EXPECT_EQ(a.total_cycles, b.total_cycles);
+  EXPECT_EQ(a.instances, b.instances);
+  ASSERT_EQ(a.instance_util.size(), b.instance_util.size());
+  for (std::size_t i = 0; i < a.instance_util.size(); ++i) {
+    EXPECT_EQ(a.instance_util[i].type, b.instance_util[i].type);
+    EXPECT_EQ(a.instance_util[i].instance, b.instance_util[i].instance);
+    EXPECT_EQ(a.instance_util[i].active_cycles, b.instance_util[i].active_cycles);
+    EXPECT_EQ(a.instance_util[i].ops, b.instance_util[i].ops);
+  }
+  EXPECT_EQ(a.bindings.size(), b.bindings.size());
+}
+
+void ExpectSameTransfers(const Transfers& a, const Transfers& b) {
+  EXPECT_EQ(a.up_to_mem_words, b.up_to_mem_words);
+  EXPECT_EQ(a.asic_to_mem_words, b.asic_to_mem_words);
+  ExpectSameEnergy(a.energy, b.energy, "transfer energy");
+}
+
+void ExpectSameResult(const PartitionResult& a, const PartitionResult& b) {
+  const AppRow ra = a.ToRow("app");
+  const AppRow rb = b.ToRow("app");
+  ExpectSameBreakdown(ra.initial, rb.initial);
+  ExpectSameBreakdown(ra.partitioned, rb.partitioned);
+  EXPECT_EQ(ra.initial_time.up_cycles, rb.initial_time.up_cycles);
+  EXPECT_EQ(ra.initial_time.asic_cycles, rb.initial_time.asic_cycles);
+  EXPECT_EQ(ra.partitioned_time.up_cycles, rb.partitioned_time.up_cycles);
+  EXPECT_EQ(ra.partitioned_time.asic_cycles, rb.partitioned_time.asic_cycles);
+  EXPECT_EQ(ra.asic_cells, rb.asic_cells);
+  EXPECT_EQ(ra.asic_utilization, rb.asic_utilization);
+  EXPECT_EQ(ra.resource_set, rb.resource_set);
+  EXPECT_EQ(ra.cluster, rb.cluster);
+
+  ASSERT_EQ(a.evaluations.size(), b.evaluations.size());
+  for (std::size_t i = 0; i < a.evaluations.size(); ++i) {
+    const ClusterEvaluation& x = a.evaluations[i];
+    const ClusterEvaluation& y = b.evaluations[i];
+    SCOPED_TRACE("evaluation " + std::to_string(i));
+    EXPECT_EQ(x.cluster_id, y.cluster_id);
+    EXPECT_EQ(x.cluster_label, y.cluster_label);
+    EXPECT_EQ(x.resource_set, y.resource_set);
+    EXPECT_EQ(x.u_asic, y.u_asic);
+    EXPECT_EQ(x.u_up, y.u_up);
+    EXPECT_EQ(x.geq, y.geq);
+    EXPECT_EQ(x.asic_cycles, y.asic_cycles);
+    EXPECT_EQ(x.sw_cycles, y.sw_cycles);
+    ExpectSameEnergy(x.e_asic_estimate, y.e_asic_estimate, "e_asic_estimate");
+    ExpectSameEnergy(x.e_up_residual, y.e_up_residual, "e_up_residual");
+    ExpectSameEnergy(x.e_rest, y.e_rest, "e_rest");
+    ExpectSameEnergy(x.e_trans, y.e_trans, "e_trans");
+    EXPECT_EQ(x.objective, y.objective);
+    EXPECT_EQ(x.feasible, y.feasible);
+    EXPECT_EQ(x.reject_reason, y.reject_reason);
+    ExpectSameUtilization(x.util, y.util);
+    ExpectSameTransfers(x.transfers, y.transfers);
+  }
+
+  ASSERT_EQ(a.selected.size(), b.selected.size());
+  for (std::size_t i = 0; i < a.selected.size(); ++i) {
+    const PartitionDecision& x = a.selected[i];
+    const PartitionDecision& y = b.selected[i];
+    SCOPED_TRACE("selected " + std::to_string(i));
+    EXPECT_EQ(x.cluster_id, y.cluster_id);
+    EXPECT_EQ(x.cluster_label, y.cluster_label);
+    EXPECT_EQ(x.core.name, y.core.name);
+    EXPECT_EQ(x.core.resource_set, y.core.resource_set);
+    EXPECT_EQ(x.core.utilization, y.core.utilization);
+    EXPECT_EQ(x.core.geq, y.core.geq);
+    EXPECT_EQ(x.core.cells, y.core.cells);
+    EXPECT_EQ(x.core.clock_period.seconds, y.core.clock_period.seconds);
+    EXPECT_EQ(x.core.control_steps, y.core.control_steps);
+    EXPECT_EQ(x.core.cycles, y.core.cycles);
+    ExpectSameEnergy(x.core.estimate_energy, y.core.estimate_energy, "estimate_energy");
+    ExpectSameEnergy(x.core.refined_energy, y.core.refined_energy, "refined_energy");
+    EXPECT_EQ(x.core.instances, y.core.instances);
+    EXPECT_EQ(x.datapath.has_value(), y.datapath.has_value());
+    ExpectSameTransfers(x.transfers, y.transfers);
+  }
+  EXPECT_EQ(a.asic_cycles, b.asic_cycles);
+  ExpectSameEnergy(a.asic_energy, b.asic_energy, "asic_energy");
+
+  ASSERT_EQ(a.diagnostics.size(), b.diagnostics.size());
+  for (std::size_t i = 0; i < a.diagnostics.size(); ++i) {
+    EXPECT_EQ(a.diagnostics[i].severity, b.diagnostics[i].severity);
+    EXPECT_EQ(a.diagnostics[i].code, b.diagnostics[i].code);
+    EXPECT_EQ(a.diagnostics[i].message, b.diagnostics[i].message);
+  }
+  EXPECT_EQ(a.chain.clusters.size(), b.chain.clusters.size());
+  EXPECT_EQ(a.chain.chain_length, b.chain.chain_length);
+
+  {
+    SCOPED_TRACE("initial_run");
+    ExpectSameSim(a.initial_run, b.initial_run);
+  }
+  {
+    SCOPED_TRACE("partitioned_run");
+    ExpectSameSim(a.partitioned_run, b.partitioned_run);
+  }
+}
+
+// Runs `base`'s flow once per resource set, cold and on one baseline
+// shared by every set, in forward and then reverse set order.
+void ExpectSharedBaselineMatchesCold(const dsl::LoweredProgram& p, const PartitionOptions& base,
+                                     const Workload& w) {
+  std::vector<PartitionResult> cold;
+  for (const sched::ResourceSet& rs : base.resource_sets) {
+    PartitionOptions o = base;
+    o.resource_sets = {rs};
+    cold.push_back(Partitioner(p.module, p.regions, o).Run(w));
+  }
+  for (const bool reverse : {false, true}) {
+    std::shared_ptr<const AppBaseline> shared;
+    for (std::size_t n = 0; n < base.resource_sets.size(); ++n) {
+      const std::size_t k = reverse ? base.resource_sets.size() - 1 - n : n;
+      SCOPED_TRACE(std::string(reverse ? "reverse, " : "forward, ") + "set " +
+                   base.resource_sets[k].name);
+      PartitionOptions o = base;
+      o.resource_sets = {base.resource_sets[k]};
+      const Partitioner part(p.module, p.regions, o);
+      if (shared == nullptr) shared = part.BuildBaseline(w);
+      ExpectSameResult(cold[k], part.Run(*shared));
+    }
+  }
+}
+
+TEST(SharedBaseline, EqualsTheColdFlowForEveryAppAndResourceSet) {
+  for (const apps::Application& app : apps::AllApplications()) {
+    SCOPED_TRACE(app.name);
+    const dsl::LoweredProgram p = dsl::Compile(app.dsl_source);
+    ExpectSharedBaselineMatchesCold(p, app.options, app.workload(1));
+  }
+}
+
+TEST(SharedBaseline, EqualsTheColdFlowOnGeneratedPrograms) {
+  for (int seed = 0; seed < 12; ++seed) {
+    Prng rng(static_cast<std::uint64_t>(seed) * 0x9e3779b97f4a7c15ull + 3);
+    const std::string src = GenerateProgram(rng);
+    SCOPED_TRACE(src);
+    const dsl::LoweredProgram p = dsl::Compile(src);
+    const Workload w = GeneratedWorkload(rng.next_in(-100, 100));
+    PartitionOptions opts;
+    opts.max_hw_clusters = 1 + static_cast<int>(rng.next_below(2));
+    opts.scheduler.enable_chaining = rng.next_below(2) == 1;
+    opts.use_synergy = rng.next_below(2) == 1;
+    opts.peephole = rng.next_below(2) == 1;
+    opts.include_interconnect = rng.next_below(2) == 1;
+    if (rng.next_below(3) == 0) opts.strategy = Strategy::kPerformance;
+    ExpectSharedBaselineMatchesCold(p, opts, w);
+  }
+}
+
+// Fault-site hits of one Run on this thread: profile, sim, alloc.
+std::vector<std::uint64_t> SiteHits(const std::function<void()>& run) {
+  const fault::JobScope count("");
+  run();
+  return {fault::HitCount("profile"), fault::HitCount("sim"), fault::HitCount("alloc")};
+}
+
+TEST(SharedBaseline, EveryRunHitsEachAppStageSiteOnce) {
+  const dsl::LoweredProgram p = dsl::Compile(kHotCold);
+  const Workload w = HotColdWorkload();
+  const Partitioner part(p.module, p.regions);
+  const std::shared_ptr<const AppBaseline> shared = part.BuildBaseline(w);
+  const std::vector<std::uint64_t> want = {1, 2, 1};  // + the line-15 sim
+  EXPECT_EQ(SiteHits([&] { (void)part.Run(w); }), want) << "cold";
+  EXPECT_EQ(SiteHits([&] { (void)part.Run(*shared); }), want) << "first shared run";
+  EXPECT_EQ(SiteHits([&] { (void)part.Run(*shared); }), want) << "memoized line 15";
+  EXPECT_EQ(SiteHits([&] { (void)part.BuildBaseline(w); }),
+            (std::vector<std::uint64_t>{0, 0, 0}))
+      << "the app stage runs masked";
+}
+
+TEST(SharedBaseline, AppStageFaultsKeepTheirColdEffect) {
+  const dsl::LoweredProgram p = dsl::Compile(kHotCold);
+  const Workload w = HotColdWorkload();
+  const Partitioner part(p.module, p.regions);
+  const std::shared_ptr<const AppBaseline> shared = part.BuildBaseline(w);
+  for (const char* spec : {"profile:1", "sim:1"}) {
+    const fault::JobScope scope(spec);
+    EXPECT_THROW((void)part.Run(*shared), InjectedFault) << spec;
+  }
+  for (const char* spec : {"alloc:1", "sim:2"}) {
+    SCOPED_TRACE(spec);
+    PartitionResult cold, hot;
+    {
+      const fault::JobScope scope(spec);
+      cold = part.Run(w);
+    }
+    {
+      const fault::JobScope scope(spec);
+      hot = part.Run(*shared);
+    }
+    EXPECT_FALSE(hot.partitioned());
+    EXPECT_TRUE(hot.degraded());
+    ExpectSameResult(cold, hot);
+  }
+}
+
+TEST(SharedBaseline, AFailedReSimulationIsNotMemoized) {
+  const dsl::LoweredProgram p = dsl::Compile(kHotCold);
+  const Workload w = HotColdWorkload();
+  const Partitioner part(p.module, p.regions);
+  const std::shared_ptr<const AppBaseline> shared = part.BuildBaseline(w);
+  {
+    const fault::JobScope scope("sim:2");
+    const PartitionResult failed = part.Run(*shared);
+    ASSERT_EQ(failed.diagnostics.back().code, "partition.resim");
+  }
+  EXPECT_EQ(shared->resims.runs(), 0);
+  const PartitionResult next = part.Run(*shared);
+  EXPECT_EQ(shared->resims.runs(), 1);
+  EXPECT_EQ(shared->resims.reused(), 0);
+  ExpectSameResult(part.Run(w), next);
+  (void)part.Run(*shared);
+  EXPECT_EQ(shared->resims.runs(), 1);
+  EXPECT_EQ(shared->resims.reused(), 1);
 }
 
 TEST(Partitioner, ObjectiveFunctionHelpers) {

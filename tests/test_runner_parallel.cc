@@ -255,6 +255,38 @@ TEST(ParallelExploreTest, JournalBytesAreIdenticalAcrossWorkerCounts) {
   std::remove(par_path.c_str());
 }
 
+TEST(ParallelExploreTest, EachAppStageAndPartitionRunsOncePerSweep) {
+  // Six apps x four sets: one baseline per app, and one line-15
+  // re-simulation per distinct partition — 15 jobs select a partition,
+  // 7 of them distinct (MPG's rs-tiny, rs-small and rs-medium select
+  // the same cluster with the same I/O words). With eight workers a
+  // miss may be computed twice in parallel, never more than once per
+  // job, and the journal stays byte-identical.
+  const std::string seq_path = TempPath("stats_seq.jsonl");
+  const std::string par_path = TempPath("stats_par.jsonl");
+  ExploreOptions sequential;
+  sequential.journal_path = seq_path;
+  const ExploreReport a = RunExplore(sequential);
+  ASSERT_EQ(a.jobs.size(), 24u);
+  EXPECT_EQ(a.stats.baselines_built, 6);
+  EXPECT_EQ(a.stats.resims_run, 7);
+  EXPECT_EQ(a.stats.resims_run + a.stats.resims_reused, 15);
+
+  ExploreOptions parallel = sequential;
+  parallel.journal_path = par_path;
+  parallel.jobs = 8;
+  const ExploreReport b = RunExplore(parallel);
+  EXPECT_GE(b.stats.baselines_built, 6);
+  EXPECT_LE(b.stats.baselines_built, 24);
+  EXPECT_GE(b.stats.resims_run, 7);
+  EXPECT_LE(b.stats.resims_run, 15);
+  EXPECT_EQ(b.stats.resims_run + b.stats.resims_reused, 15);
+  EXPECT_EQ(a.Render(), b.Render());
+  EXPECT_EQ(ReadFile(seq_path), ReadFile(par_path));
+  std::remove(seq_path.c_str());
+  std::remove(par_path.c_str());
+}
+
 TEST(ParallelExploreTest, ChaosUnderParallelismMatchesTheCleanSequentialRun) {
   const ExploreReport clean = RunExplore(EngineSweep());
   for (const std::uint64_t chaos_seed : {7ull, 99ull}) {

@@ -72,6 +72,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -128,6 +129,17 @@ std::int64_t ParseIntArg(const std::string& value, const char* what) {
   return out;
 }
 
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+// ParseIntArg range-checked in 64 bits before narrowing to int, so an
+// out-of-range value is a usage error instead of wrapping around.
+int ParseIntArgIn(const std::string& value, const char* what, std::int64_t lo, std::int64_t hi,
+                  const char* range_message) {
+  const std::int64_t out = ParseIntArg(value, what);
+  if (out < lo || out > hi) Usage(range_message);
+  return static_cast<int>(out);
+}
+
 double ParseDoubleArg(const std::string& value, const char* what) {
   try {
     std::size_t used = 0;
@@ -169,9 +181,8 @@ int RunLint(int argc, char** argv) {
     if (a == "--entry") {
       options.entry = next();
     } else if (a == "--unroll") {
-      const std::int64_t k = ParseIntArg(next(), "--unroll");
-      if (k < 1 || k > 1024) Usage("--unroll wants a factor in [1, 1024]");
-      options.unroll = static_cast<int>(k);
+      options.unroll =
+          ParseIntArgIn(next(), "--unroll", 1, 1024, "--unroll wants a factor in [1, 1024]");
     } else if (a == "--app") {
       app_name = next();
     } else if (a == "--no-partition-checks") {
@@ -262,18 +273,17 @@ int RunExplore(int argc, char** argv) {
         if (!name.empty()) options.apps.push_back(name);
       }
     } else if (a == "--scale") {
-      options.scale = static_cast<int>(ParseIntArg(next(), "--scale"));
-      if (options.scale < 1) Usage("--scale wants a positive factor");
+      options.scale = ParseIntArgIn(next(), "--scale", 1, kIntMax,
+                                    "--scale wants a factor in [1, 2147483647]");
     } else if (a == "--jobs") {
-      options.jobs = static_cast<int>(ParseIntArg(next(), "--jobs"));
-      if (options.jobs < 1 || options.jobs > 256) {
-        Usage("--jobs wants a worker count in [1, 256]");
-      }
+      options.jobs =
+          ParseIntArgIn(next(), "--jobs", 1, 256, "--jobs wants a worker count in [1, 256]");
     } else if (a == "--deadline-ms") {
       options.deadline_ms = ParseIntArg(next(), "--deadline-ms");
+      if (options.deadline_ms < 0) Usage("--deadline-ms wants a non-negative value");
     } else if (a == "--retries") {
-      options.retry.max_attempts = static_cast<int>(ParseIntArg(next(), "--retries"));
-      if (options.retry.max_attempts < 1) Usage("--retries wants at least 1 attempt");
+      options.retry.max_attempts = ParseIntArgIn(
+          next(), "--retries", 1, kIntMax, "--retries wants an attempt count in [1, 2147483647]");
     } else if (a == "--backoff-ms") {
       options.retry.base_ms = ParseIntArg(next(), "--backoff-ms");
       if (options.retry.base_ms < 0) Usage("--backoff-ms wants a non-negative value");
