@@ -15,23 +15,19 @@ std::uint32_t Log2(std::uint32_t x) {
 }
 }  // namespace
 
-CacheSim::CacheSim(power::CacheGeometry geometry, WritePolicy policy,
-                   ReplacementPolicy replacement)
-    : geometry_(geometry), policy_(policy), replacement_(replacement) {
+CacheSim::CacheSim(power::CacheGeometry geometry, WritePolicy policy)
+    : geometry_(geometry), policy_(policy) {
   const std::uint32_t sets = geometry_.num_sets();
   LOPASS_CHECK(sets > 0, "cache must have at least one set");
   lines_.assign(static_cast<std::size_t>(sets) * geometry_.associativity, Line{});
-  fifo_next_.assign(sets, 0);
   offset_bits_ = Log2(geometry_.line_bytes);
   index_bits_ = Log2(sets);
 }
 
 void CacheSim::Reset() {
   for (Line& l : lines_) l = Line{};
-  std::fill(fifo_next_.begin(), fifo_next_.end(), 0u);
   stats_ = CacheStats{};
   tick_ = 0;
-  rng_state_ = 0x243f6a8885a308d3ull;
   words_from_mem_ = 0;
   words_to_mem_ = 0;
 }
@@ -74,8 +70,8 @@ bool CacheSim::Access(std::uint32_t address, bool is_write) {
     return false;  // no allocation
   }
 
-  // Choose a victim: invalid lines first, then per the replacement
-  // policy.
+  // Choose a victim: an invalid line first, else the least recently
+  // used one.
   Line* victim = nullptr;
   for (std::uint32_t w = 0; w < geometry_.associativity; ++w) {
     if (!base[w].valid) {
@@ -84,29 +80,9 @@ bool CacheSim::Access(std::uint32_t address, bool is_write) {
     }
   }
   if (victim == nullptr) {
-    switch (replacement_) {
-      case ReplacementPolicy::kLru: {
-        victim = base;
-        for (std::uint32_t w = 1; w < geometry_.associativity; ++w) {
-          if (base[w].lru < victim->lru) victim = &base[w];
-        }
-        break;
-      }
-      case ReplacementPolicy::kFifo: {
-        std::uint32_t& ptr = fifo_next_[set];
-        victim = &base[ptr];
-        ptr = (ptr + 1) % geometry_.associativity;
-        break;
-      }
-      case ReplacementPolicy::kRandom: {
-        // xorshift64*: deterministic, portable.
-        rng_state_ ^= rng_state_ >> 12;
-        rng_state_ ^= rng_state_ << 25;
-        rng_state_ ^= rng_state_ >> 27;
-        const std::uint64_t r = rng_state_ * 0x2545F4914F6CDD1Dull;
-        victim = &base[r % geometry_.associativity];
-        break;
-      }
+    victim = base;
+    for (std::uint32_t w = 1; w < geometry_.associativity; ++w) {
+      if (base[w].lru < victim->lru) victim = &base[w];
     }
   }
   if (victim->valid && victim->dirty) {

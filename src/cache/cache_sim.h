@@ -17,12 +17,6 @@ namespace lopass::cache {
 
 enum class WritePolicy : std::uint8_t { kWriteBackAllocate, kWriteThroughNoAllocate };
 
-enum class ReplacementPolicy : std::uint8_t {
-  kLru,     // least recently used (the default, what the era's caches did)
-  kFifo,    // round-robin per set
-  kRandom,  // pseudo-random way (deterministic xorshift)
-};
-
 struct CacheStats {
   std::uint64_t read_hits = 0;
   std::uint64_t read_misses = 0;
@@ -41,10 +35,10 @@ struct CacheStats {
   }
 };
 
+// Replacement is least recently used, what the era's caches did.
 class CacheSim {
  public:
-  CacheSim(power::CacheGeometry geometry, WritePolicy policy,
-           ReplacementPolicy replacement = ReplacementPolicy::kLru);
+  CacheSim(power::CacheGeometry geometry, WritePolicy policy);
 
   // Simulates one word access; returns true on hit. Miss bookkeeping
   // (fill, eviction, writeback) is recorded in stats().
@@ -54,8 +48,6 @@ class CacheSim {
 
   const CacheStats& stats() const { return stats_; }
   const power::CacheGeometry& geometry() const { return geometry_; }
-  WritePolicy policy() const { return policy_; }
-  ReplacementPolicy replacement() const { return replacement_; }
 
   // Total energy dissipated inside this cache core for the recorded
   // access stream, under the given energy model.
@@ -76,12 +68,9 @@ class CacheSim {
 
   power::CacheGeometry geometry_;
   WritePolicy policy_;
-  ReplacementPolicy replacement_;
   std::vector<Line> lines_;  // sets * assoc, row-major by set
-  std::vector<std::uint32_t> fifo_next_;  // per-set round-robin pointer
   CacheStats stats_;
   std::uint64_t tick_ = 0;
-  std::uint64_t rng_state_ = 0x243f6a8885a308d3ull;  // for kRandom
   std::uint32_t offset_bits_ = 0;
   std::uint32_t index_bits_ = 0;
   std::uint64_t words_from_mem_ = 0;

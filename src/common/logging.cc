@@ -1,36 +1,16 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cctype>
 #include <cstdlib>
-#include <mutex>
 
 namespace lopass {
-namespace {
-
-std::atomic<LogLevel> g_level{LogLevel::kWarning};
-std::once_flag g_env_once;
-
-void ApplyEnvOnce() {
-  std::call_once(g_env_once, [] {
-    const char* env = std::getenv("LOPASS_LOG");
-    if (env != nullptr && *env != '\0') {
-      g_level.store(LogLevelFromString(env, g_level.load(std::memory_order_relaxed)),
-                    std::memory_order_relaxed);
-    }
-  });
-}
-
-}  // namespace
 
 LogLevel GetLogLevel() {
-  ApplyEnvOnce();
-  return g_level.load(std::memory_order_relaxed);
-}
-
-void SetLogLevel(LogLevel level) {
-  ApplyEnvOnce();  // an explicit Set must not be overwritten by a later env read
-  g_level.store(level, std::memory_order_relaxed);
+  static const LogLevel level = [] {
+    const char* env = std::getenv("LOPASS_LOG");
+    return env != nullptr ? LogLevelFromString(env, LogLevel::kWarning) : LogLevel::kWarning;
+  }();
+  return level;
 }
 
 LogLevel LogLevelFromString(std::string_view name, LogLevel fallback) {

@@ -3,8 +3,8 @@
 // Very small leveled logger. The partitioner emits progress at Info
 // level; noisy per-cluster detail goes to Debug. Tests run silent by
 // default. The LOPASS_LOG environment variable
-// (debug|info|warning|error|off) sets the initial threshold; an
-// explicit SetLogLevel() afterwards wins. kError messages are always
+// (debug|info|warning|error|off) sets the threshold, read once; the
+// default is warning. kError messages are always
 // emitted regardless of the threshold — raising the level silences
 // progress chatter, never failure reports.
 
@@ -18,9 +18,8 @@ namespace lopass {
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kOff = 4 };
 
 // Global log threshold; messages below it are dropped. The first call
-// applies LOPASS_LOG from the environment, if set.
+// reads LOPASS_LOG from the environment.
 LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 // "debug"/"info"/"warning" (or "warn")/"error"/"off", case-insensitive;
 // anything else returns `fallback`.

@@ -64,6 +64,4 @@ std::string TextTable::ToString() const {
   return os.str();
 }
 
-void TextTable::Print(std::ostream& os) const { os << ToString(); }
-
 }  // namespace lopass

@@ -4,7 +4,6 @@
 // paper-style tables (Table 1, Fig. 6 series, ablation sweeps).
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -23,8 +22,6 @@ class TextTable {
 
   // Renders with column-aligned padding and | separators.
   std::string ToString() const;
-
-  void Print(std::ostream& os) const;
 
   std::size_t row_count() const { return rows_.size(); }
 

@@ -102,12 +102,6 @@ constexpr Cycles SaturatingAdd(Cycles a, Cycles b) {
   return a > kCyclesCeiling - b ? kCyclesCeiling : a + b;
 }
 
-// a * b, clamped at kCyclesCeiling instead of wrapping.
-constexpr Cycles SaturatingMul(Cycles a, Cycles b) {
-  if (a == 0 || b == 0) return 0;
-  return a > kCyclesCeiling / b ? kCyclesCeiling : a * b;
-}
-
 // Two's-complement wrapping arithmetic for *simulated program values*:
 // the DSL/SL32 machine defines add/sub/mul/neg/shl to wrap at 64 bits,
 // so the execution engines must not inherit C++'s undefined behavior on

@@ -324,19 +324,6 @@ iss::SimResult Simulate(const AppBaseline& b, const iss::SystemConfig& config,
   return sim.Run(b.workload.entry, b.workload.args, partition, max_instrs);
 }
 
-// Hands the baseline's initial run, and its chain once line 2 stood, to
-// the result: moved out of a private baseline, copied from a shared one.
-void TakeBaseline(PartitionResult& result, const AppBaseline& b, AppBaseline* own,
-                  bool with_chain) {
-  if (own != nullptr) {
-    result.initial_run = std::move(own->initial_run);
-    if (with_chain) result.chain = std::move(own->chain);
-  } else {
-    result.initial_run = b.initial_run;
-    if (with_chain) result.chain = b.chain;
-  }
-}
-
 }  // namespace
 
 bool ResimMemo::Find(const iss::HwPartition& partition, iss::SimResult& out) const {
@@ -444,16 +431,11 @@ std::shared_ptr<AppBaseline> Partitioner::BuildBaseline(const Workload& workload
 }
 
 PartitionResult Partitioner::Run(const Workload& workload) const {
-  const std::shared_ptr<AppBaseline> baseline = BuildBaseline(workload);
-  return RunSets(*baseline, baseline.get());
+  return Run(*BuildBaseline(workload));
 }
 
-PartitionResult Partitioner::Run(const AppBaseline& baseline) const {
-  LOPASS_CHECK(baseline.module == &module_, "baseline built for another module");
-  return RunSets(baseline, nullptr);
-}
-
-PartitionResult Partitioner::RunSets(const AppBaseline& b, AppBaseline* own) const {
+PartitionResult Partitioner::Run(const AppBaseline& b) const {
+  LOPASS_CHECK(b.module == &module_, "baseline built for another module");
   PartitionResult result;
 
   // Reproducibility header: the first diagnostic of every run names the
@@ -477,6 +459,7 @@ PartitionResult Partitioner::RunSets(const AppBaseline& b, AppBaseline* own) con
   fault::MaybeInject("profile");
   fault::MaybeInject("sim");
   const iss::SimResult& initial = b.initial_run;
+  result.initial_run = initial;
 
   // Line 2 failed, or its alloc site fires: all-software fallback.
   std::string decomposition_error = b.decomposition_error;
@@ -491,10 +474,10 @@ PartitionResult Partitioner::RunSets(const AppBaseline& b, AppBaseline* own) con
                    "cluster decomposition failed (all-software fallback): " +
                        decomposition_error});
     FallBackToSoftware(result, initial);
-    TakeBaseline(result, b, own, /*with_chain=*/false);
     return result;
   }
   const ClusterChain& chain = b.chain;
+  result.chain = chain;
   const BusTrafficAnalyzer& traffic = *b.traffic;
   result.diagnostics.insert(result.diagnostics.end(), b.chain_findings.begin(),
                             b.chain_findings.end());
@@ -589,7 +572,6 @@ PartitionResult Partitioner::RunSets(const AppBaseline& b, AppBaseline* own) con
   }
   if (result.selected.empty()) {
     FallBackToSoftware(result, initial);
-    TakeBaseline(result, b, own, /*with_chain=*/true);
     return result;
   }
 
@@ -635,14 +617,14 @@ PartitionResult Partitioner::RunSets(const AppBaseline& b, AppBaseline* own) con
   try {
     const iss::SystemConfig& config =
         options_.partitioned_config.value_or(options_.initial_config);
-    // A shared baseline reuses an earlier run of the same partition,
+    // Reuse an earlier run of the same partition on this baseline,
     // hitting the sim site the simulation would have hit.
-    if (own == nullptr && b.resims.Find(partition, result.partitioned_run)) {
+    if (b.resims.Find(partition, result.partitioned_run)) {
       fault::MaybeInject("sim");
     } else {
       result.partitioned_run =
           Simulate(b, config, partition, lib_, up_model_, options_.max_sim_instrs);
-      if (own == nullptr) b.resims.Publish(partition, result.partitioned_run);
+      b.resims.Publish(partition, result.partitioned_run);
     }
   } catch (const CancelledError&) {
     throw;
@@ -655,7 +637,6 @@ PartitionResult Partitioner::RunSets(const AppBaseline& b, AppBaseline* own) con
             e.what()});
     FallBackToSoftware(result, initial);
   }
-  TakeBaseline(result, b, own, /*with_chain=*/true);
   return result;
 }
 

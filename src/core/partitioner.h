@@ -227,14 +227,15 @@ class Partitioner {
               const iss::TiwariModel& up_model = iss::TiwariModel::Sparclite());
 
   // Runs the full flow of Fig. 5 on the given workload: BuildBaseline,
-  // then lines 6-15. Throws CancelledError if options().cancel fires
-  // mid-flow; every other per-candidate failure is isolated into the
-  // result's diagnostics.
+  // then Run on that baseline. Throws CancelledError if
+  // options().cancel fires mid-flow; every other per-candidate failure
+  // is isolated into the result's diagnostics.
   PartitionResult Run(const Workload& workload) const;
 
   // Lines 6-15 on a baseline that may be shared with other runs; the
-  // result equals Run(baseline.workload). The line-15 re-simulation is
-  // memoized in the baseline.
+  // only path for them, so the result equals Run(baseline.workload).
+  // The line-15 re-simulation is memoized in the baseline. The result
+  // gets its own copy of the initial run and the chain.
   PartitionResult Run(const AppBaseline& baseline) const;
 
   // The application stage. It runs with fault injection masked: Run
@@ -247,12 +248,6 @@ class Partitioner {
   const PartitionOptions& options() const { return options_; }
 
  private:
-  // Lines 6-15 on `baseline`. `own` is null for a shared baseline; for
-  // Run(workload)'s private one it is the same object, whose initial
-  // run and chain then move into the result and whose line 15 skips
-  // the memo.
-  PartitionResult RunSets(const AppBaseline& baseline, AppBaseline* own) const;
-
   const ir::Module& module_;
   const ir::RegionTree& regions_;
   PartitionOptions options_;

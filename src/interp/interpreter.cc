@@ -151,7 +151,6 @@ std::int64_t Interpreter::Exec(const ir::Function& fn, std::span<const std::int6
                          std::to_string(idx) + " of " + std::to_string(s.length) + ")");
           }
           const std::uint32_t addr = s.address + static_cast<std::uint32_t>(idx) * 4;
-          if (trace_) trace_->OnDataAccess(addr, /*is_write=*/false);
           vregs[static_cast<std::size_t>(in.result)] = memory_[addr / 4];
           break;
         }
@@ -163,7 +162,6 @@ std::int64_t Interpreter::Exec(const ir::Function& fn, std::span<const std::int6
                          std::to_string(idx) + " of " + std::to_string(s.length) + ")");
           }
           const std::uint32_t addr = s.address + static_cast<std::uint32_t>(idx) * 4;
-          if (trace_) trace_->OnDataAccess(addr, /*is_write=*/true);
           memory_[addr / 4] = Eval(in.args[1], vregs);
           break;
         }

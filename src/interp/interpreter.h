@@ -2,12 +2,13 @@
 
 // IR-level interpreter and profiler.
 //
-// Plays the role of the paper's "Trace Tool" + "Cache Profiler" input
-// stage (Fig. 5) and supplies #ex_times — "obtained through profiling"
-// (Fig. 4, footnote 14): it executes the behavioral description on a
-// concrete workload and records how often every basic block (and hence
-// every control step of a cluster schedule) is invoked, plus a data
-// access trace.
+// Supplies #ex_times — "obtained through profiling" (Fig. 4, footnote
+// 14): it executes the behavioral description on a concrete workload
+// and records how often every basic block (and hence every control step
+// of a cluster schedule) is invoked. It emits no data-access trace: the
+// ISS (iss/simulator.h) drives both caches directly on every run, which
+// takes the place of the paper's separate Trace Tool + Cache Profiler
+// (Fig. 5).
 
 #include <cstdint>
 #include <span>
@@ -29,14 +30,6 @@ struct Profile {
   std::uint64_t BlockCount(ir::FunctionId fn, ir::BlockId b) const {
     return block_counts[static_cast<std::size_t>(fn)][static_cast<std::size_t>(b)];
   }
-};
-
-// Receives the dynamic data-access trace (word-granular).
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  // `address` is a byte address in the module's flat data space.
-  virtual void OnDataAccess(std::uint32_t address, bool is_write) = 0;
 };
 
 struct RunResult {
@@ -67,7 +60,6 @@ class Interpreter {
                 std::uint64_t max_steps = 500'000'000);
 
   const Profile& profile() const { return profile_; }
-  void set_trace_sink(TraceSink* sink) { trace_ = sink; }
 
  private:
   std::int64_t Exec(const ir::Function& fn, std::span<const std::int64_t> args);
@@ -76,7 +68,6 @@ class Interpreter {
   const ir::Module& module_;
   std::vector<std::int64_t> memory_;  // one word per 4 bytes of data space
   Profile profile_;
-  TraceSink* trace_ = nullptr;
   std::uint64_t step_limit_ = 0;
   std::uint64_t steps_ = 0;
   int call_depth_ = 0;

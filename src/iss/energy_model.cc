@@ -4,19 +4,6 @@ namespace lopass::iss {
 
 using isa::InstrClass;
 
-const char* UpResourceName(UpResource r) {
-  switch (r) {
-    case UpResource::kAlu: return "ALU";
-    case UpResource::kShifter: return "shifter";
-    case UpResource::kMultiplier: return "multiplier";
-    case UpResource::kDivider: return "divider";
-    case UpResource::kMemPort: return "memport";
-    case UpResource::kRegFile: return "regfile";
-    case UpResource::kCount: break;
-  }
-  return "?";
-}
-
 namespace {
 constexpr std::uint32_t Bit(UpResource r) { return 1u << static_cast<int>(r); }
 }  // namespace

@@ -27,8 +27,6 @@ constexpr int kNumUpResources = static_cast<int>(UpResource::kCount);
 // side's register file is storage, not an averaged datapath operator).
 constexpr int kNumAveragedUpResources = kNumUpResources - 1;
 
-const char* UpResourceName(UpResource r);
-
 class TiwariModel {
  public:
   // The default SL32/SPARClite-class characterization.

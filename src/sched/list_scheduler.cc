@@ -22,9 +22,7 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
     return sched;
   }
 
-  const double period = options.clock_period.seconds > 0.0
-                            ? options.clock_period.seconds
-                            : lib.params().clock_period().seconds;
+  const double period = lib.params().clock_period().seconds;
 
   // busy_until[type] holds, per instance, the first step it is free.
   std::array<std::vector<std::uint32_t>, power::kNumResourceTypes> busy_until;

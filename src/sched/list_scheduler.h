@@ -34,12 +34,9 @@ struct BlockSchedule {
 struct SchedulerOptions {
   // Operator chaining: two data-dependent single-cycle operations may
   // share a control step when their combined combinational delay fits
-  // the clock period (a classic HLS refinement; disabled by default to
-  // match the paper's "simple list schedule").
+  // the library's system clock period (a classic HLS refinement;
+  // disabled by default to match the paper's "simple list schedule").
   bool enable_chaining = false;
-  // Clock period the chained delay must fit; zero means "use the
-  // library's system clock period".
-  Duration clock_period;
   // Ready-list priority: kDepth (longest path to sink, the default) or
   // kMobility (least ALAP-ASAP slack first).
   enum class Priority { kDepth, kMobility } priority = Priority::kDepth;

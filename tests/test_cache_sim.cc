@@ -132,56 +132,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 2u, 4u),
                        ::testing::Values(0, 1)));
 
-
-TEST(CacheSim, FifoEvictsInInsertionOrder) {
-  CacheSim c(CacheGeometry{64, 16, 2, 32}, WritePolicy::kWriteBackAllocate,
-             ReplacementPolicy::kFifo);  // 2 sets x 2 ways
-  c.Access(0x00, false);   // set 0: insert A (way 0)
-  c.Access(0x40, false);   // set 0: insert B (way 1)
-  c.Access(0x00, false);   // touch A — irrelevant for FIFO
-  c.Access(0x80, false);   // insert C -> evicts A (first in), ways = {C, B}
-  EXPECT_FALSE(c.Access(0x00, false));  // A gone; refill evicts B -> {C, A}
-  EXPECT_TRUE(c.Access(0x80, false));   // C survived (LRU would have evicted it)
-  EXPECT_FALSE(c.Access(0x40, false));  // B was the FIFO victim of A's refill
-}
-
-TEST(CacheSim, RandomReplacementIsDeterministicPerSeed) {
-  auto run = [] {
-    CacheSim c(CacheGeometry{256, 16, 4, 32}, WritePolicy::kWriteBackAllocate,
-               ReplacementPolicy::kRandom);
-    Prng rng(5);
-    std::uint64_t misses = 0;
-    for (int i = 0; i < 5000; ++i) {
-      c.Access(static_cast<std::uint32_t>(rng.next_below(4096)) & ~3u,
-               rng.next_below(4) == 0);
-    }
-    misses = c.stats().misses();
-    return misses;
-  };
-  EXPECT_EQ(run(), run());
-}
-
-TEST(CacheSim, PoliciesAgreeOnDirectMapped) {
-  // With one way there is no replacement choice: all policies see the
-  // same stream of hits and misses.
-  Prng rng(123);
-  std::vector<std::pair<std::uint32_t, bool>> trace;
-  for (int i = 0; i < 8000; ++i) {
-    trace.emplace_back(static_cast<std::uint32_t>(rng.next_below(8192)) & ~3u,
-                       rng.next_below(3) == 0);
-  }
-  std::uint64_t misses[3];
-  int k = 0;
-  for (auto pol : {ReplacementPolicy::kLru, ReplacementPolicy::kFifo,
-                   ReplacementPolicy::kRandom}) {
-    CacheSim c(CacheGeometry{1024, 16, 1, 32}, WritePolicy::kWriteBackAllocate, pol);
-    for (auto [a, w] : trace) c.Access(a, w);
-    misses[k++] = c.stats().misses();
-  }
-  EXPECT_EQ(misses[0], misses[1]);
-  EXPECT_EQ(misses[1], misses[2]);
-}
-
 // A bigger cache can only reduce misses on the same (read-only) trace.
 TEST(CacheSim, BiggerCacheNeverMissesMoreOnReadTrace) {
   Prng rng(99);

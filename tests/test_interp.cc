@@ -162,27 +162,6 @@ TEST(Interp, ProfileCountsBlocks) {
   EXPECT_EQ(prof.call_count, 1u);
 }
 
-TEST(Interp, DataTraceIsEmitted) {
-  struct Collector : TraceSink {
-    std::vector<std::pair<std::uint32_t, bool>> events;
-    void OnDataAccess(std::uint32_t address, bool is_write) override {
-      events.emplace_back(address, is_write);
-    }
-  };
-  const dsl::LoweredProgram p = dsl::Compile(R"(
-    array a[4];
-    func main() { a[1] = 5; return a[1]; })");
-  Interpreter it(p.module);
-  Collector sink;
-  it.set_trace_sink(&sink);
-  it.Run("main");
-  ASSERT_EQ(sink.events.size(), 2u);
-  EXPECT_TRUE(sink.events[0].second);    // store first
-  EXPECT_FALSE(sink.events[1].second);   // then load
-  EXPECT_EQ(sink.events[0].first, sink.events[1].first);
-}
-
-
 TEST(Interp, BreakExitsInnermostLoop) {
   const dsl::LoweredProgram p = dsl::Compile(R"(
     func main(n) {

@@ -55,7 +55,7 @@
 //     --chaining              enable operator chaining in the scheduler
 //     --peephole              run the SL32 peephole optimizer
 //     --strategy lp|perf      low-power (default) or performance-driven
-//     --max-cells N           hard hardware cap in cells
+//     --max-cells N           hard hardware cap in cells (0 = none)
 //     --max-clusters N        number of clusters to map (default 1)
 //     --hotspots              print the software hotspot report
 //     --csv                   emit a CSV row instead of tables
@@ -69,6 +69,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -105,8 +106,9 @@ struct ScalarSet {
   std::fprintf(stderr,
                "usage: lopass_cli FILE.lp [--entry NAME] [--arg V] [--set N=V]\n"
                "       [--fill N=rand:CNT:LO:HI[:SEED] | N=ramp:CNT[:STEP]]\n"
-               "       [--opt] [--chaining] [--strategy lp|perf] [--max-cells N]\n"
-               "       [--max-clusters N] [--csv] [--dump-ir] [--dump-asm]\n"
+               "       [--opt] [--unroll K] [--chaining] [--peephole]\n"
+               "       [--strategy lp|perf] [--max-cells N] [--max-clusters N]\n"
+               "       [--hotspots] [--csv] [--dump-ir] [--dump-asm] [--emit-verilog]\n"
                "   or: lopass_cli lint FILE.lp [--entry NAME] [--unroll K]\n"
                "       [--app NAME] [--list-codes] [--no-partition-checks]\n"
                "       [-Wno-CODE] [-Werror[=CODE]]\n"
@@ -406,8 +408,7 @@ int main(int argc, char** argv) {
     } else if (a == "--opt") {
       optimize = true;
     } else if (a == "--unroll") {
-      unroll = static_cast<int>(ParseIntArg(next(), "--unroll"));
-      if (unroll < 1 || unroll > 1024) Usage("--unroll wants a factor in [1, 1024]");
+      unroll = ParseIntArgIn(next(), "--unroll", 1, 1024, "--unroll wants a factor in [1, 1024]");
     } else if (a == "--chaining") {
       options.scheduler.enable_chaining = true;
     } else if (a == "--peephole") {
@@ -419,9 +420,12 @@ int main(int argc, char** argv) {
       else Usage("--strategy must be lp or perf");
     } else if (a == "--max-cells") {
       options.max_cells = ParseDoubleArg(next(), "--max-cells");
+      if (!std::isfinite(options.max_cells) || options.max_cells < 0.0) {
+        Usage("--max-cells wants a finite, non-negative cell count (0 = none)");
+      }
     } else if (a == "--max-clusters") {
-      options.max_hw_clusters = static_cast<int>(ParseIntArg(next(), "--max-clusters"));
-      if (options.max_hw_clusters < 1) Usage("--max-clusters wants a positive count");
+      options.max_hw_clusters = ParseIntArgIn(next(), "--max-clusters", 1, kIntMax,
+                                              "--max-clusters wants a positive count");
     } else if (a == "--csv") {
       csv = true;
     } else if (a == "--hotspots") {
