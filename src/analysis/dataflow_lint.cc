@@ -7,7 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/units.h"
+#include "ir/eval.h"
 
 namespace lopass::analysis {
 
@@ -190,56 +190,10 @@ void LintReachability(const ir::Function& f, DiagnosticSink& sink) {
 //
 // One forward walk per block tracks which vregs hold compile-time
 // constants — and, where the arithmetic folds, their concrete values
-// (mirroring the interpreter's wrapping semantics so the proof matches
-// what would actually execute). Const-ness feeds the constant-branch
-// lint (L205); concrete values feed the array-bounds proof (L207).
-
-// Folds a pure op whose inputs are all known. Returns nullopt when the
-// value cannot be determined (e.g. division by zero — constant, but the
-// "value" is a runtime error).
-std::optional<std::int64_t> FoldPure(
-    Opcode op, const std::vector<std::optional<std::int64_t>>& vals) {
-  for (const auto& v : vals) {
-    if (!v.has_value()) return std::nullopt;
-  }
-  switch (op) {
-    case Opcode::kConst:
-    case Opcode::kMov:
-      return vals[0];
-    case Opcode::kNeg:
-      return WrapNeg(*vals[0]);
-    case Opcode::kNot:
-      return ~*vals[0];
-    default:
-      break;
-  }
-  if (vals.size() != 2) return std::nullopt;
-  const std::int64_t a = *vals[0];
-  const std::int64_t b = *vals[1];
-  switch (op) {
-    case Opcode::kAdd: return WrapAdd(a, b);
-    case Opcode::kSub: return WrapSub(a, b);
-    case Opcode::kMul: return WrapMul(a, b);
-    case Opcode::kDiv: return b == 0 ? std::nullopt : std::optional<std::int64_t>(a / b);
-    case Opcode::kMod: return b == 0 ? std::nullopt : std::optional<std::int64_t>(a % b);
-    case Opcode::kAnd: return a & b;
-    case Opcode::kOr: return a | b;
-    case Opcode::kXor: return a ^ b;
-    case Opcode::kShl: return WrapShl(a, b);
-    case Opcode::kShr:
-      return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) >> (b & 63));
-    case Opcode::kSar: return a >> (b & 63);
-    case Opcode::kMin: return std::min(a, b);
-    case Opcode::kMax: return std::max(a, b);
-    case Opcode::kCmpEq: return static_cast<std::int64_t>(a == b);
-    case Opcode::kCmpNe: return static_cast<std::int64_t>(a != b);
-    case Opcode::kCmpLt: return static_cast<std::int64_t>(a < b);
-    case Opcode::kCmpLe: return static_cast<std::int64_t>(a <= b);
-    case Opcode::kCmpGt: return static_cast<std::int64_t>(a > b);
-    case Opcode::kCmpGe: return static_cast<std::int64_t>(a >= b);
-    default: return std::nullopt;
-  }
-}
+// (computed by ir::EvalPure, the evaluator the interpreter runs, so the
+// proof matches what would actually execute; division by zero is
+// constant but has no value). Const-ness feeds the constant-branch lint
+// (L205); concrete values feed the array-bounds proof (L207).
 
 void LintBlockConstants(const ir::Module& m, const ir::Function& f,
                         DiagnosticSink& sink) {
@@ -286,16 +240,13 @@ void LintBlockConstants(const ir::Module& m, const ir::Function& f,
         continue;
       }
       if (in.result == ir::kNoVreg) continue;
-      const bool pure = in.op == Opcode::kConst || in.op == Opcode::kMov ||
-                        in.op == Opcode::kNeg || in.op == Opcode::kNot ||
-                        ir::IsBinaryArith(in.op) || ir::IsComparison(in.op);
-      const bool inputs_const =
-          std::all_of(in.args.begin(), in.args.end(), is_known);
-      if (pure && inputs_const) {
-        std::vector<std::optional<std::int64_t>> vals;
-        vals.reserve(in.args.size());
-        for (const ir::Operand& a : in.args) vals.push_back(value_of(a));
-        consts[in.result] = FoldPure(in.op, vals);
+      if (ir::IsPure(in.op) && std::all_of(in.args.begin(), in.args.end(), is_known)) {
+        const std::optional<std::int64_t> a = value_of(in.args[0]);
+        const std::optional<std::int64_t> b =
+            in.args.size() > 1 ? value_of(in.args[1]) : std::optional<std::int64_t>(0);
+        consts[in.result] = a && b && !ir::Traps(in.op, *b)
+                                ? std::optional(ir::EvalPure(in.op, *a, *b))
+                                : std::nullopt;
       }
     }
   }

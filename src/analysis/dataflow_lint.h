@@ -40,8 +40,8 @@ struct DataflowLintOptions {
 //   L205 branch condition is constant
 //   L206 function never called (entry exempt)
 //   L207 constant array index out of bounds (per-block constant
-//        propagation folds index arithmetic with the interpreter's
-//        wrapping semantics, then proves 0 <= index < length)
+//        propagation folds index arithmetic with ir::EvalPure, the
+//        runtime's semantics, then proves 0 <= index < length)
 void RunDataflowLints(const ir::Module& module, DiagnosticSink& sink,
                       const DataflowLintOptions& options = {});
 

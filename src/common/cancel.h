@@ -60,13 +60,6 @@ class CancelToken {
     has_deadline_.store(true, std::memory_order_relaxed);
   }
 
-  // Disarms flag and deadline so the token can be reused for the next
-  // job (the runner keeps one token per sweep).
-  void Reset() {
-    cancelled_.store(false, std::memory_order_relaxed);
-    has_deadline_.store(false, std::memory_order_relaxed);
-  }
-
   bool cancelled() const {
     if (cancelled_.load(std::memory_order_relaxed)) return true;
     if (!has_deadline_.load(std::memory_order_relaxed)) return false;

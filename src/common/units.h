@@ -103,10 +103,11 @@ constexpr Cycles SaturatingAdd(Cycles a, Cycles b) {
 }
 
 // Two's-complement wrapping arithmetic for *simulated program values*:
-// the DSL/SL32 machine defines add/sub/mul/neg/shl to wrap at 64 bits,
-// so the execution engines must not inherit C++'s undefined behavior on
-// signed overflow. (Cycle/energy accounting saturates instead — see
-// SaturatingAdd above.)
+// the DSL/SL32 machine defines add/sub/mul/neg/shl/div/mod to wrap at 64
+// bits, so the execution engines must not inherit C++'s undefined
+// behavior on signed overflow. The one overflowing quotient wraps too:
+// INT64_MIN / -1 is INT64_MIN and INT64_MIN % -1 is 0. (Cycle/energy
+// accounting saturates instead — see SaturatingAdd above.)
 constexpr std::int64_t WrapAdd(std::int64_t a, std::int64_t b) {
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
                                    static_cast<std::uint64_t>(b));
@@ -121,6 +122,13 @@ constexpr std::int64_t WrapMul(std::int64_t a, std::int64_t b) {
 }
 constexpr std::int64_t WrapNeg(std::int64_t a) {
   return static_cast<std::int64_t>(0 - static_cast<std::uint64_t>(a));
+}
+// Division and modulo by zero stay the caller's trap: `b` must be nonzero.
+constexpr std::int64_t WrapDiv(std::int64_t a, std::int64_t b) {
+  return b == -1 ? WrapNeg(a) : a / b;
+}
+constexpr std::int64_t WrapMod(std::int64_t a, std::int64_t b) {
+  return b == -1 ? 0 : a % b;
 }
 constexpr std::int64_t WrapShl(std::int64_t a, std::int64_t sh) {
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(a)

@@ -1,6 +1,8 @@
 #include "dsl/lexer.h"
 
 #include <cctype>
+#include <cstdint>
+#include <limits>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -161,8 +163,11 @@ std::vector<Token> TokenizeImpl(std::string_view src, DiagnosticSink* sink) {
       continue;
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
+      // A decimal literal must not exceed INT64_MAX; a hex literal may
+      // use all 64 bits (0x8000000000000000 is INT64_MIN).
       std::size_t j = i;
-      std::int64_t value = 0;
+      std::uint64_t value = 0;
+      bool in_range = true;
       if (c == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
         j = i + 2;
         if (j >= src.size() || !std::isxdigit(static_cast<unsigned char>(src[j]))) {
@@ -175,18 +180,26 @@ std::vector<Token> TokenizeImpl(std::string_view src, DiagnosticSink* sink) {
           const int dv = std::isdigit(static_cast<unsigned char>(d))
                              ? d - '0'
                              : std::tolower(static_cast<unsigned char>(d)) - 'a' + 10;
-          value = value * 16 + dv;
+          in_range = in_range && (value >> 60) == 0;
+          value = value * 16 + static_cast<std::uint64_t>(dv);
           ++j;
         }
       } else {
+        constexpr std::uint64_t kMax = std::numeric_limits<std::int64_t>::max();
         while (j < src.size() && std::isdigit(static_cast<unsigned char>(src[j]))) {
-          value = value * 10 + (src[j] - '0');
+          const auto dv = static_cast<std::uint64_t>(src[j] - '0');
+          in_range = in_range && value <= (kMax - dv) / 10;
+          value = value * 10 + dv;
           ++j;
         }
       }
+      if (!in_range) {
+        report(l, cl, "integer literal out of range");
+        value = 0;  // recovery: scan on past the whole literal
+      }
       Token t;
       t.kind = TokKind::kInt;
-      t.value = value;
+      t.value = static_cast<std::int64_t>(value);
       t.line = l;
       t.col = cl;
       out.push_back(std::move(t));

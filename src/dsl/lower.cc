@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/error.h"
+#include "common/units.h"
 #include "dsl/parser.h"
 #include "dsl/transform.h"
 #include "ir/verify.h"
@@ -418,7 +419,7 @@ class Lowerer {
         const Operand a = LowerExpr(*e.args[0]);
         switch (e.un_op) {
           case UnOp::kNeg:
-            if (a.is_imm()) return Operand::Imm(-a.imm);
+            if (a.is_imm()) return Operand::Imm(WrapNeg(a.imm));
             return Operand::Vreg(fb_->EmitUnary(Opcode::kNeg, a));
           case UnOp::kBitNot:
             if (a.is_imm()) return Operand::Imm(~a.imm);

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/fault.h"
+#include "common/units.h"
 #include "dsl/lexer.h"
 
 namespace lopass::dsl {
@@ -146,7 +147,7 @@ class Parser {
             auto folded = std::make_unique<Expr>();
             folded->kind = Expr::Kind::kInt;
             folded->line = s->value->line;
-            folded->value = -s->value->args[0]->value;
+            folded->value = WrapNeg(s->value->args[0]->value);
             s->value = std::move(folded);
           }
           if (s->value->kind != Expr::Kind::kInt) {

@@ -4,7 +4,7 @@
 
 #include "common/error.h"
 #include "common/fault.h"
-#include "common/units.h"
+#include "ir/eval.h"
 
 namespace lopass::interp {
 
@@ -165,67 +165,6 @@ std::int64_t Interpreter::Exec(const ir::Function& fn, std::span<const std::int6
           memory_[addr / 4] = Eval(in.args[1], vregs);
           break;
         }
-        case Opcode::kAdd:
-        case Opcode::kSub:
-        case Opcode::kMul:
-        case Opcode::kDiv:
-        case Opcode::kMod:
-        case Opcode::kAnd:
-        case Opcode::kOr:
-        case Opcode::kXor:
-        case Opcode::kShl:
-        case Opcode::kShr:
-        case Opcode::kSar:
-        case Opcode::kMin:
-        case Opcode::kMax:
-        case Opcode::kCmpEq:
-        case Opcode::kCmpNe:
-        case Opcode::kCmpLt:
-        case Opcode::kCmpLe:
-        case Opcode::kCmpGt:
-        case Opcode::kCmpGe: {
-          const std::int64_t a = Eval(in.args[0], vregs);
-          const std::int64_t b = Eval(in.args[1], vregs);
-          std::int64_t r = 0;
-          switch (in.op) {
-            case Opcode::kAdd: r = WrapAdd(a, b); break;
-            case Opcode::kSub: r = WrapSub(a, b); break;
-            case Opcode::kMul: r = WrapMul(a, b); break;
-            case Opcode::kDiv:
-              if (b == 0) LOPASS_THROW("division by zero");
-              r = a / b;
-              break;
-            case Opcode::kMod:
-              if (b == 0) LOPASS_THROW("modulo by zero");
-              r = a % b;
-              break;
-            case Opcode::kAnd: r = a & b; break;
-            case Opcode::kOr: r = a | b; break;
-            case Opcode::kXor: r = a ^ b; break;
-            case Opcode::kShl: r = WrapShl(a, b); break;
-            case Opcode::kShr:
-              r = static_cast<std::int64_t>(static_cast<std::uint64_t>(a) >> (b & 63));
-              break;
-            case Opcode::kSar: r = a >> (b & 63); break;
-            case Opcode::kMin: r = std::min(a, b); break;
-            case Opcode::kMax: r = std::max(a, b); break;
-            case Opcode::kCmpEq: r = a == b; break;
-            case Opcode::kCmpNe: r = a != b; break;
-            case Opcode::kCmpLt: r = a < b; break;
-            case Opcode::kCmpLe: r = a <= b; break;
-            case Opcode::kCmpGt: r = a > b; break;
-            case Opcode::kCmpGe: r = a >= b; break;
-            default: break;
-          }
-          vregs[static_cast<std::size_t>(in.result)] = r;
-          break;
-        }
-        case Opcode::kNeg:
-          vregs[static_cast<std::size_t>(in.result)] = WrapNeg(Eval(in.args[0], vregs));
-          break;
-        case Opcode::kNot:
-          vregs[static_cast<std::size_t>(in.result)] = ~Eval(in.args[0], vregs);
-          break;
         case Opcode::kCall: {
           const Symbol& s = module_.symbol(in.sym);
           const auto callee = module_.FindFunction(s.name);
@@ -249,6 +188,12 @@ std::int64_t Interpreter::Exec(const ir::Function& fn, std::span<const std::int6
           cur = Eval(in.args[0], vregs) != 0 ? in.target0 : in.target1;
           jumped = true;
           break;
+        default: {  // every other op is pure arithmetic (ir::IsPure)
+          const std::int64_t a = Eval(in.args[0], vregs);
+          const std::int64_t b = in.args.size() > 1 ? Eval(in.args[1], vregs) : 0;
+          vregs[static_cast<std::size_t>(in.result)] = ir::EvalPure(in.op, a, b);
+          break;
+        }
       }
       if (jumped) break;
     }

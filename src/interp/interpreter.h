@@ -8,7 +8,9 @@
 // of a cluster schedule) is invoked. It emits no data-access trace: the
 // ISS (iss/simulator.h) drives both caches directly on every run, which
 // takes the place of the paper's separate Trace Tool + Cache Profiler
-// (Fig. 5).
+// (Fig. 5). Arithmetic goes through ir::EvalPure (ir/eval.h), the one
+// evaluator constant folding and the L205/L207 lint folder share, so
+// every engine computes the same program values.
 
 #include <cstdint>
 #include <span>

@@ -1,5 +1,10 @@
 #include "ir/opcode.h"
 
+#include <string>
+
+#include "common/error.h"
+#include "ir/eval.h"
+
 namespace lopass::ir {
 
 const char* OpcodeName(Opcode op) {
@@ -118,6 +123,17 @@ bool IsComparison(Opcode op) {
     default:
       return false;
   }
+}
+
+bool IsPure(Opcode op) {
+  return op == Opcode::kConst || op == Opcode::kMov || op == Opcode::kNeg ||
+         op == Opcode::kNot || IsBinaryArith(op) || IsComparison(op);
+}
+
+void ThrowEvalError(Opcode op) {
+  if (op == Opcode::kDiv) LOPASS_THROW("division by zero");
+  if (op == Opcode::kMod) LOPASS_THROW("modulo by zero");
+  LOPASS_THROW(std::string("cannot evaluate non-pure op '") + OpcodeName(op) + "'");
 }
 
 bool ProducesResult(Opcode op) {

@@ -49,6 +49,9 @@ int OpcodeArity(Opcode op);
 bool IsTerminator(Opcode op);
 bool IsBinaryArith(Opcode op);
 bool IsComparison(Opcode op);
+// True for the value-only ops ir::EvalPure computes (ir/eval.h): kConst,
+// kMov, kNeg, kNot and every binary arithmetic and comparison op.
+bool IsPure(Opcode op);
 // True if the op produces a result value.
 bool ProducesResult(Opcode op);
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/units.h"
 
 namespace lopass::isa {
 
@@ -17,6 +18,13 @@ using ir::Operand;
 // Immediate range usable directly in ALU-immediate forms (SPARC-style
 // 13-bit signed simm).
 bool FitsSimm13(std::int64_t v) { return v >= -4096 && v <= 4095; }
+
+// Address of element `index` of array `s`. A constant index on a path
+// the program never takes may be far out of range: it wraps like the
+// dynamic index's `sll` (the ISS rejects the access if it ever runs).
+std::int64_t ElemAddress(const ir::Symbol& s, std::int64_t index) {
+  return WrapAdd(s.address, WrapShl(index, 2));
+}
 
 bool HasImmForm(SlOp op) {
   switch (op) {
@@ -322,7 +330,7 @@ class FuncCodegen {
         const ir::Symbol& s = mod_.symbol(in.sym);
         if (in.args[0].is_imm()) {
           const int rd = AllocReg();
-          EmitMem(SlOp::kLd, rd, kZeroReg, s.address + 4 * in.args[0].imm);
+          EmitMem(SlOp::kLd, rd, kZeroReg, ElemAddress(s, in.args[0].imm));
           BindReg(in.result, rd);
         } else {
           const int ridx = Materialize(in.args[0], transient);
@@ -341,7 +349,7 @@ class FuncCodegen {
         const ir::Symbol& s = mod_.symbol(in.sym);
         if (in.args[0].is_imm()) {
           const int rv = Materialize(in.args[1], transient);
-          EmitMem(SlOp::kSt, rv, kZeroReg, s.address + 4 * in.args[0].imm);
+          EmitMem(SlOp::kSt, rv, kZeroReg, ElemAddress(s, in.args[0].imm));
         } else {
           const int ridx = Materialize(in.args[0], transient);
           const int raddr = AllocReg();

@@ -205,13 +205,13 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
       case SlOp::kDiv: {
         const std::int64_t d = src2();
         if (d == 0) LOPASS_THROW("division by zero in SL32 program");
-        wr_reg(in.rd, rd_reg(in.rs1) / d);
+        wr_reg(in.rd, WrapDiv(rd_reg(in.rs1), d));
         break;
       }
       case SlOp::kMod: {
         const std::int64_t d = src2();
         if (d == 0) LOPASS_THROW("modulo by zero in SL32 program");
-        wr_reg(in.rd, rd_reg(in.rs1) % d);
+        wr_reg(in.rd, WrapMod(rd_reg(in.rs1), d));
         break;
       }
       case SlOp::kMin: wr_reg(in.rd, std::min(rd_reg(in.rs1), src2())); break;

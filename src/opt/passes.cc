@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "common/error.h"
+#include "ir/eval.h"
 #include "ir/verify.h"
 
 namespace lopass::opt {
@@ -23,46 +24,6 @@ std::string PassStats::ToString() const {
      << " branches=" << branches_simplified;
   return os.str();
 }
-
-namespace {
-
-// Evaluates a pure operation on constant operands. Returns false for
-// non-foldable cases (division by zero stays a runtime trap).
-bool Evaluate(Opcode op, std::int64_t a, std::int64_t b, std::int64_t& out) {
-  switch (op) {
-    case Opcode::kAdd: out = a + b; return true;
-    case Opcode::kSub: out = a - b; return true;
-    case Opcode::kMul: out = a * b; return true;
-    case Opcode::kDiv:
-      if (b == 0) return false;
-      out = a / b;
-      return true;
-    case Opcode::kMod:
-      if (b == 0) return false;
-      out = a % b;
-      return true;
-    case Opcode::kAnd: out = a & b; return true;
-    case Opcode::kOr: out = a | b; return true;
-    case Opcode::kXor: out = a ^ b; return true;
-    case Opcode::kShl: out = a << (b & 63); return true;
-    case Opcode::kShr:
-      out = static_cast<std::int64_t>(static_cast<std::uint64_t>(a) >> (b & 63));
-      return true;
-    case Opcode::kSar: out = a >> (b & 63); return true;
-    case Opcode::kMin: out = std::min(a, b); return true;
-    case Opcode::kMax: out = std::max(a, b); return true;
-    case Opcode::kCmpEq: out = a == b; return true;
-    case Opcode::kCmpNe: out = a != b; return true;
-    case Opcode::kCmpLt: out = a < b; return true;
-    case Opcode::kCmpLe: out = a <= b; return true;
-    case Opcode::kCmpGt: out = a > b; return true;
-    case Opcode::kCmpGe: out = a >= b; return true;
-    default:
-      return false;
-  }
-}
-
-}  // namespace
 
 PassStats ConstantFold(ir::Module& module) {
   PassStats stats;
@@ -104,24 +65,6 @@ PassStats ConstantFold(ir::Module& module) {
               alias[in.result] = canonical(in.args[0].vreg);
             }
             break;
-          case Opcode::kNeg:
-            if (in.args[0].is_imm()) {
-              const std::int64_t v = -in.args[0].imm;
-              known[in.result] = v;
-              in.op = Opcode::kConst;
-              in.args = {Operand::Imm(v)};
-              ++stats.folded_ops;
-            }
-            break;
-          case Opcode::kNot:
-            if (in.args[0].is_imm()) {
-              const std::int64_t v = ~in.args[0].imm;
-              known[in.result] = v;
-              in.op = Opcode::kConst;
-              in.args = {Operand::Imm(v)};
-              ++stats.folded_ops;
-            }
-            break;
           case Opcode::kCondBr:
             if (in.args[0].is_imm()) {
               const ir::BlockId target = in.args[0].imm != 0 ? in.target0 : in.target1;
@@ -133,15 +76,17 @@ PassStats ConstantFold(ir::Module& module) {
             }
             break;
           default:
-            if (ir::IsBinaryArith(in.op) || ir::IsComparison(in.op)) {
-              if (in.args[0].is_imm() && in.args[1].is_imm()) {
-                std::int64_t v;
-                if (Evaluate(in.op, in.args[0].imm, in.args[1].imm, v)) {
-                  known[in.result] = v;
-                  in.op = Opcode::kConst;
-                  in.args = {Operand::Imm(v)};
-                  ++stats.folded_ops;
-                }
+            if (ir::IsPure(in.op) &&
+                std::all_of(in.args.begin(), in.args.end(),
+                            [](const Operand& a) { return a.is_imm(); })) {
+              const std::int64_t a = in.args[0].imm;
+              const std::int64_t b = in.args.size() > 1 ? in.args[1].imm : 0;
+              if (!ir::Traps(in.op, b)) {  // division by zero stays a runtime trap
+                const std::int64_t v = ir::EvalPure(in.op, a, b);
+                known[in.result] = v;
+                in.op = Opcode::kConst;
+                in.args = {Operand::Imm(v)};
+                ++stats.folded_ops;
               }
             }
             break;

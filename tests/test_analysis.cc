@@ -10,11 +10,13 @@
 
 #include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/codes.h"
+#include "analysis/dataflow_lint.h"
 #include "asic/datapath.h"
 #include "asic/netlist_check.h"
 #include "asic/synthesis.h"
@@ -98,6 +100,32 @@ TEST(LintCorpus, CleanTwinsStayClean) {
     EXPECT_EQ(r.errors, 0u) << file;
     EXPECT_EQ(r.warnings, 0u) << file;
   }
+}
+
+// Every check line of the edge-operand file indexes a one-element array
+// with (A op B) - R + 1, R being the run-time value of A op B: each one
+// must fold to index 1 — no other value, and not "unknown".
+TEST(LintCorpus, EdgeOperandsFoldToTheRuntimeValues) {
+  const std::string src = ReadData("l207_edge_operands.lp");
+  std::set<int> checks;
+  std::istringstream lines(src);
+  std::string text;
+  for (int line = 1; std::getline(lines, text); ++line) {
+    if (text.rfind("  out[", 0) == 0) checks.insert(line);
+  }
+  ASSERT_EQ(checks.size(), 1136u);  // 18 DSL operators x 64 pairs, less 16 zero divisors
+
+  // One finding per check: more than LintProgram's default sink keeps.
+  DiagnosticSink sink(checks.size() + 1);
+  analysis::RunDataflowLints(dsl::Compile(src).module, sink);
+  std::set<int> reported;
+  for (const Diagnostic& d : sink.diagnostics()) {
+    EXPECT_EQ(d.code, "L207") << "line " << d.loc.line << ": " << d.message;
+    EXPECT_NE(d.message.find("constant index 1 is out of bounds"), std::string::npos)
+        << "line " << d.loc.line << ": " << d.message;
+    reported.insert(d.loc.line);
+  }
+  EXPECT_EQ(reported, checks);
 }
 
 TEST(LintCorpus, MultiDefectFileReportsEverythingInOnePass) {

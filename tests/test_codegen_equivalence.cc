@@ -8,9 +8,12 @@
 #include <sstream>
 #include <string>
 
+#include "common/error.h"
 #include "common/prng.h"
 #include "dsl/lower.h"
+#include "edge_operands.h"
 #include "interp/interpreter.h"
+#include "ir/eval.h"
 #include "isa/codegen.h"
 #include "iss/simulator.h"
 
@@ -55,6 +58,30 @@ TEST(Equivalence, StraightLine) {
   ExpectEquivalent("func main(a) { return a / 3 + a % 3; }", {-17});
   ExpectEquivalent("func main() { return min(4, 9) * max(-1, -7) + abs(-12); }");
   ExpectEquivalent("func main(a) { return ~a ^ (a | 0x0F) & 0xF0; }", {1234});
+
+  // Every binary opcode on every pair of edge operands; division and
+  // modulo by zero trap on both engines.
+  for (const BinaryForm& f : kBinaryForms) {
+    dsl::LoweredProgram p =
+        dsl::Compile("func main(a, b) { return " + Apply(f, "a", "b") + "; }");
+    if (f.op == ir::Opcode::kShr) RetargetSarToShr(p.module);
+    const isa::SlProgram prog = isa::Generate(p.module);
+    for (const std::int64_t a : kEdgeOperands) {
+      for (const std::int64_t b : kEdgeOperands) {
+        SCOPED_TRACE(std::string(ir::OpcodeName(f.op)) + " " + std::to_string(a) + ", " +
+                     std::to_string(b));
+        const std::vector<std::int64_t> args{a, b};
+        interp::Interpreter it(p.module);
+        iss::Simulator sim(p.module, prog, iss::SystemConfig{});
+        if (ir::Traps(f.op, b)) {
+          EXPECT_THROW(it.Run("main", args), Error);
+          EXPECT_THROW(sim.Run("main", args), Error);
+          continue;
+        }
+        EXPECT_EQ(it.Run("main", args).return_value, sim.Run("main", args).return_value);
+      }
+    }
+  }
 }
 
 TEST(Equivalence, ControlFlow) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "common/error.h"
 
 namespace lopass::dsl {
@@ -74,6 +77,21 @@ TEST(Lexer, UnknownCharacterThrows) {
 TEST(Lexer, MalformedHexThrows) {
   EXPECT_THROW(Tokenize("0x"), Error);
   EXPECT_THROW(Tokenize("0xZ"), Error);
+}
+
+TEST(Lexer, IntegerLiteralsUseAtMostSixtyFourBits) {
+  const auto toks = Tokenize("9223372036854775807 0x8000000000000000 0xffffffffffffffff");
+  EXPECT_EQ(toks[0].value, std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(toks[1].value, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(toks[2].value, -1);
+  for (const char* src : {"9223372036854775808", "0x1ffffffffffffffff",
+                          "99999999999999999999"}) {
+    DiagnosticSink sink;
+    Tokenize(src, sink);
+    ASSERT_EQ(sink.diagnostics().size(), 1u) << src;
+    EXPECT_EQ(sink.diagnostics()[0].message, "integer literal out of range") << src;
+    EXPECT_EQ(sink.diagnostics()[0].loc.col, 1) << src;
+  }
 }
 
 TEST(Lexer, Punctuation) {

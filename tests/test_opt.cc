@@ -4,7 +4,9 @@
 
 #include "common/prng.h"
 #include "dsl/lower.h"
+#include "edge_operands.h"
 #include "interp/interpreter.h"
+#include "ir/eval.h"
 #include "ir/print.h"
 #include "isa/codegen.h"
 #include "iss/simulator.h"
@@ -58,6 +60,39 @@ TEST(ConstantFold, KeepsDivisionByZeroTrap) {
   // Still traps at runtime; not folded away.
   interp::Interpreter it(p.module);
   EXPECT_THROW(it.Run("main"), Error);
+}
+
+TEST(ConstantFold, EdgeOperandsFoldToTheUnfoldedValue) {
+  // Every binary opcode on every pair of edge operands, then kNeg and
+  // kNot on each operand (`+ 0` keeps the lowerer from folding them).
+  std::vector<std::pair<std::string, ir::Opcode>> exprs;
+  for (const BinaryForm& f : kBinaryForms) {
+    for (const std::int64_t a : kEdgeOperands) {
+      for (const std::int64_t b : kEdgeOperands) {
+        if (!ir::Traps(f.op, b)) exprs.emplace_back(Apply(f, Literal(a), Literal(b)), f.op);
+      }
+    }
+  }
+  for (const std::int64_t a : kEdgeOperands) {
+    exprs.emplace_back("-(" + Literal(a) + " + 0)", ir::Opcode::kNeg);
+    exprs.emplace_back("~(" + Literal(a) + " + 0)", ir::Opcode::kNot);
+  }
+  for (const auto& [expr, op] : exprs) {
+    const std::string src = "func main() { return " + expr + "; }";
+    SCOPED_TRACE(src);
+    dsl::LoweredProgram plain = Prog(src);
+    dsl::LoweredProgram folded = Prog(src);
+    if (op == ir::Opcode::kShr) {
+      RetargetSarToShr(plain.module);
+      RetargetSarToShr(folded.module);
+    }
+    EXPECT_GT(ConstantFold(folded.module).folded_ops, 0u);
+    const std::int64_t want = Interp(plain.module);
+    EXPECT_EQ(Interp(folded.module), want);
+    const isa::SlProgram code = isa::Generate(plain.module);
+    iss::Simulator sim(plain.module, code, iss::SystemConfig{});
+    EXPECT_EQ(sim.Run("main").return_value, want);
+  }
 }
 
 TEST(LocalCse, ReusesRepeatedExpressions) {
