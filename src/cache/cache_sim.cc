@@ -16,46 +16,42 @@ std::uint32_t Log2(std::uint32_t x) {
 }  // namespace
 
 CacheSim::CacheSim(power::CacheGeometry geometry, WritePolicy policy)
-    : geometry_(geometry), policy_(policy) {
-  const std::uint32_t sets = geometry_.num_sets();
+    : policy_(policy), associativity_(geometry.associativity) {
+  const std::uint32_t sets = geometry.num_sets();
   LOPASS_CHECK(sets > 0, "cache must have at least one set");
-  lines_.assign(static_cast<std::size_t>(sets) * geometry_.associativity, Line{});
-  offset_bits_ = Log2(geometry_.line_bytes);
+  const std::size_t lines = static_cast<std::size_t>(sets) * associativity_;
+  lines_.assign(lines, Line{});
+  offset_bits_ = Log2(geometry.line_bytes);
   index_bits_ = Log2(sets);
+  set_mask_ = (1u << index_bits_) - 1u;
 }
 
-void CacheSim::Reset() {
-  for (Line& l : lines_) l = Line{};
-  stats_ = CacheStats{};
-  tick_ = 0;
-  words_from_mem_ = 0;
-  words_to_mem_ = 0;
-}
-
-bool CacheSim::Access(std::uint32_t address, bool is_write) {
+bool CacheSim::AccessSlow(std::uint32_t address, bool is_write) {
   ++tick_;
-  const std::uint32_t set = (address >> offset_bits_) & ((1u << index_bits_) - 1u);
-  const std::uint32_t tag = address >> (offset_bits_ + index_bits_);
-  Line* base = &lines_[static_cast<std::size_t>(set) * geometry_.associativity];
-  const std::uint32_t words_per_line = geometry_.line_bytes / 4;
+  const std::uint32_t line = address >> offset_bits_;
+  const std::uint32_t tag = line >> index_bits_;
+  const std::size_t base = static_cast<std::size_t>(line & set_mask_) * associativity_;
+  const bool write_back = policy_ == WritePolicy::kWriteBackAllocate;
 
-  // Lookup.
-  for (std::uint32_t w = 0; w < geometry_.associativity; ++w) {
-    Line& l = base[w];
-    if (l.valid && l.tag == tag) {
-      l.lru = tick_;
+  // Lookup. On the way, pick the victim for a miss: the first line with
+  // the oldest stamp, i.e. an invalid line (stamp 0) first, else the
+  // least recently used one.
+  std::size_t victim = base;
+  for (std::size_t s = base; s < base + associativity_; ++s) {
+    Line& l = lines_[s];
+    if (l.stamp != 0 && l.tag == tag) {
+      l.stamp = tick_;
       if (is_write) {
         ++stats_.write_hits;
-        if (policy_ == WritePolicy::kWriteBackAllocate) {
-          l.dirty = true;
-        } else {
-          words_to_mem_ += 1;  // write-through
-        }
+        if (write_back) l.dirty = true;
       } else {
         ++stats_.read_hits;
       }
+      last_line_ = line;
+      last_slot_ = s;
       return true;
     }
+    if (l.stamp < lines_[victim].stamp) victim = s;
   }
 
   // Miss.
@@ -64,37 +60,18 @@ bool CacheSim::Access(std::uint32_t address, bool is_write) {
   } else {
     ++stats_.read_misses;
   }
-
-  if (is_write && policy_ == WritePolicy::kWriteThroughNoAllocate) {
-    words_to_mem_ += 1;
+  if (is_write && !write_back) {
+    last_line_ = kNoLine;
     return false;  // no allocation
   }
-
-  // Choose a victim: an invalid line first, else the least recently
-  // used one.
-  Line* victim = nullptr;
-  for (std::uint32_t w = 0; w < geometry_.associativity; ++w) {
-    if (!base[w].valid) {
-      victim = &base[w];
-      break;
-    }
-  }
-  if (victim == nullptr) {
-    victim = base;
-    for (std::uint32_t w = 1; w < geometry_.associativity; ++w) {
-      if (base[w].lru < victim->lru) victim = &base[w];
-    }
-  }
-  if (victim->valid && victim->dirty) {
-    ++stats_.writebacks;
-    words_to_mem_ += words_per_line;
-  }
-  victim->valid = true;
-  victim->dirty = is_write && policy_ == WritePolicy::kWriteBackAllocate;
-  victim->tag = tag;
-  victim->lru = tick_;
+  Line& v = lines_[victim];
+  if (v.stamp != 0 && v.dirty) ++stats_.writebacks;
+  v.stamp = tick_;
+  v.tag = tag;
+  v.dirty = is_write;
   ++stats_.line_fills;
-  words_from_mem_ += words_per_line;
+  last_line_ = line;
+  last_slot_ = victim;
   return false;
 }
 

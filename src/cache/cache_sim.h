@@ -42,39 +42,52 @@ class CacheSim {
 
   // Simulates one word access; returns true on hit. Miss bookkeeping
   // (fill, eviction, writeback) is recorded in stats().
-  bool Access(std::uint32_t address, bool is_write);
-
-  void Reset();
+  //
+  // An access to the line the previous access hit or filled is a hit
+  // without a lookup: nothing ran in between, and that line already
+  // holds the newest LRU stamp of its set, so re-stamping it would
+  // change no replacement decision.
+  bool Access(std::uint32_t address, bool is_write) {
+    if (address >> offset_bits_ != last_line_) return AccessSlow(address, is_write);
+    if (!is_write) {
+      ++stats_.read_hits;
+    } else {
+      ++stats_.write_hits;
+      if (policy_ == WritePolicy::kWriteBackAllocate) lines_[last_slot_].dirty = true;
+    }
+    return true;
+  }
 
   const CacheStats& stats() const { return stats_; }
-  const power::CacheGeometry& geometry() const { return geometry_; }
 
   // Total energy dissipated inside this cache core for the recorded
   // access stream, under the given energy model.
   Energy TotalEnergy(const power::CacheEnergyModel& model) const;
 
-  // Words transferred to/from the next memory level (line fills +
-  // writebacks + write-throughs); used for memory/bus accounting.
-  std::uint64_t words_read_from_memory() const { return words_from_mem_; }
-  std::uint64_t words_written_to_memory() const { return words_to_mem_; }
-
  private:
   struct Line {
-    bool valid = false;
-    bool dirty = false;
+    std::uint64_t stamp = 0;  // last-touch tick; 0 marks an invalid line
     std::uint32_t tag = 0;
-    std::uint64_t lru = 0;  // last-touch stamp
+    bool dirty = false;
   };
+  // No line: compares unequal to every address >> offset_bits_.
+  static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
 
-  power::CacheGeometry geometry_;
+  bool AccessSlow(std::uint32_t address, bool is_write);
+
   WritePolicy policy_;
-  std::vector<Line> lines_;  // sets * assoc, row-major by set
-  CacheStats stats_;
-  std::uint64_t tick_ = 0;
+  std::uint32_t associativity_ = 0;
   std::uint32_t offset_bits_ = 0;
   std::uint32_t index_bits_ = 0;
-  std::uint64_t words_from_mem_ = 0;
-  std::uint64_t words_to_mem_ = 0;
+  std::uint32_t set_mask_ = 0;
+  std::vector<Line> lines_;  // sets * associativity, row-major by set
+  std::uint64_t tick_ = 0;
+  // The line (address >> offset_bits_) the previous access hit or
+  // filled, and its slot; kNoLine after a write miss that allocated
+  // nothing.
+  std::uint64_t last_line_ = kNoLine;
+  std::size_t last_slot_ = 0;
+  CacheStats stats_;
 };
 
 }  // namespace lopass::cache

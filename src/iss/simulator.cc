@@ -76,6 +76,22 @@ std::int64_t Simulator::GetScalar(const std::string& name) const {
   return memory_[module_.symbol(FindGlobal(name)).address / 4];
 }
 
+namespace {
+
+// One pc of the per-run decode table: everything the hot loop charges
+// that does not depend on register values.
+struct Decoded {
+  InstrClass cls = InstrClass::kNop;
+  int cluster = -1;            // ASIC cluster under the run's partition, -1 = SW
+  std::uint32_t active_mask = 0;
+  std::uint32_t fetch_address = 0;
+  Cycles base_cycles = 0;
+  Energy base_energy;
+  BlockCost* cost = nullptr;   // the pc's block in SimResult::block_costs
+};
+
+}  // namespace
+
 SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> args,
                          const HwPartition& partition, std::uint64_t max_instrs) {
   fault::MaybeInject("sim");
@@ -95,6 +111,8 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
   const power::MemoryEnergyModel mem_em(config_.memory_bytes, lib_.params());
   const std::uint32_t i_line_words = config_.icache.line_bytes / 4;
   const std::uint32_t d_line_words = config_.dcache.line_bytes / 4;
+  const bool write_through = config_.dcache_policy == cache::WritePolicy::kWriteThroughNoAllocate;
+  const std::int64_t memory_bytes = static_cast<std::int64_t>(memory_.size() * 4);
 
   SimResult r;
   r.block_costs.resize(module_.num_functions());
@@ -104,9 +122,39 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
   }
   r.cluster_entries.assign(partition.clusters.size(), 0);
 
+  const std::vector<SlInstr>& code = program_.code;
+  std::vector<Decoded> decoded(code.size());
+  for (std::uint32_t pc = 0; pc < code.size(); ++pc) {
+    const SlInstr& in = code[pc];
+    LOPASS_CHECK(in.fn >= 0 && static_cast<std::size_t>(in.fn) < r.block_costs.size() &&
+                     in.block >= 0 &&
+                     static_cast<std::size_t>(in.block) <
+                         r.block_costs[static_cast<std::size_t>(in.fn)].size(),
+                 "SL32 instruction without a block");
+    Decoded& d = decoded[pc];
+    d.cls = isa::ClassOf(in.op);
+    if (!partition.empty()) {
+      const auto f = static_cast<std::size_t>(in.fn);
+      LOPASS_CHECK(f < partition.block_cluster.size() &&
+                       static_cast<std::size_t>(in.block) < partition.block_cluster[f].size(),
+                   "partition does not cover every block");
+      d.cluster = partition.ClusterOf(in.fn, in.block);
+      LOPASS_CHECK(d.cluster < static_cast<int>(partition.clusters.size()),
+                   "block mapped to an unknown cluster");
+    }
+    d.active_mask = energy_.active_resources(d.cls);
+    d.fetch_address = program_.FetchAddress(pc);
+    d.base_cycles = isa::BaseCycles(in.op);
+    d.base_energy = energy_.base_energy(d.cls);
+    d.cost = &r.block_costs[static_cast<std::size_t>(in.fn)][static_cast<std::size_t>(in.block)];
+  }
+  // Software executions per pc; the integer instruction and resource
+  // accounting is derived from these after the loop.
+  std::vector<std::uint64_t> sw_executions(code.size(), 0);
+
+  // regs[kZeroReg] is never written, so it always reads 0.
   std::array<std::int64_t, isa::kNumRegs> regs{};
   std::vector<std::uint32_t> call_stack;
-  Cycles next_sample = config_.timeline_interval_cycles;
   std::uint32_t pc = entry_fn.entry;
   InstrClass prev_class = InstrClass::kNop;
   int prev_cluster = -1;
@@ -139,29 +187,28 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
   };
 
   for (;;) {
-    LOPASS_CHECK(pc < program_.code.size(), "pc out of range");
-    const SlInstr& in = program_.code[pc];
+    LOPASS_CHECK(pc < code.size(), "pc out of range");
+    const SlInstr& in = code[pc];
+    const Decoded& d = decoded[pc];
     if (++executed > max_instrs) {
       LOPASS_THROW("simulator fuel exhausted after " + std::to_string(max_instrs) +
                    " instructions (non-terminating workload?)");
     }
 
-    const int cluster = partition.empty() ? -1 : partition.ClusterOf(in.fn, in.block);
-    if (cluster != prev_cluster) {
+    if (d.cluster != prev_cluster) {
       if (prev_cluster >= 0) account_exit(prev_cluster);
-      if (cluster >= 0) account_entry(cluster);
-      prev_cluster = cluster;
+      if (d.cluster >= 0) account_entry(d.cluster);
+      prev_cluster = d.cluster;
     }
-    const bool sw = cluster < 0;
+    const bool sw = d.cluster < 0;
 
     Cycles instr_cycles = 0;
     Energy instr_energy;
-    const InstrClass cls = isa::ClassOf(in.op);
 
     if (sw) {
-      ++r.instr_count;
+      ++sw_executions[pc];
       // Instruction fetch.
-      if (!icache.Access(program_.FetchAddress(pc), /*is_write=*/false)) {
+      if (!icache.Access(d.fetch_address, /*is_write=*/false)) {
         const Cycles penalty = 3 + i_line_words;
         instr_cycles += penalty;
         instr_energy += energy_.stall_energy_per_cycle() * static_cast<double>(penalty);
@@ -169,15 +216,13 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
         r.energy.mem += mem_em.read_energy() * static_cast<double>(i_line_words);
         r.mem_reads += i_line_words;
       }
-      instr_cycles += isa::BaseCycles(in.op);
-      instr_energy += energy_.base_energy(cls) + energy_.overhead(prev_class, cls);
-      prev_class = cls;
+      instr_cycles += d.base_cycles;
+      instr_energy += d.base_energy + energy_.overhead(prev_class, d.cls);
+      prev_class = d.cls;
     }
 
     // --- functional execution -------------------------------------------
-    auto rd_reg = [&](int idx) -> std::int64_t {
-      return idx == isa::kZeroReg ? 0 : regs[static_cast<std::size_t>(idx)];
-    };
+    auto rd_reg = [&](int idx) -> std::int64_t { return regs[static_cast<std::size_t>(idx)]; };
     auto wr_reg = [&](int idx, std::int64_t v) {
       if (idx != isa::kZeroReg) regs[static_cast<std::size_t>(idx)] = v;
     };
@@ -203,15 +248,15 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
       case SlOp::kSra: wr_reg(in.rd, rd_reg(in.rs1) >> (src2() & 63)); break;
       case SlOp::kMul: wr_reg(in.rd, WrapMul(rd_reg(in.rs1), src2())); break;
       case SlOp::kDiv: {
-        const std::int64_t d = src2();
-        if (d == 0) LOPASS_THROW("division by zero in SL32 program");
-        wr_reg(in.rd, WrapDiv(rd_reg(in.rs1), d));
+        const std::int64_t dv = src2();
+        if (dv == 0) LOPASS_THROW("division by zero in SL32 program");
+        wr_reg(in.rd, WrapDiv(rd_reg(in.rs1), dv));
         break;
       }
       case SlOp::kMod: {
-        const std::int64_t d = src2();
-        if (d == 0) LOPASS_THROW("modulo by zero in SL32 program");
-        wr_reg(in.rd, WrapMod(rd_reg(in.rs1), d));
+        const std::int64_t dv = src2();
+        if (dv == 0) LOPASS_THROW("modulo by zero in SL32 program");
+        wr_reg(in.rd, WrapMod(rd_reg(in.rs1), dv));
         break;
       }
       case SlOp::kMin: wr_reg(in.rd, std::min(rd_reg(in.rs1), src2())); break;
@@ -225,25 +270,21 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
       case SlOp::kLi: wr_reg(in.rd, in.imm); break;
       case SlOp::kLd:
       case SlOp::kSt: {
-        const std::int64_t addr64 = rd_reg(in.rs1) + in.imm;
-        LOPASS_CHECK(addr64 >= 0 && addr64 + 4 <= static_cast<std::int64_t>(memory_.size() * 4),
-                     "data access out of range");
+        const std::int64_t addr64 = WrapAdd(rd_reg(in.rs1), in.imm);
+        LOPASS_CHECK(addr64 >= 0 && addr64 <= memory_bytes - 4, "data access out of range");
         const std::uint32_t addr = static_cast<std::uint32_t>(addr64);
         const bool is_write = in.op == SlOp::kSt;
         if (sw) {
-          if (!dcache.Access(addr, is_write)) {
-            const bool allocates = !is_write ||
-                                   config_.dcache_policy == cache::WritePolicy::kWriteBackAllocate;
-            if (allocates) {
-              const Cycles penalty = 3 + d_line_words;
-              instr_cycles += penalty;
-              instr_energy += energy_.stall_energy_per_cycle() * static_cast<double>(penalty);
-              r.energy.bus += lib_.bus_read_energy() * static_cast<double>(d_line_words);
-              r.energy.mem += mem_em.read_energy() * static_cast<double>(d_line_words);
-              r.mem_reads += d_line_words;
-            }
+          if (!dcache.Access(addr, is_write) && !(is_write && write_through)) {
+            // The miss allocates a line.
+            const Cycles penalty = 3 + d_line_words;
+            instr_cycles += penalty;
+            instr_energy += energy_.stall_energy_per_cycle() * static_cast<double>(penalty);
+            r.energy.bus += lib_.bus_read_energy() * static_cast<double>(d_line_words);
+            r.energy.mem += mem_em.read_energy() * static_cast<double>(d_line_words);
+            r.mem_reads += d_line_words;
           }
-          if (is_write && config_.dcache_policy == cache::WritePolicy::kWriteThroughNoAllocate) {
+          if (is_write && write_through) {
             r.energy.bus += lib_.bus_write_energy();
             r.energy.mem += mem_em.write_energy();
             r.mem_writes += 1;
@@ -271,16 +312,15 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
         break;
       case SlOp::kRet:
         if (call_stack.empty()) {
-          // Program finished.
+          // Program finished: charge this instruction's cycles and
+          // energy, then halt. It counts as executed but keeps no
+          // resource active.
           r.return_value = regs[isa::kRetValReg];
-          // Final accounting for this instruction below, then halt.
           if (sw) {
             r.up_cycles = SaturatingAdd(r.up_cycles, instr_cycles);
             r.energy.up_core += instr_energy;
-            BlockCost& bc = r.block_costs[static_cast<std::size_t>(in.fn)][static_cast<std::size_t>(in.block)];
-            bc.cycles = SaturatingAdd(bc.cycles, instr_cycles);
-            bc.energy += instr_energy;
-            ++bc.instrs;
+            d.cost->cycles = SaturatingAdd(d.cost->cycles, instr_cycles);
+            d.cost->energy += instr_energy;
           }
           if (prev_cluster >= 0) account_exit(prev_cluster);
           goto done;
@@ -296,30 +336,29 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
       }
       r.up_cycles = SaturatingAdd(r.up_cycles, instr_cycles);
       r.energy.up_core += instr_energy;
-      if (config_.timeline_interval_cycles > 0 &&
-          r.up_cycles >= next_sample) {
-        r.timeline.push_back(EnergySample{
-            r.up_cycles, r.energy.up_core,
-            r.energy.up_core + r.energy.bus + r.energy.mem});
-        next_sample = r.up_cycles + config_.timeline_interval_cycles;
-      }
-      BlockCost& bc = r.block_costs[static_cast<std::size_t>(in.fn)][static_cast<std::size_t>(in.block)];
-      bc.cycles = SaturatingAdd(bc.cycles, instr_cycles);
-      bc.energy += instr_energy;
-      ++bc.instrs;
-      const std::uint32_t mask = energy_.active_resources(cls);
-      const Cycles busy = isa::BaseCycles(in.op);
-      for (int res = 0; res < kNumUpResources; ++res) {
-        if (mask & (1u << res)) {
-          r.active_cycles[static_cast<std::size_t>(res)] += busy;
-          bc.active_cycles[static_cast<std::size_t>(res)] += busy;
-        }
-      }
+      d.cost->cycles = SaturatingAdd(d.cost->cycles, instr_cycles);
+      d.cost->energy += instr_energy;
     }
     pc = next_pc;
   }
 
 done:
+  for (std::size_t i = 0; i < code.size(); ++i) {
+    const std::uint64_t n = sw_executions[i];
+    if (n == 0) continue;
+    const Decoded& d = decoded[i];
+    r.instr_count += n;
+    d.cost->instrs += n;
+    // The final ret (at `pc`) is not counted as keeping resources busy.
+    const Cycles busy = d.base_cycles * (i == pc ? n - 1 : n);
+    for (int res = 0; res < kNumUpResources; ++res) {
+      if (d.active_mask & (1u << res)) {
+        r.active_cycles[static_cast<std::size_t>(res)] += busy;
+        d.cost->active_cycles[static_cast<std::size_t>(res)] += busy;
+      }
+    }
+  }
+
   // Dirty-line flush at program end is not charged (the paper measures
   // steady application execution).
   r.icache_stats = icache.stats();

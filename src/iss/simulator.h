@@ -44,9 +44,6 @@ struct SystemConfig {
   power::CacheGeometry dcache{2048, 16, 1, 32};
   cache::WritePolicy dcache_policy = cache::WritePolicy::kWriteBackAllocate;
   std::uint32_t memory_bytes = 256 * 1024;
-  // When > 0, SimResult.timeline records a cumulative energy sample
-  // every N µP cycles (a power-over-time profile).
-  lopass::Cycles timeline_interval_cycles = 0;
 };
 
 // Which blocks run on the ASIC core. Cluster indexes are dense ids
@@ -93,14 +90,6 @@ struct BlockCost {
   std::array<std::uint64_t, kNumUpResources> active_cycles{};
 };
 
-// One point of the power-over-time profile.
-struct EnergySample {
-  lopass::Cycles cycle = 0;
-  Energy up_core;   // cumulative µP core energy at this cycle
-  Energy total;     // cumulative µP + bus + memory energy (caches are
-                    // post-processed and excluded from the timeline)
-};
-
 struct SimResult {
   std::int64_t return_value = 0;
   std::uint64_t instr_count = 0;      // µP instructions executed (SW only)
@@ -120,8 +109,6 @@ struct SimResult {
   // Memory traffic in words (fills, writebacks, boundary transfers).
   std::uint64_t mem_reads = 0;
   std::uint64_t mem_writes = 0;
-  // Sampled when SystemConfig::timeline_interval_cycles > 0.
-  std::vector<EnergySample> timeline;
 
   // Software cost of a set of blocks, summed in the order given (so
   // every caller's energy sum rounds the same way).

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/prng.h"
 #include "power/tech_library.h"
 
@@ -58,7 +61,6 @@ TEST(CacheSim, WritebackOnDirtyEviction) {
   c.Access(0x000, true);   // write miss, allocate, dirty
   c.Access(0x100, false);  // evicts dirty line
   EXPECT_EQ(c.stats().writebacks, 1u);
-  EXPECT_EQ(c.words_written_to_memory(), 4u);  // one 16B line
 }
 
 TEST(CacheSim, CleanEvictionDoesNotWriteBack) {
@@ -72,17 +74,12 @@ TEST(CacheSim, WriteThroughNoAllocate) {
   CacheSim c(CacheGeometry{256, 16, 1, 32}, WritePolicy::kWriteThroughNoAllocate);
   c.Access(0x40, true);                  // write miss: no allocation
   EXPECT_FALSE(c.Access(0x40, false));   // still a read miss
-  c.Access(0x40, true);                  // write hit: still goes through
-  EXPECT_EQ(c.words_written_to_memory(), 2u);
+  EXPECT_TRUE(c.Access(0x40, true));     // write hit: stays clean
+  EXPECT_EQ(c.stats().write_misses, 1u);
+  EXPECT_EQ(c.stats().write_hits, 1u);
   EXPECT_EQ(c.stats().line_fills, 1u);   // only from the read miss
-}
-
-TEST(CacheSim, ResetClearsEverything) {
-  CacheSim c = MakeDm();
-  c.Access(0x0, true);
-  c.Reset();
-  EXPECT_EQ(c.stats().accesses(), 0u);
-  EXPECT_FALSE(c.Access(0x0, false));  // cold again
+  c.Access(0x140, false);                // evicts the line: no writeback
+  EXPECT_EQ(c.stats().writebacks, 0u);
 }
 
 TEST(CacheSim, EnergyAccumulatesPerEvent) {
@@ -95,6 +92,106 @@ TEST(CacheSim, EnergyAccumulatesPerEvent) {
   const Energy e2 = c.TotalEnergy(model);
   EXPECT_GT(e2, e1);
   EXPECT_NEAR((e2 - e1).joules, model.read_hit_energy().joules, 1e-18);
+}
+
+// A naive LRU reference: per set, a vector of resident lines scanned
+// linearly. CacheSim must report the same hit/miss and the same stats
+// after every access of seeded random traces, across associativities
+// and both write policies. The traces mix reads and writes and contain
+// runs of accesses to one line, so CacheSim's same-line fast path runs
+// back to back, including right after a write miss that allocated
+// nothing.
+class ReferenceLru {
+ public:
+  ReferenceLru(CacheGeometry g, WritePolicy policy)
+      : g_(g), policy_(policy), sets_(g.num_sets()) {}
+
+  bool Access(std::uint32_t address, bool is_write) {
+    ++tick_;
+    const std::uint32_t line = address / g_.line_bytes;
+    std::vector<Entry>& set = sets_[line % sets_.size()];
+    const std::uint32_t tag = line / static_cast<std::uint32_t>(sets_.size());
+    const bool write_back = policy_ == WritePolicy::kWriteBackAllocate;
+    for (Entry& e : set) {
+      if (e.tag == tag) {
+        e.stamp = tick_;
+        if (is_write) {
+          ++stats.write_hits;
+          e.dirty = e.dirty || write_back;
+        } else {
+          ++stats.read_hits;
+        }
+        return true;
+      }
+    }
+    ++(is_write ? stats.write_misses : stats.read_misses);
+    if (is_write && !write_back) return false;
+    ++stats.line_fills;
+    const Entry fresh{tag, is_write, tick_};
+    if (set.size() < g_.associativity) {
+      set.push_back(fresh);
+      return false;
+    }
+    Entry* lru = &set.front();
+    for (Entry& e : set) {
+      if (e.stamp < lru->stamp) lru = &e;
+    }
+    if (lru->dirty) ++stats.writebacks;
+    *lru = fresh;
+    return false;
+  }
+
+  CacheStats stats;
+
+ private:
+  struct Entry {
+    std::uint32_t tag;
+    bool dirty;
+    std::uint64_t stamp;
+  };
+  CacheGeometry g_;
+  WritePolicy policy_;
+  std::vector<std::vector<Entry>> sets_;
+  std::uint64_t tick_ = 0;
+};
+
+void ExpectSameStats(const CacheStats& a, const CacheStats& b) {
+  ASSERT_EQ(a.read_hits, b.read_hits);
+  ASSERT_EQ(a.read_misses, b.read_misses);
+  ASSERT_EQ(a.write_hits, b.write_hits);
+  ASSERT_EQ(a.write_misses, b.write_misses);
+  ASSERT_EQ(a.writebacks, b.writebacks);
+  ASSERT_EQ(a.line_fills, b.line_fills);
+}
+
+TEST(CacheSim, MatchesANaiveLruReferenceAfterEveryAccess) {
+  for (const std::uint32_t assoc : {1u, 2u, 4u}) {
+    for (const WritePolicy policy :
+         {WritePolicy::kWriteBackAllocate, WritePolicy::kWriteThroughNoAllocate}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE("assoc " + std::to_string(assoc) + ", policy " +
+                     std::to_string(static_cast<int>(policy)) + ", seed " +
+                     std::to_string(seed));
+        const CacheGeometry g{256, 16, assoc, 32};
+        CacheSim sim(g, policy);
+        ReferenceLru ref(g, policy);
+        Prng rng(seed * 7919 + assoc);
+        for (int i = 0; i < 4000;) {
+          // A run of 1-6 accesses to one line (within 4x the capacity,
+          // so sets conflict), each a read or a write.
+          const std::uint32_t line = static_cast<std::uint32_t>(rng.next_below(64));
+          const int run = 1 + static_cast<int>(rng.next_below(6));
+          for (int k = 0; k < run; ++k, ++i) {
+            const std::uint32_t addr = line * 16 + 4 * static_cast<std::uint32_t>(rng.next_below(4));
+            const bool is_write = rng.next_below(3) == 0;
+            ASSERT_EQ(sim.Access(addr, is_write), ref.Access(addr, is_write)) << "access " << i;
+            ExpectSameStats(sim.stats(), ref.stats);
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
 }
 
 // Parameterized sweep over geometries and policies: structural

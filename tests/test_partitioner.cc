@@ -489,12 +489,6 @@ void ExpectSameSim(const iss::SimResult& a, const iss::SimResult& b) {
   EXPECT_EQ(a.transfer_words_out, b.transfer_words_out);
   EXPECT_EQ(a.mem_reads, b.mem_reads);
   EXPECT_EQ(a.mem_writes, b.mem_writes);
-  ASSERT_EQ(a.timeline.size(), b.timeline.size());
-  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-    EXPECT_EQ(a.timeline[i].cycle, b.timeline[i].cycle);
-    ExpectSameEnergy(a.timeline[i].up_core, b.timeline[i].up_core, "timeline up_core");
-    ExpectSameEnergy(a.timeline[i].total, b.timeline[i].total, "timeline total");
-  }
 }
 
 void ExpectSameBreakdown(const EnergyBreakdown& a, const EnergyBreakdown& b) {
