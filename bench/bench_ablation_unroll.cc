@@ -21,8 +21,7 @@ int main() {
   TextTable t;
   t.set_header({"unroll", "U_R", "cells", "ASIC cyc", "Sav%", "Chg%"});
   for (int factor : {1, 2, 4, 8}) {
-    dsl::LoweredProgram prog =
-        dsl::CompileWithUnroll(app.dsl_source, factor, /*max_body_stmts=*/32);
+    dsl::LoweredProgram prog = dsl::Compile(app.dsl_source, factor, /*max_body_stmts=*/32);
     core::Partitioner part(prog.module, prog.regions, app.options);
     const core::PartitionResult r = part.Run(app.workload(app.full_scale));
     const core::AppRow row = r.ToRow(app.name);

@@ -29,6 +29,8 @@ const std::vector<CodeInfo>& AllCodes() {
        "declare the callee before lowering call sites to it"},
       {"L111", Severity::kError, "call arity does not match the callee",
        "pass exactly one argument per callee parameter"},
+      {"L112", Severity::kError, "call is recursive",
+       "functions are statically allocated; rewrite the recursion as a loop"},
 
       // --- L2xx: IR dataflow lints ----------------------------------
       {"L200", Severity::kWarning, "local scalar is read but never assigned",

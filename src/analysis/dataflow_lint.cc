@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/dataflow.h"
 #include "ir/eval.h"
 
 namespace lopass::analysis {
@@ -59,51 +60,6 @@ ModuleRefs CollectRefs(const ir::Module& m) {
   }
   return refs;
 }
-
-// Transitive use closure of a function (symbols any call to it may
-// read), memoized across the lint run.
-class UseClosure {
- public:
-  explicit UseClosure(const ir::Module& m) : m_(m) {}
-
-  const std::unordered_set<SymbolId>& Of(FunctionId fn) {
-    auto it = cache_.find(fn);
-    if (it != cache_.end()) return it->second;
-    // Insert an empty placeholder first so (malformed) recursive call
-    // graphs terminate.
-    auto& out = cache_[fn];
-    std::unordered_set<SymbolId> acc;
-    for (const ir::BasicBlock& b : m_.function(fn).blocks) {
-      for (const ir::Instr& in : b.instrs) {
-        switch (in.op) {
-          case Opcode::kReadVar:
-          case Opcode::kLoadElem:
-            acc.insert(in.sym);
-            break;
-          case Opcode::kCall: {
-            const auto callee = m_.FindFunction(m_.symbol(in.sym).name);
-            if (callee && *callee != fn) {
-              const auto& cs = Of(*callee);
-              acc.insert(cs.begin(), cs.end());
-            }
-            break;
-          }
-          default:
-            break;
-        }
-      }
-    }
-    // Of() may have rehashed the map; reacquire the slot.
-    auto& slot = cache_[fn];
-    slot = std::move(acc);
-    (void)out;
-    return slot;
-  }
-
- private:
-  const ir::Module& m_;
-  std::unordered_map<FunctionId, std::unordered_set<SymbolId>> cache_;
-};
 
 bool IsParam(const ir::Function& f, SymbolId s) {
   return std::find(f.params.begin(), f.params.end(), s) != f.params.end();
@@ -254,8 +210,8 @@ void LintBlockConstants(const ir::Module& m, const ir::Function& f,
 
 // --- L201: dead stores (liveness with the persistence edge) ------------
 
-void LintDeadStores(const ir::Module& m, const ir::Function& f, UseClosure& closures,
-                    DiagnosticSink& sink) {
+void LintDeadStores(const ir::Module& m, const ir::Function& f,
+                    core::FunctionSummaries& summaries, DiagnosticSink& sink) {
   if (f.blocks.empty() || f.entry == ir::kNoBlock) return;
 
   // Scalars tracked precisely; arrays are element-granular and never
@@ -297,7 +253,7 @@ void LintDeadStores(const ir::Module& m, const ir::Function& f, UseClosure& clos
           // nothing (its writes are conditional from here).
           const auto callee = m.FindFunction(m.symbol(in.sym).name);
           if (callee) {
-            const auto& use = closures.Of(*callee);
+            const auto& use = summaries.Of(*callee).use;
             live.insert(use.begin(), use.end());
           }
           break;
@@ -351,15 +307,15 @@ void LintDeadStores(const ir::Module& m, const ir::Function& f, UseClosure& clos
 
 }  // namespace
 
-void RunDataflowLints(const ir::Module& module, DiagnosticSink& sink,
-                      const DataflowLintOptions& options) {
+void RunDataflowLints(const ir::Module& module, const std::string& entry,
+                      DiagnosticSink& sink) {
   const ModuleRefs refs = CollectRefs(module);
-  LintReferences(module, refs, options.entry, sink);
-  UseClosure closures(module);
+  LintReferences(module, refs, entry, sink);
+  core::FunctionSummaries summaries(module);
   for (const ir::Function& f : module.functions()) {
     LintReachability(f, sink);
     LintBlockConstants(module, f, sink);
-    LintDeadStores(module, f, closures, sink);
+    LintDeadStores(module, f, summaries, sink);
   }
 }
 

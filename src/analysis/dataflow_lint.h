@@ -1,8 +1,8 @@
 #pragma once
 
 // IR dataflow lints (L2xx) — warnings about suspicious-but-legal
-// programs, computed over the module's named variables with the same
-// gen/use machinery vocabulary as the Fig. 3 bus-traffic analysis.
+// programs, computed over the module's named variables; calls use the
+// Fig. 3 bus-traffic analysis's function summaries (core/dataflow.h).
 //
 // lopass memory semantics matter here: scalars and arrays are
 // *statically allocated* and persist across calls (embedded style, no
@@ -22,13 +22,8 @@
 
 namespace lopass::analysis {
 
-struct DataflowLintOptions {
-  // Entry function; exempt from the unused-function lint (L206).
-  std::string entry = "main";
-};
-
-// Runs all L2xx lints over the module, appending findings (warnings)
-// to the sink:
+// Runs all L2xx lints over a verified module, appending findings
+// (warnings) to the sink. `entry` is exempt from L206:
 //   L200 read of a local scalar that is never assigned
 //   L201 store to a local scalar whose value is never read (liveness
 //        with the persistence edge; calls conservatively use their
@@ -38,11 +33,11 @@ struct DataflowLintOptions {
 //   L204 unreachable block (lowering scaffolding — bare branches and
 //        valueless returns — is exempt)
 //   L205 branch condition is constant
-//   L206 function never called (entry exempt)
+//   L206 function never called (`entry` exempt)
 //   L207 constant array index out of bounds (per-block constant
 //        propagation folds index arithmetic with ir::EvalPure, the
 //        runtime's semantics, then proves 0 <= index < length)
-void RunDataflowLints(const ir::Module& module, DiagnosticSink& sink,
-                      const DataflowLintOptions& options = {});
+void RunDataflowLints(const ir::Module& module, const std::string& entry,
+                      DiagnosticSink& sink);
 
 }  // namespace lopass::analysis

@@ -141,11 +141,9 @@ void DrivePartitionChecks(const dsl::LoweredProgram& prog, const std::string& en
         asic::ValidateDatapath(blocks, util, dp, sink,
                                cluster_str + ", set '" + rs.name + "'");
         const asic::AsicCore core =
-            asic::Synthesize(c.label, rs.name, util, lib, 8, asic::SynthesisOptions{},
-                             &dp);
+            asic::Synthesize(c.label, rs.name, util, lib, 8, &dp);
         const std::string verilog = asic::EmitVerilog(core, dp);
-        asic::ValidateVerilog(verilog, dp, 32, sink,
-                              cluster_str + ", set '" + rs.name + "'");
+        asic::ValidateVerilog(verilog, dp, sink, cluster_str + ", set '" + rs.name + "'");
       } catch (const Error& e) {
         sink.AddError("analysis.pipeline",
                       cluster_str + ": synthesis drive failed: " + e.what());
@@ -177,7 +175,7 @@ LintReport LintProgram(std::string_view source, const AnalysisManager& manager,
   if (!compiled.ok()) return finish();
 
   const dsl::LoweredProgram& prog = compiled.value();
-  RunDataflowLints(prog.module, sink, DataflowLintOptions{options.entry});
+  RunDataflowLints(prog.module, options.entry, sink);
 
   if (options.partition_checks && prog.module.FindFunction(options.entry)) {
     DrivePartitionChecks(prog, options.entry, sink);

@@ -10,8 +10,8 @@
 //
 // The interconnect model also quantifies what Fig. 4's GEQ omits: every
 // distinct producer feeding an instance input adds a mux leg, costing
-// area and switching energy. SynthesisOptions can fold this into the
-// core (see bench_ablation_mux).
+// area and switching energy. Synthesize folds it into the core when
+// given the datapath (see bench_ablation_mux).
 
 #include <array>
 #include <cstdint>

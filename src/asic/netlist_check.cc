@@ -6,6 +6,8 @@
 #include <sstream>
 #include <vector>
 
+#include "asic/verilog.h"
+
 namespace lopass::asic {
 
 using power::ResourceType;
@@ -183,7 +185,7 @@ bool ValidateDatapath(const std::vector<ScheduledBlock>& blocks,
 }
 
 bool ValidateVerilog(const std::string& verilog, const Datapath& datapath,
-                     int data_width, DiagnosticSink& sink, const std::string& where) {
+                     DiagnosticSink& sink, const std::string& where) {
   std::size_t before = sink.diagnostics().size();
   const int state_bits = Clog2(std::max(2u, datapath.fsm_states));
 
@@ -209,7 +211,7 @@ bool ValidateVerilog(const std::string& verilog, const Datapath& datapath,
       continue;
     }
     const bool is_state = line.find(" state;") != std::string::npos;
-    const int want = is_state ? state_bits - 1 : data_width - 1;
+    const int want = is_state ? state_bits - 1 : kVerilogDataWidth - 1;
     if (msb != want) {
       std::ostringstream os;
       os << "vector declared [" << msb << ":0] but "

@@ -35,12 +35,11 @@ bool ValidateDatapath(const std::vector<ScheduledBlock>& blocks,
                       DiagnosticSink& sink, const std::string& where = {});
 
 // Lints the emitted structural Verilog text against the datapath:
-// every vector declaration must be data_width wide except the FSM
-// state register, which is sized by the state count (L501); every
+// every vector declaration must be kVerilogDataWidth wide except the
+// FSM state register, which is sized by the state count (L501); every
 // unit instance printed by the datapath must appear exactly once
 // (L502/L503 at the text level).
 bool ValidateVerilog(const std::string& verilog, const Datapath& datapath,
-                     int data_width, DiagnosticSink& sink,
-                     const std::string& where = {});
+                     DiagnosticSink& sink, const std::string& where = {});
 
 }  // namespace lopass::asic

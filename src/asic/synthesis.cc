@@ -8,6 +8,14 @@
 
 namespace lopass::asic {
 
+// The controller adds area and burns power every cycle.
+constexpr double kControllerGeqFraction = 0.10;
+constexpr double kControllerEnergyFraction = 0.10;
+
+double WithControllerGeq(double datapath_geq) {
+  return datapath_geq * (1.0 + kControllerGeqFraction);
+}
+
 Energy EstimateEnergy(const UtilizationResult& util, const power::TechLibrary& lib) {
   fault::MaybeInject("estimate");
   // E_R^core = U_R^core · Σ_rs (P_av^rs · N_cyc^rs · T_cyc^rs)  (line 11),
@@ -36,8 +44,7 @@ Duration CoreClockPeriod(const std::array<int, power::kNumResourceTypes>& instan
 
 AsicCore Synthesize(const std::string& name, const std::string& resource_set,
                     const UtilizationResult& util, const power::TechLibrary& lib,
-                    int datapath_registers, const SynthesisOptions& options,
-                    const Datapath* datapath) {
+                    int datapath_registers, const Datapath* datapath) {
   fault::MaybeInject("synth");
   AsicCore core;
   core.name = name;
@@ -56,9 +63,8 @@ AsicCore Synthesize(const std::string& name, const std::string& resource_set,
       std::ceil(static_cast<double>(util.total_cycles) * scale));
 
   const power::ResourceSpec& reg_spec = lib.spec(power::ResourceType::kRegister);
-  core.geq = (util.geq + datapath_registers * reg_spec.geq) *
-             (1.0 + options.controller_geq_fraction);
-  core.cells = core.geq * options.cells_per_geq;
+  core.geq = WithControllerGeq(util.geq + datapath_registers * reg_spec.geq);
+  core.cells = core.geq;
   core.estimate_energy = EstimateEnergy(util, lib);
 
   // Gate-level-style refined estimate: per instance, active switching
@@ -81,15 +87,15 @@ AsicCore Synthesize(const std::string& name, const std::string& resource_set,
                      lib.idle_power_fraction();
   // Interconnect: steering area plus per-operand mux switching energy.
   if (datapath != nullptr) {
-    core.geq += datapath->mux_geq * (1.0 + options.controller_geq_fraction);
-    core.cells = core.geq * options.cells_per_geq;
+    core.geq += WithControllerGeq(datapath->mux_geq);
+    core.cells = core.geq;
     std::uint64_t routed_operands = 0;
     for (const DatapathUnit& u : datapath->units) {
       if (u.mux_legs() > 1) routed_operands += 2 * u.ops;
     }
     datapath_energy += datapath->mux_energy_per_op * static_cast<double>(routed_operands);
   }
-  core.refined_energy = datapath_energy * (1.0 + options.controller_energy_fraction);
+  core.refined_energy = datapath_energy * (1.0 + kControllerEnergyFraction);
   CheckEnergySane(core.estimate_energy, "ASIC estimate energy");
   CheckEnergySane(core.refined_energy, "ASIC refined energy");
   return core;

@@ -21,21 +21,13 @@
 
 namespace lopass::asic {
 
-struct SynthesisOptions {
-  // Controller adds area and burns power every cycle.
-  double controller_geq_fraction = 0.10;
-  double controller_energy_fraction = 0.10;
-  // Conversion from gate equivalents to the paper's "cells" metric.
-  double cells_per_geq = 1.0;
-};
-
 // A synthesized application-specific core.
 struct AsicCore {
   std::string name;
   std::string resource_set;
   double utilization = 0.0;       // U_R^core
   double geq = 0.0;               // incl. controller
-  double cells = 0.0;             // paper's "k cells" metric
+  double cells = 0.0;             // paper's "k cells" metric (one per GEQ)
   // The core is clocked at the speed of its slowest instantiated
   // resource (its critical path), independent of the µP clock.
   Duration clock_period;
@@ -55,8 +47,14 @@ struct AsicCore {
 Duration CoreClockPeriod(const std::array<int, power::kNumResourceTypes>& instances,
                          const power::TechLibrary& lib);
 
+// `datapath_geq` plus the controller's area: the GEQ a synthesized core
+// reports for that datapath (the controller adds a fixed fraction).
+double WithControllerGeq(double datapath_geq);
+
 // Builds the core from a utilization/binding result, clocked at
-// CoreClockPeriod(util.instances, lib).
+// CoreClockPeriod(util.instances, lib). The controller adds area
+// (WithControllerGeq) and burns a fixed fraction of the datapath's
+// energy.
 // `datapath_registers` sizes the register file (scalar values the
 // cluster keeps locally); it contributes area and is clocked — hence
 // burns power — every cycle.
@@ -65,9 +63,7 @@ Duration CoreClockPeriod(const std::array<int, power::kNumResourceTypes>& instan
 // GEQ_RS omits (see bench_ablation_mux).
 AsicCore Synthesize(const std::string& name, const std::string& resource_set,
                     const UtilizationResult& util, const power::TechLibrary& lib,
-                    int datapath_registers = 8,
-                    const SynthesisOptions& options = SynthesisOptions{},
-                    const Datapath* datapath = nullptr);
+                    int datapath_registers = 8, const Datapath* datapath = nullptr);
 
 // The quick estimate alone (Fig. 1 line 11), usable without synthesis.
 Energy EstimateEnergy(const UtilizationResult& util, const power::TechLibrary& lib);

@@ -42,11 +42,9 @@ int Clog2(std::uint32_t v) {
 
 }  // namespace
 
-std::string EmitVerilog(const AsicCore& core, const Datapath& datapath,
-                        const VerilogOptions& options) {
-  const std::string name =
-      options.module_name.empty() ? Sanitize("core_" + core.name) : options.module_name;
-  const int w = options.data_width;
+std::string EmitVerilog(const AsicCore& core, const Datapath& datapath) {
+  const std::string name = Sanitize("core_" + core.name);
+  const int w = kVerilogDataWidth;
   const int state_bits = Clog2(std::max(2u, datapath.fsm_states));
 
   std::ostringstream os;

@@ -19,13 +19,11 @@
 
 namespace lopass::asic {
 
-struct VerilogOptions {
-  int data_width = 32;
-  std::string module_name;  // defaults to a sanitized core name
-};
+// Width of every datapath vector the emitter declares (the SL32 word).
+inline constexpr int kVerilogDataWidth = 32;
 
-// Emits the structural skeleton for `core` with its `datapath`.
-std::string EmitVerilog(const AsicCore& core, const Datapath& datapath,
-                        const VerilogOptions& options = VerilogOptions{});
+// Emits the structural skeleton for `core` with its `datapath`, as a
+// module named after the core.
+std::string EmitVerilog(const AsicCore& core, const Datapath& datapath);
 
 }  // namespace lopass::asic

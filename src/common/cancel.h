@@ -5,12 +5,11 @@
 // A CancelToken is the handle the exploration runner (src/runner) hands
 // to a long-running pipeline stage: the owner arms it with Cancel() or
 // a deadline, and the stage polls Check() at its loop heads — the list
-// scheduler per control step, the force-directed scheduler per
-// tightening pass, the partitioner between stages and candidates. An
-// expired token throws CancelledError, which derives from Error so it
-// rides the existing per-cluster isolation and CLI error paths; drivers
-// that must distinguish "took too long" from "went wrong" catch the
-// subclass.
+// scheduler per control step, the partitioner between stages and
+// candidates. An expired token throws CancelledError, which derives
+// from Error so it rides the existing per-cluster isolation and CLI
+// error paths; drivers that must distinguish "took too long" from
+// "went wrong" catch the subclass.
 //
 // Polling is cheap (one relaxed atomic load; a steady_clock read only
 // when a deadline is set), so a stage may check every iteration without

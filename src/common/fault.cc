@@ -140,16 +140,13 @@ void MaybeInject(const char* site) {
 }
 
 void SetSpec(const std::string& spec) {
-  EnsureEnvLoaded();  // so a later ReloadFromEnv is well-defined
+  // Read the env spec now: left for the first MaybeInject, it would be
+  // installed over this one.
+  EnsureEnvLoaded();
   GlobalState& st = GetState();
   std::lock_guard<std::mutex> lock(st.mu);
   InstallInto(st.table, spec);
   g_enabled.store(!st.table.arms.empty(), std::memory_order_release);
-}
-
-void ReloadFromEnv() {
-  const char* env = std::getenv("LOPASS_FAULT_INJECT");
-  SetSpec(env != nullptr ? env : "");
 }
 
 std::uint64_t HitCount(const char* site) {

@@ -78,11 +78,8 @@ void MaybeInject(const char* site);
 // and resets hit counters.
 void SetSpec(const std::string& spec);
 
-// Re-reads LOPASS_FAULT_INJECT (the env var is also read automatically
-// on first use).
-void ReloadFromEnv();
-
-// Hits recorded for `site` since the last SetSpec/ReloadFromEnv.
+// Hits recorded for `site` since the last SetSpec (or since
+// LOPASS_FAULT_INJECT was read on first use).
 std::uint64_t HitCount(const char* site);
 
 // Derives one job's randomized chaos fault schedule: one or two
@@ -118,8 +115,8 @@ class ScopedSpec {
 // `site:N` arms therefore fire per job, never across jobs — the
 // property the parallel exploration runner's chaos mode depends on.
 // Scopes nest (the destructor restores the previous scope) and must be
-// created and destroyed on the same thread. SetSpec/ReloadFromEnv keep
-// addressing the global table even while a scope is active.
+// created and destroyed on the same thread. SetSpec keeps addressing
+// the global table even while a scope is active.
 class JobScope {
  public:
   explicit JobScope(const std::string& spec);

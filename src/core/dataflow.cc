@@ -1,87 +1,55 @@
 #include "core/dataflow.h"
 
-#include <unordered_map>
-
 #include "common/error.h"
 
 namespace lopass::core {
 
 using ir::Opcode;
 
-namespace {
-
-// Memoized per-function gen/use summaries (transitive over calls).
-struct FunctionSummaries {
-  const ir::Module& m;
-  std::unordered_map<ir::FunctionId, GenUse> cache;
-  std::unordered_set<ir::FunctionId> in_progress;
-
-  const GenUse& Of(ir::FunctionId fn) {
-    auto it = cache.find(fn);
-    if (it != cache.end()) return it->second;
-    LOPASS_CHECK(in_progress.insert(fn).second, "recursive call in gen/use analysis");
-    GenUse gu;
-    const ir::Function& f = m.function(fn);
-    for (const ir::BasicBlock& b : f.blocks) {
-      for (const ir::Instr& in : b.instrs) {
-        switch (in.op) {
-          case Opcode::kReadVar:
-          case Opcode::kLoadElem:
-            gu.use.insert(in.sym);
-            break;
-          case Opcode::kWriteVar:
-          case Opcode::kStoreElem:
-            gu.gen.insert(in.sym);
-            break;
-          case Opcode::kCall: {
-            const auto callee = m.FindFunction(m.symbol(in.sym).name);
-            LOPASS_CHECK(callee.has_value(), "unresolved call");
-            const GenUse& cs = Of(*callee);
-            gu.gen.insert(cs.gen.begin(), cs.gen.end());
-            gu.use.insert(cs.use.begin(), cs.use.end());
-            for (ir::SymbolId p : m.function(*callee).params) gu.gen.insert(p);
-            break;
-          }
-          default:
-            break;
-        }
-      }
-    }
-    in_progress.erase(fn);
-    return cache.emplace(fn, std::move(gu)).first->second;
+const GenUse& FunctionSummaries::Of(ir::FunctionId fn) {
+  auto it = cache_.find(fn);
+  if (it != cache_.end()) return it->second;
+  LOPASS_CHECK(in_progress_.insert(fn).second, "recursive call in gen/use analysis");
+  GenUse gu;
+  for (const ir::BasicBlock& b : module_.function(fn).blocks) {
+    for (const ir::Instr& in : b.instrs) Add(in, gu);
   }
-};
+  in_progress_.erase(fn);
+  return cache_.emplace(fn, std::move(gu)).first->second;
+}
 
-}  // namespace
+void FunctionSummaries::Add(const ir::Instr& in, GenUse& gu, bool include_calls) {
+  switch (in.op) {
+    case Opcode::kReadVar:
+    case Opcode::kLoadElem:
+      gu.use.insert(in.sym);
+      break;
+    case Opcode::kWriteVar:
+    case Opcode::kStoreElem:
+      gu.gen.insert(in.sym);
+      break;
+    case Opcode::kCall: {
+      if (!include_calls) break;
+      const auto callee = module_.FindFunction(module_.symbol(in.sym).name);
+      LOPASS_CHECK(callee.has_value(), "unresolved call");
+      const GenUse& cs = Of(*callee);
+      gu.gen.insert(cs.gen.begin(), cs.gen.end());
+      gu.use.insert(cs.use.begin(), cs.use.end());
+      for (ir::SymbolId p : module_.function(*callee).params) gu.gen.insert(p);
+      break;
+    }
+    default:
+      break;
+  }
+}
 
 GenUse ComputeGenUse(const ir::Module& module, const std::vector<BlockRef>& blocks,
                      bool include_calls) {
-  FunctionSummaries summaries{module, {}, {}};
+  FunctionSummaries summaries(module);
   GenUse gu;
   for (const auto& [fn, b] : blocks) {
     for (const ir::Instr& in : module.function(fn).block(b).instrs) {
-      switch (in.op) {
-        case Opcode::kReadVar:
-        case Opcode::kLoadElem:
-          gu.use.insert(in.sym);
-          break;
-        case Opcode::kWriteVar:
-        case Opcode::kStoreElem:
-          gu.gen.insert(in.sym);
-          break;
-        case Opcode::kCall: {
-          if (!include_calls) break;
-          const auto callee = module.FindFunction(module.symbol(in.sym).name);
-          LOPASS_CHECK(callee.has_value(), "unresolved call");
-          const GenUse& cs = summaries.Of(*callee);
-          gu.gen.insert(cs.gen.begin(), cs.gen.end());
-          gu.use.insert(cs.use.begin(), cs.use.end());
-          for (ir::SymbolId p : module.function(*callee).params) gu.gen.insert(p);
-          break;
-        }
-        default:
-          break;
-      }
+      summaries.Add(in, gu, include_calls);
     }
   }
   return gu;

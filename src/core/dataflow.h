@@ -17,6 +17,7 @@
 // Set sizes are measured in 32-bit words (arrays weigh their length).
 
 #include <cstdint>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -32,9 +33,28 @@ struct GenUse {
   std::unordered_set<ir::SymbolId> use;
 };
 
-// gen/use of an arbitrary block set; `include_calls` folds in the
-// callee's sets (plus its parameters into gen, since the caller writes
-// them at the call site).
+// Memoized gen/use of whole functions, transitive over calls: a call
+// adds the callee's sets, plus the callee's parameters to gen (the
+// caller writes them at the call site). The module must be free of
+// recursion, which ir::Verify guarantees (L112).
+class FunctionSummaries {
+ public:
+  explicit FunctionSummaries(const ir::Module& module) : module_(module) {}
+
+  const GenUse& Of(ir::FunctionId fn);
+
+  // Folds one operation's reads, writes and (when `include_calls`)
+  // call into `gu`.
+  void Add(const ir::Instr& in, GenUse& gu, bool include_calls = true);
+
+ private:
+  const ir::Module& module_;
+  std::unordered_map<ir::FunctionId, GenUse> cache_;
+  std::unordered_set<ir::FunctionId> in_progress_;
+};
+
+// gen/use of an arbitrary block set; `include_calls` folds in each
+// callee's summary (see FunctionSummaries).
 GenUse ComputeGenUse(const ir::Module& module, const std::vector<BlockRef>& blocks,
                      bool include_calls = true);
 

@@ -15,16 +15,18 @@
 
 namespace lopass::core {
 
+// GEQ_0, the hardware-effort normalization.
+inline constexpr double kGeqNorm = 20000.0;
+
 struct ObjectiveParams {
-  double f = 1.0;            // energy weight (designer's F)
-  double g = 0.25;           // hardware-effort weight
-  double geq_norm = 20000.0; // GEQ_0 normalization
+  double f = 1.0;   // energy weight (designer's F)
+  double g = 0.25;  // hardware-effort weight
 };
 
 inline double Objective(Energy total_energy, Energy e0, double geq,
                         const ObjectiveParams& p) {
   const double energy_term = e0.joules > 0.0 ? total_energy.joules / e0.joules : 0.0;
-  return p.f * energy_term + p.g * (geq / p.geq_norm);
+  return p.f * energy_term + p.g * (geq / kGeqNorm);
 }
 
 // OF of the unpartitioned design (E = E_0, no extra hardware).

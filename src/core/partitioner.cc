@@ -154,7 +154,7 @@ Candidate EvaluateCandidate(const FlowInputs& in, const Cluster& c,
                                            : ev.util.u_core;
   ev.u_up = initial.UtilizationOfBlocks(c.blocks);
   ev.asic_cycles = ev.util.total_cycles;
-  ev.geq = ev.util.geq * (1.0 + asic::SynthesisOptions{}.controller_geq_fraction);
+  ev.geq = asic::WithControllerGeq(ev.util.geq);
 
   // µP-clock-equivalent ASIC cycles at the core's own clock.
   const double up_equiv_cycles =
@@ -199,7 +199,7 @@ Candidate EvaluateCandidate(const FlowInputs& in, const Cluster& c,
                               transfer_cycles;
     const double time_term = est_cycles / static_cast<double>(initial.up_cycles);
     ev.objective = options.objective.f * time_term +
-                   options.objective.g * ((ev.geq + accepted.geq) / options.objective.geq_norm);
+                   options.objective.g * ((ev.geq + accepted.geq) / kGeqNorm);
     ev.feasible = true;
     return cand;
   }
@@ -243,7 +243,7 @@ PartitionDecision SynthesizeWinner(const FlowInputs& in, const Cluster& c,
     }
   }
   d.core = asic::Synthesize(ev.cluster_label, ev.resource_set, ev.util, in.lib, regs,
-                            asic::SynthesisOptions{}, d.datapath ? &*d.datapath : nullptr);
+                            d.datapath ? &*d.datapath : nullptr);
   return d;
 }
 

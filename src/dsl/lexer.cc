@@ -5,8 +5,6 @@
 #include <limits>
 #include <unordered_map>
 
-#include "common/error.h"
-
 namespace lopass::dsl {
 
 const char* TokKindName(TokKind k) {
@@ -70,20 +68,16 @@ const std::unordered_map<std::string_view, TokKind>& Keywords() {
   return kw;
 }
 
-// Shared scanner. With a sink, lexical errors are recorded and the scan
-// continues past the offending characters; without one, the first error
-// throws (the historical contract).
-std::vector<Token> TokenizeImpl(std::string_view src, DiagnosticSink* sink) {
+}  // namespace
+
+std::vector<Token> Tokenize(std::string_view src, DiagnosticSink& sink) {
   std::vector<Token> out;
   std::size_t i = 0;
   int line = 1, col = 1;
 
-  // Reports one lexical error; returns normally only in recovery mode.
+  // Records one lexical error; the scan continues past it.
   auto report = [&](int l, int c, const std::string& msg) {
-    if (sink == nullptr) {
-      LOPASS_THROW(msg + " at line " + std::to_string(l) + ":" + std::to_string(c));
-    }
-    sink->AddError("lex.invalid", msg, SourceLoc{l, c});
+    sink.AddError("lex.invalid", msg, SourceLoc{l, c});
   };
 
   auto advance = [&](std::size_t n = 1) {
@@ -266,14 +260,6 @@ std::vector<Token> TokenizeImpl(std::string_view src, DiagnosticSink* sink) {
   eof.col = col;
   out.push_back(eof);
   return out;
-}
-
-}  // namespace
-
-std::vector<Token> Tokenize(std::string_view src) { return TokenizeImpl(src, nullptr); }
-
-std::vector<Token> Tokenize(std::string_view src, DiagnosticSink& sink) {
-  return TokenizeImpl(src, &sink);
 }
 
 }  // namespace lopass::dsl

@@ -41,15 +41,12 @@ struct Token {
   int col = 0;
 };
 
-// Tokenizes `source`; throws lopass::Error on malformed input. `//` and
-// `/* */` comments are skipped. Integer literals may be decimal or 0x hex.
-std::vector<Token> Tokenize(std::string_view source);
-
-// Recovery variant: malformed lexemes (unexpected characters, string
-// literals, unterminated comments, bad hex literals) are reported to
-// `sink` and skipped, so the parser can surface every problem in the
-// file instead of only the first. Always returns a token stream ending
-// in kEof.
+// Tokenizes `source`. `//` and `/* */` comments are skipped. Integer
+// literals may be decimal or 0x hex. Malformed lexemes (unexpected
+// characters, string literals, unterminated comments, bad or
+// out-of-range literals) are reported to `sink` and skipped, so the
+// parser can surface every problem in the file instead of only the
+// first. Always returns a token stream ending in kEof.
 std::vector<Token> Tokenize(std::string_view source, DiagnosticSink& sink);
 
 }  // namespace lopass::dsl

@@ -514,21 +514,6 @@ LoweredProgram Lower(const Program& ast) {
   return lw.Run(ast);
 }
 
-LoweredProgram Compile(std::string_view source) {
-  LoweredProgram p = Lower(Parse(source));
-  ir::VerifyOrThrow(p.module);
-  return p;
-}
-
-LoweredProgram CompileWithUnroll(std::string_view source, int unroll_factor,
-                                 int max_body_stmts) {
-  Program ast = Parse(source);
-  UnrollLoops(ast, unroll_factor, max_body_stmts);
-  LoweredProgram p = Lower(ast);
-  ir::VerifyOrThrow(p.module);
-  return p;
-}
-
 namespace {
 
 // Semantic errors are thrown as "line N: message" with a trailing
@@ -588,6 +573,10 @@ Result<LoweredProgram> CompileToResult(std::string_view source, int unroll_facto
     sink.Add(SemanticDiagnostic(e.what()));
     return Result<LoweredProgram>::Failure(sink.Take());
   }
+}
+
+LoweredProgram Compile(std::string_view source, int unroll_factor, int max_body_stmts) {
+  return std::move(CompileToResult(source, unroll_factor, max_body_stmts).ValueOrThrow());
 }
 
 }  // namespace lopass::dsl

@@ -26,18 +26,17 @@ struct LoweredProgram {
 // (undeclared identifiers, redeclaration, bad builtin arity, ...).
 LoweredProgram Lower(const Program& ast);
 
-// Convenience: parse + lower + verify + assign addresses.
-LoweredProgram Compile(std::string_view source);
-
-// Parse + AST transforms (loop unrolling) + lower + verify.
-LoweredProgram CompileWithUnroll(std::string_view source, int unroll_factor,
-                                 int max_body_stmts = 16);
-
-// Diagnostic boundary for drivers: parse with error recovery (so every
-// syntax error in the file is reported, with source locations), then
-// lower + verify. Never throws for malformed input — all problems come
-// back as diagnostics on the failed Result.
+// The frontend: parse with error recovery (so every syntax error in
+// the file is reported, with source locations), unroll loops by
+// `unroll_factor` (see UnrollLoops), lower and verify. Never throws for
+// malformed input — all problems come back as diagnostics on the
+// failed Result.
 Result<LoweredProgram> CompileToResult(std::string_view source, int unroll_factor = 1,
                                        int max_body_stmts = 16);
+
+// CompileToResult for callers that treat a bad program as an error:
+// throws lopass::Error with every diagnostic joined.
+LoweredProgram Compile(std::string_view source, int unroll_factor = 1,
+                       int max_body_stmts = 16);
 
 }  // namespace lopass::dsl

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/error.h"
 #include "common/fault.h"
 #include "common/units.h"
 #include "dsl/lexer.h"
@@ -11,14 +10,14 @@ namespace lopass::dsl {
 
 namespace {
 
-// Internal unwind signal used in recovery mode: Fail() records the
-// diagnostic, throws ParseAbort, and the nearest synchronization point
-// (statement or top-level loop) resumes parsing.
+// Internal unwind signal: Fail() records the diagnostic, throws
+// ParseAbort, and the nearest synchronization point (statement or
+// top-level loop) resumes parsing.
 struct ParseAbort {};
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> toks, DiagnosticSink* sink = nullptr)
+  Parser(std::vector<Token> toks, DiagnosticSink& sink)
       : toks_(std::move(toks)), sink_(sink) {}
 
   Program ParseProgram() {
@@ -61,12 +60,8 @@ class Parser {
   }
 
   [[noreturn]] void Fail(const std::string& msg) const {
-    if (sink_ != nullptr) {
-      sink_->AddError("parse.syntax", msg, SourceLoc{Cur().line, Cur().col});
-      throw ParseAbort{};
-    }
-    LOPASS_THROW("parse error at line " + std::to_string(Cur().line) + ":" +
-                 std::to_string(Cur().col) + ": " + msg);
+    sink_.AddError("parse.syntax", msg, SourceLoc{Cur().line, Cur().col});
+    throw ParseAbort{};
   }
 
   // --- recovery synchronization -----------------------------------------
@@ -117,10 +112,6 @@ class Parser {
     Eat(TokKind::kLBrace);
     std::vector<StmtPtr> body;
     while (!At(TokKind::kRBrace) && !At(TokKind::kEof)) {
-      if (sink_ == nullptr) {
-        body.push_back(ParseStmt());
-        continue;
-      }
       const std::size_t before = pos_;
       try {
         body.push_back(ParseStmt());
@@ -489,20 +480,14 @@ class Parser {
 
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
-  DiagnosticSink* sink_ = nullptr;
+  DiagnosticSink& sink_;
 };
 
 }  // namespace
 
-Program Parse(std::string_view source) {
-  fault::MaybeInject("parse");
-  Parser p(Tokenize(source));
-  return p.ParseProgram();
-}
-
 Program Parse(std::string_view source, DiagnosticSink& sink) {
   fault::MaybeInject("parse");
-  Parser p(Tokenize(source, sink), &sink);
+  Parser p(Tokenize(source, sink), sink);
   return p.ParseProgram();
 }
 

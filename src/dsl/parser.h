@@ -32,16 +32,12 @@
 
 namespace lopass::dsl {
 
-// Parses `source` into an AST; throws lopass::Error with line/column
-// information on syntax errors.
-Program Parse(std::string_view source);
-
-// Recovery variant: syntax errors are recorded in `sink` and the parser
-// synchronizes (to the next ';' or '}' inside a block, to the next
-// top-level declaration otherwise) so one malformed statement yields
-// diagnostics for the whole file, not a single throw. Returns the
-// (possibly partial) program; callers must treat it as unusable when
-// sink.has_errors().
+// Parses `source` into an AST. Syntax errors are recorded in `sink`
+// and the parser synchronizes (to the next ';' or '}' inside a block,
+// to the next top-level declaration otherwise), so one malformed
+// statement yields diagnostics for the whole file, not only the first.
+// Returns the (possibly partial) program; callers must treat it as
+// unusable when sink.has_errors().
 Program Parse(std::string_view source, DiagnosticSink& sink);
 
 }  // namespace lopass::dsl

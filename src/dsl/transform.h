@@ -38,11 +38,4 @@ StmtPtr CloneStmt(const Stmt& s);
 // left alone. Returns the number of loops unrolled.
 int UnrollLoops(Program& program, int factor, int max_body_stmts = 16);
 
-struct CompileOptions {
-  int unroll_factor = 1;
-};
-
-// Parse + transform + lower + verify.
-struct LoweredProgram;  // from dsl/lower.h
-
 }  // namespace lopass::dsl

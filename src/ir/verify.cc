@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <unordered_set>
+#include <vector>
 
 namespace lopass::ir {
 
@@ -36,6 +37,14 @@ class Reporter {
 
 bool ValidSymbol(const Module& m, SymbolId sym) {
   return sym >= 0 && static_cast<std::size_t>(sym) < m.num_symbols();
+}
+
+// The function a call resolves to, or nothing (an L110 finding).
+std::optional<FunctionId> CalleeOf(const Module& m, const Instr& in) {
+  if (!ValidSymbol(m, in.sym) || m.symbol(in.sym).kind != SymbolKind::kFunction) {
+    return std::nullopt;
+  }
+  return m.FindFunction(m.symbol(in.sym).name);
 }
 
 void VerifyFunction(const Module& m, const Function& f, Reporter& rep) {
@@ -129,6 +138,45 @@ void VerifyFunction(const Module& m, const Function& f, Reporter& rep) {
   }
 }
 
+// Functions are statically allocated, so a call must never reach its
+// caller again. Reports every call whose callee reaches the caller.
+void VerifyNoRecursion(const Module& m, Reporter& rep) {
+  std::vector<std::vector<FunctionId>> callees(m.num_functions());
+  for (const Function& f : m.functions()) {
+    for (const BasicBlock& b : f.blocks) {
+      for (const Instr& in : b.instrs) {
+        if (in.op != Opcode::kCall) continue;
+        if (const auto callee = CalleeOf(m, in)) callees[f.id].push_back(*callee);
+      }
+    }
+  }
+  const auto reaches = [&](FunctionId from, FunctionId to) {
+    std::vector<bool> seen(callees.size(), false);
+    std::vector<FunctionId> stack{from};
+    while (!stack.empty()) {
+      const FunctionId f = stack.back();
+      stack.pop_back();
+      if (f == to) return true;
+      if (seen[f]) continue;
+      seen[f] = true;
+      stack.insert(stack.end(), callees[f].begin(), callees[f].end());
+    }
+    return false;
+  };
+  for (const Function& f : m.functions()) {
+    for (const BasicBlock& b : f.blocks) {
+      for (std::size_t i = 0; i < b.instrs.size(); ++i) {
+        const Instr& in = b.instrs[i];
+        const auto callee = in.op == Opcode::kCall ? CalleeOf(m, in) : std::nullopt;
+        if (!callee || !reaches(*callee, f.id)) continue;
+        rep.Add("L112", f, b.id, i, in.line,
+                "recursive call to '" + m.function(*callee).name +
+                    "' (functions are statically allocated)");
+      }
+    }
+  }
+}
+
 }  // namespace
 
 bool Verify(const Module& m, DiagnosticSink& sink) {
@@ -137,6 +185,7 @@ bool Verify(const Module& m, DiagnosticSink& sink) {
     rep.AddFn("L100", "module has no functions");
   }
   for (const Function& f : m.functions()) VerifyFunction(m, f, rep);
+  VerifyNoRecursion(m, rep);
   return rep.errors() == 0;
 }
 

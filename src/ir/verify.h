@@ -28,12 +28,14 @@ namespace lopass::ir {
 //  - loadelem/storeelem reference array symbols      (L109)
 //  - call targets resolve to functions with a body   (L110)
 //  - call arity matches the callee parameter count   (L111)
+//  - no call is recursive, directly or through other
+//    functions (storage is static)                   (L112)
 //
 // Returns true when no error was added (the sink may have prior,
 // unrelated entries; only diagnostics added by this call count).
 bool Verify(const Module& m, DiagnosticSink& sink);
 
-// Adapter for callers on the throwing path (Compile, the optimizer):
+// Adapter for callers on the throwing path (the optimizer):
 // runs Verify and throws lopass::Error with *all* findings joined when
 // the module is malformed.
 void VerifyOrThrow(const Module& m);

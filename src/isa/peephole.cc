@@ -137,9 +137,10 @@ bool Round(SlProgram& program, PeepholeStats& stats) {
 
 }  // namespace
 
-PeepholeStats Peephole(SlProgram& program, int max_rounds) {
+PeepholeStats Peephole(SlProgram& program) {
+  constexpr int kMaxRounds = 4;
   PeepholeStats stats;
-  for (int r = 0; r < max_rounds; ++r) {
+  for (int r = 0; r < kMaxRounds; ++r) {
     if (!Round(program, stats)) break;
   }
   return stats;

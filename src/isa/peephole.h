@@ -35,7 +35,7 @@ struct PeepholeStats {
   std::string ToString() const;
 };
 
-// Rewrites `program` in place to a fixed point (bounded rounds).
-PeepholeStats Peephole(SlProgram& program, int max_rounds = 4);
+// Rewrites `program` in place to a fixed point (at most four rounds).
+PeepholeStats Peephole(SlProgram& program);
 
 }  // namespace lopass::isa

@@ -222,9 +222,10 @@ PassStats DeadCodeElim(ir::Module& module) {
   return stats;
 }
 
-PassStats RunStandardPasses(ir::Module& module, int max_rounds) {
+PassStats RunStandardPasses(ir::Module& module) {
+  constexpr int kMaxRounds = 4;
   PassStats total;
-  for (int round = 0; round < max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     PassStats s;
     const PassStats f = ConstantFold(module);
     const PassStats c = LocalCse(module);

@@ -48,8 +48,8 @@ PassStats LocalCse(ir::Module& module);
 // side effects (stores, calls, writes and terminators are kept).
 PassStats DeadCodeElim(ir::Module& module);
 
-// ConstantFold + LocalCse + DeadCodeElim to a fixed point (bounded
-// number of rounds). Verifies the module afterwards.
-PassStats RunStandardPasses(ir::Module& module, int max_rounds = 4);
+// ConstantFold + LocalCse + DeadCodeElim to a fixed point (at most
+// four rounds). Verifies the module afterwards.
+PassStats RunStandardPasses(ir::Module& module);
 
 }  // namespace lopass::opt

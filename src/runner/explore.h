@@ -15,7 +15,7 @@
 //  - each job gets one wall-clock deadline spanning every attempt
 //    *and* the backoff sleeps between them, enforced cooperatively via
 //    CancelToken (common/cancel.h), threaded through the partitioner
-//    and both schedulers — a retry can never overshoot its job's
+//    and the list scheduler — a retry can never overshoot its job's
 //    deadline by sleeping;
 //  - failures classified transient by common/fault (injected faults)
 //    are retried with exponential backoff + deterministic jitter; a

@@ -27,7 +27,7 @@ Cycles LatOf(ir::Opcode op, const power::TechLibrary& lib) {
 }  // namespace
 
 FdsSchedule ForceDirectedSchedule(const BlockDfg& dfg, const power::TechLibrary& lib,
-                                  std::uint32_t latency, const CancelToken* cancel) {
+                                  std::uint32_t latency) {
   FdsSchedule out;
   const std::size_t n = dfg.size();
   out.step.assign(n, 0);
@@ -92,7 +92,6 @@ FdsSchedule ForceDirectedSchedule(const BlockDfg& dfg, const power::TechLibrary&
     std::uint64_t passes = 0;
     bool changed = true;
     while (changed) {
-      CheckCancel(cancel, "force-directed schedule (frame tightening)");
       LOPASS_CHECK(++passes <= max_passes,
                    "force-directed scheduler failed to converge while tightening "
                    "time frames (malformed DFG?)");
@@ -123,7 +122,6 @@ FdsSchedule ForceDirectedSchedule(const BlockDfg& dfg, const power::TechLibrary&
 
   std::vector<bool> placed(n, false);
   for (std::size_t round = 0; round < n; ++round) {
-    CheckCancel(cancel, "force-directed schedule (placement)");
     // Pick the (op, step) pair with the minimum force among unplaced
     // ops. Force = sum over occupied steps of DG minus the op's own
     // average contribution (self force); successor effects enter

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/cancel.h"
 #include "power/tech_library.h"
 #include "sched/dfg.h"
 
@@ -38,12 +37,8 @@ struct FdsSchedule {
 };
 
 // Schedules `dfg` within `latency` control steps (0 = use the critical
-// path length). Throws if the budget is below the critical path. A
-// non-null `cancel` token is polled in the inner loops (every frame
-// tightening pass and every placement round) and aborts the schedule
-// with CancelledError once it fires.
+// path length). Throws if the budget is below the critical path.
 FdsSchedule ForceDirectedSchedule(const BlockDfg& dfg, const power::TechLibrary& lib,
-                                  std::uint32_t latency = 0,
-                                  const CancelToken* cancel = nullptr);
+                                  std::uint32_t latency = 0);
 
 }  // namespace lopass::sched

@@ -44,7 +44,6 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
   }
 
   std::vector<int> unscheduled_preds(dfg.size());
-  std::vector<bool> scheduled(dfg.size(), false);
   // Combinational delay accumulated within an op's final control step
   // (for chaining).
   std::vector<double> chain_delay(dfg.size(), 0.0);
@@ -88,8 +87,6 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
       return a < b;
     });
 
-    std::vector<std::size_t> still_ready;
-    std::vector<std::size_t> issued;
     bool progressed = true;
     while (progressed) {
       progressed = false;
@@ -138,8 +135,6 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
           next_ready.push_back(n);
           continue;
         }
-        scheduled[n] = true;
-        issued.push_back(n);
         --remaining;
         for (std::size_t s : dfg.nodes[n].succs) {
           if (--unscheduled_preds[s] == 0) {
@@ -156,8 +151,6 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
       // because admissible() rejects same-step dependents.
       if (!options.enable_chaining) break;
     }
-    still_ready = std::move(ready);
-    ready = std::move(still_ready);
     ++step;
   }
 

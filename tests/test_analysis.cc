@@ -117,7 +117,7 @@ TEST(LintCorpus, EdgeOperandsFoldToTheRuntimeValues) {
 
   // One finding per check: more than LintProgram's default sink keeps.
   DiagnosticSink sink(checks.size() + 1);
-  analysis::RunDataflowLints(dsl::Compile(src).module, sink);
+  analysis::RunDataflowLints(dsl::Compile(src).module, "main", sink);
   std::set<int> reported;
   for (const Diagnostic& d : sink.diagnostics()) {
     EXPECT_EQ(d.code, "L207") << "line " << d.loc.line << ": " << d.message;
@@ -454,19 +454,18 @@ TEST(NetlistCheck, ValidVerilogPassesAndTamperedWidthIsL501) {
   NetlistFixture n = MakeNetlist();
   const power::TechLibrary& lib = power::TechLibrary::Cmos6();
   const asic::AsicCore core =
-      asic::Synthesize("loop", n.sf.rs.name, n.util, lib, 8,
-                       asic::SynthesisOptions{}, &n.dp);
+      asic::Synthesize("loop", n.sf.rs.name, n.util, lib, 8, &n.dp);
   const std::string verilog = asic::EmitVerilog(core, n.dp);
 
   DiagnosticSink ok;
-  EXPECT_TRUE(asic::ValidateVerilog(verilog, n.dp, 32, ok));
+  EXPECT_TRUE(asic::ValidateVerilog(verilog, n.dp, ok));
 
   std::string tampered = verilog;
   const std::size_t pos = tampered.find("[31:0]");
   ASSERT_NE(pos, std::string::npos);
   tampered.replace(pos, 6, "[30:0]");
   DiagnosticSink bad;
-  EXPECT_FALSE(asic::ValidateVerilog(tampered, n.dp, 32, bad));
+  EXPECT_FALSE(asic::ValidateVerilog(tampered, n.dp, bad));
   EXPECT_TRUE(SinkHas(bad, "L501"));
 }
 

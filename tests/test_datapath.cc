@@ -123,8 +123,7 @@ TEST(Datapath, InterconnectCostFoldsIntoSynthesis) {
                   LeanSet(), 100);
   const Datapath dp = BuildDatapath(b.blocks, b.util, TechLibrary::Cmos6());
   const AsicCore plain = Synthesize("p", "lean", b.util, TechLibrary::Cmos6(), 8);
-  const AsicCore muxed = Synthesize("m", "lean", b.util, TechLibrary::Cmos6(), 8,
-                                     SynthesisOptions{}, &dp);
+  const AsicCore muxed = Synthesize("m", "lean", b.util, TechLibrary::Cmos6(), 8, &dp);
   EXPECT_GT(muxed.geq, plain.geq);
   EXPECT_GT(muxed.refined_energy, plain.refined_energy);
 }

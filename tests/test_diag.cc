@@ -133,9 +133,18 @@ TEST(DiagGolden, RecoveryNeverLoopsOnGarbage) {
   EXPECT_FALSE(diags.empty());
 }
 
-TEST(DiagGolden, ThrowingEntryPointsStillThrow) {
-  EXPECT_THROW((void)dsl::Compile("func main( { return 0; }"), Error);
-  EXPECT_THROW((void)dsl::Tokenize("func main() { @ }"), Error);
+TEST(DiagGolden, CompileThrowsTheRecoveredDiagnostics) {
+  try {
+    (void)dsl::Compile("func main( { return 0; }");
+    ADD_FAILURE() << "expected dsl::Compile to throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("error[parse.syntax] 1:"), std::string::npos)
+        << e.what();
+  }
+  DiagnosticSink sink;
+  (void)dsl::Tokenize("func main() { @ }", sink);
+  ASSERT_TRUE(sink.has_errors());
+  EXPECT_EQ(sink.diagnostics()[0].ToString(), "error[lex.invalid] 1:15: unexpected character '@'");
 }
 
 // --- fill-spec parsing (the CLI's --fill) ------------------------------

@@ -174,6 +174,41 @@ TEST(IrVerify, RejectsCallArityMismatch) {
   EXPECT_TRUE(HasCode(VerifyCodes(m), "L111"));
 }
 
+// Storage is static, so every call on a call-graph cycle is an L112
+// finding naming its callee; a call into the cycle from outside is not.
+TEST(IrVerify, RejectsMutualRecursionAtEachCallOnTheCycle) {
+  Module m;
+  const FunctionId ping = m.AddFunction("ping");
+  const FunctionId pong = m.AddFunction("pong");
+  const FunctionId main = m.AddFunction("main");
+  const auto calls = [&](FunctionId fn, FunctionId callee, int line) {
+    FunctionBuilder fb(m, fn);
+    const BlockId b = fb.NewBlock();
+    fb.SetBlock(b);
+    fb.SetLine(line);
+    fb.EmitCall(m.function(callee).symbol, {});
+    fb.EmitRet();
+  };
+  calls(ping, pong, 3);
+  calls(pong, ping, 7);
+  calls(main, ping, 11);
+
+  DiagnosticSink sink;
+  EXPECT_FALSE(Verify(m, sink));
+  ASSERT_EQ(sink.diagnostics().size(), 2u) << sink.ToString();
+  const Diagnostic& first = sink.diagnostics()[0];
+  EXPECT_EQ(first.code, "L112");
+  EXPECT_EQ(first.loc.line, 3);
+  EXPECT_NE(first.message.find("function 'ping'"), std::string::npos) << first.message;
+  EXPECT_NE(first.message.find("recursive call to 'pong'"), std::string::npos)
+      << first.message;
+  const Diagnostic& second = sink.diagnostics()[1];
+  EXPECT_EQ(second.code, "L112");
+  EXPECT_EQ(second.loc.line, 7);
+  EXPECT_NE(second.message.find("recursive call to 'ping'"), std::string::npos)
+      << second.message;
+}
+
 // One pass over a module with several independent defects reports each
 // of them — the verifier no longer stops at the first violation.
 TEST(IrVerify, AccumulatesMultipleFindings) {

@@ -5,14 +5,29 @@
 #include <cstdint>
 #include <limits>
 
-#include "common/error.h"
 
 namespace lopass::dsl {
 namespace {
 
+// Tokenizes well-formed input: no diagnostics expected.
+std::vector<Token> Lex(std::string_view src) {
+  DiagnosticSink sink;
+  std::vector<Token> toks = Tokenize(src, sink);
+  EXPECT_FALSE(sink.has_errors()) << sink.ToString();
+  return toks;
+}
+
+// The diagnostics malformed input leaves behind.
+std::vector<Diagnostic> LexErrors(std::string_view src) {
+  DiagnosticSink sink;
+  (void)Tokenize(src, sink);
+  EXPECT_TRUE(sink.has_errors()) << src;
+  return sink.Take();
+}
+
 std::vector<TokKind> KindsOf(std::string_view src) {
   std::vector<TokKind> kinds;
-  for (const Token& t : Tokenize(src)) kinds.push_back(t.kind);
+  for (const Token& t : Lex(src)) kinds.push_back(t.kind);
   return kinds;
 }
 
@@ -25,7 +40,7 @@ TEST(Lexer, Keywords) {
 }
 
 TEST(Lexer, IdentifiersAndIntegers) {
-  const auto toks = Tokenize("abc _x9 42 0x1F");
+  const auto toks = Lex("abc _x9 42 0x1F");
   ASSERT_EQ(toks.size(), 5u);
   EXPECT_EQ(toks[0].kind, TokKind::kIdent);
   EXPECT_EQ(toks[0].text, "abc");
@@ -58,29 +73,42 @@ TEST(Lexer, CommentsAreSkipped) {
 }
 
 TEST(Lexer, TracksLineNumbers) {
-  const auto toks = Tokenize("a\nb\n  c");
+  const auto toks = Lex("a\nb\n  c");
   EXPECT_EQ(toks[0].line, 1);
   EXPECT_EQ(toks[1].line, 2);
   EXPECT_EQ(toks[2].line, 3);
   EXPECT_EQ(toks[2].col, 3);
 }
 
-TEST(Lexer, UnterminatedBlockCommentThrows) {
-  EXPECT_THROW(Tokenize("a /* never closed"), Error);
+TEST(Lexer, UnterminatedBlockCommentIsReported) {
+  const std::vector<Diagnostic> d = LexErrors("a /* never closed");
+  ASSERT_EQ(d.size(), 1u);
+  EXPECT_EQ(d[0].code, "lex.invalid");
+  EXPECT_EQ(d[0].message, "unterminated block comment");
+  EXPECT_EQ(d[0].loc.col, 3);
 }
 
-TEST(Lexer, UnknownCharacterThrows) {
-  EXPECT_THROW(Tokenize("a $ b"), Error);
-  EXPECT_THROW(Tokenize("a @ b"), Error);
+TEST(Lexer, UnknownCharacterIsReported) {
+  for (const char* src : {"a $ b", "a @ b"}) {
+    const std::vector<Diagnostic> d = LexErrors(src);
+    ASSERT_EQ(d.size(), 1u) << src;
+    EXPECT_EQ(d[0].code, "lex.invalid") << src;
+    EXPECT_EQ(d[0].message, std::string("unexpected character '") + src[2] + "'");
+    EXPECT_EQ(d[0].loc.col, 3) << src;
+  }
 }
 
-TEST(Lexer, MalformedHexThrows) {
-  EXPECT_THROW(Tokenize("0x"), Error);
-  EXPECT_THROW(Tokenize("0xZ"), Error);
+TEST(Lexer, MalformedHexIsReported) {
+  for (const char* src : {"0x", "0xZ"}) {
+    const std::vector<Diagnostic> d = LexErrors(src);
+    ASSERT_FALSE(d.empty()) << src;
+    EXPECT_EQ(d[0].code, "lex.invalid") << src;
+    EXPECT_EQ(d[0].message, "malformed hex literal") << src;
+  }
 }
 
 TEST(Lexer, IntegerLiteralsUseAtMostSixtyFourBits) {
-  const auto toks = Tokenize("9223372036854775807 0x8000000000000000 0xffffffffffffffff");
+  const auto toks = Lex("9223372036854775807 0x8000000000000000 0xffffffffffffffff");
   EXPECT_EQ(toks[0].value, std::numeric_limits<std::int64_t>::max());
   EXPECT_EQ(toks[1].value, std::numeric_limits<std::int64_t>::min());
   EXPECT_EQ(toks[2].value, -1);

@@ -2,14 +2,21 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.h"
 #include "common/prng.h"
 
 namespace lopass::dsl {
 namespace {
 
+// Parses a well-formed program: no diagnostics expected.
+Program ParseOk(std::string_view src) {
+  DiagnosticSink sink;
+  Program p = Parse(src, sink);
+  EXPECT_FALSE(sink.has_errors()) << sink.ToString();
+  return p;
+}
+
 TEST(Parser, TopLevelDeclarations) {
-  const Program p = Parse("var g = 5; array buf[64]; func main() { return 0; }");
+  const Program p = ParseOk("var g = 5; array buf[64]; func main() { return 0; }");
   ASSERT_EQ(p.globals.size(), 2u);
   EXPECT_EQ(p.globals[0]->kind, Stmt::Kind::kVarDecl);
   EXPECT_EQ(p.globals[0]->name, "g");
@@ -22,12 +29,12 @@ TEST(Parser, TopLevelDeclarations) {
 }
 
 TEST(Parser, FunctionParameters) {
-  const Program p = Parse("func f(a, b, c) { return a; }");
+  const Program p = ParseOk("func f(a, b, c) { return a; }");
   EXPECT_EQ(p.functions[0].params, (std::vector<std::string>{"a", "b", "c"}));
 }
 
 TEST(Parser, PrecedenceMulOverAdd) {
-  const Program p = Parse("func f() { var x; x = 1 + 2 * 3; }");
+  const Program p = ParseOk("func f() { var x; x = 1 + 2 * 3; }");
   const Stmt& s = *p.functions[0].body[1];
   ASSERT_EQ(s.kind, Stmt::Kind::kAssign);
   const Expr& e = *s.value;
@@ -38,21 +45,21 @@ TEST(Parser, PrecedenceMulOverAdd) {
 
 TEST(Parser, PrecedenceShiftBelowAdd) {
   // 1 << 2 + 3 parses as 1 << (2 + 3) in C.
-  const Program p = Parse("func f() { var x; x = 1 << 2 + 3; }");
+  const Program p = ParseOk("func f() { var x; x = 1 << 2 + 3; }");
   const Expr& e = *p.functions[0].body[1]->value;
   EXPECT_EQ(e.bin_op, BinOp::kShl);
   EXPECT_EQ(e.args[1]->bin_op, BinOp::kAdd);
 }
 
 TEST(Parser, ParenthesesOverridePrecedence) {
-  const Program p = Parse("func f() { var x; x = (1 + 2) * 3; }");
+  const Program p = ParseOk("func f() { var x; x = (1 + 2) * 3; }");
   const Expr& e = *p.functions[0].body[1]->value;
   EXPECT_EQ(e.bin_op, BinOp::kMul);
   EXPECT_EQ(e.args[0]->bin_op, BinOp::kAdd);
 }
 
 TEST(Parser, UnaryOperators) {
-  const Program p = Parse("func f() { var x; x = -1; x = ~x; x = !x; x = +5; }");
+  const Program p = ParseOk("func f() { var x; x = -1; x = ~x; x = !x; x = +5; }");
   EXPECT_EQ(p.functions[0].body[1]->value->un_op, UnOp::kNeg);
   EXPECT_EQ(p.functions[0].body[2]->value->un_op, UnOp::kBitNot);
   EXPECT_EQ(p.functions[0].body[3]->value->un_op, UnOp::kLogicalNot);
@@ -60,7 +67,7 @@ TEST(Parser, UnaryOperators) {
 }
 
 TEST(Parser, IfElseChain) {
-  const Program p = Parse(R"(
+  const Program p = ParseOk(R"(
     func f(a) {
       if (a > 2) { return 2; }
       else if (a > 1) { return 1; }
@@ -74,7 +81,7 @@ TEST(Parser, IfElseChain) {
 }
 
 TEST(Parser, ForLoopParts) {
-  const Program p = Parse("func f() { var i; for (i = 0; i < 4; i = i + 1) { } }");
+  const Program p = ParseOk("func f() { var i; for (i = 0; i < 4; i = i + 1) { } }");
   const Stmt& s = *p.functions[0].body[1];
   ASSERT_EQ(s.kind, Stmt::Kind::kFor);
   ASSERT_NE(s.init, nullptr);
@@ -84,7 +91,7 @@ TEST(Parser, ForLoopParts) {
 }
 
 TEST(Parser, ForLoopPartsMayBeEmpty) {
-  const Program p = Parse("func f() { for (;;) { return 0; } }");
+  const Program p = ParseOk("func f() { for (;;) { return 0; } }");
   const Stmt& s = *p.functions[0].body[0];
   EXPECT_EQ(s.init, nullptr);
   EXPECT_EQ(s.cond, nullptr);
@@ -92,7 +99,7 @@ TEST(Parser, ForLoopPartsMayBeEmpty) {
 }
 
 TEST(Parser, ArrayStoreAndLoad) {
-  const Program p = Parse("array a[8]; func f(i) { a[i] = a[i + 1]; }");
+  const Program p = ParseOk("array a[8]; func f(i) { a[i] = a[i + 1]; }");
   const Stmt& s = *p.functions[0].body[0];
   ASSERT_EQ(s.kind, Stmt::Kind::kStore);
   EXPECT_EQ(s.name, "a");
@@ -100,7 +107,7 @@ TEST(Parser, ArrayStoreAndLoad) {
 }
 
 TEST(Parser, CallsAndBuiltins) {
-  const Program p = Parse(R"(
+  const Program p = ParseOk(R"(
     func g(x) { return x; }
     func f() { var y; y = g(3) + min(1, 2) + max(3, 4) + abs(-5); })");
   const Expr& e = *p.functions[1].body[1]->value;
@@ -108,19 +115,25 @@ TEST(Parser, CallsAndBuiltins) {
 }
 
 TEST(Parser, ExpressionStatement) {
-  const Program p = Parse("func g() { return 0; } func f() { g(); }");
+  const Program p = ParseOk("func g() { return 0; } func f() { g(); }");
   EXPECT_EQ(p.functions[1].body[0]->kind, Stmt::Kind::kExpr);
 }
 
 TEST(Parser, WhileLoop) {
-  const Program p = Parse("func f(n) { while (n > 0) { n = n - 1; } return n; }");
+  const Program p = ParseOk("func f(n) { while (n > 0) { n = n - 1; } return n; }");
   EXPECT_EQ(p.functions[0].body[0]->kind, Stmt::Kind::kWhile);
 }
 
 // Malformed inputs, parameterized.
 class ParserErrors : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(ParserErrors, Throws) { EXPECT_THROW(Parse(GetParam()), lopass::Error); }
+TEST_P(ParserErrors, ReportsASyntaxError) {
+  DiagnosticSink sink;
+  (void)Parse(GetParam(), sink);
+  ASSERT_TRUE(sink.has_errors());
+  EXPECT_EQ(sink.diagnostics()[0].code, "parse.syntax") << sink.ToString();
+  EXPECT_TRUE(sink.diagnostics()[0].loc.valid()) << sink.ToString();
+}
 
 INSTANTIATE_TEST_SUITE_P(
     BadPrograms, ParserErrors,
@@ -139,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 
 // Robustness: random token soup must never crash or hang — the parser
-// either produces a program or throws lopass::Error.
+// returns a program, with a diagnostic for every syntax error.
 class ParserFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(ParserFuzz, NeverCrashes) {
@@ -157,11 +170,8 @@ TEST_P(ParserFuzz, NeverCrashes) {
     src += kTokens[rng.next_below(sizeof(kTokens) / sizeof(kTokens[0]))];
     src += ' ';
   }
-  try {
-    (void)Parse(src);
-  } catch (const lopass::Error&) {
-    // expected for most soups
-  }
+  DiagnosticSink sink;
+  (void)Parse(src, sink);
 }
 
 INSTANTIATE_TEST_SUITE_P(Soups, ParserFuzz, ::testing::Range(0, 200));

@@ -334,7 +334,7 @@ TEST(Partitioner, InterconnectSynthesizesTheEvaluatedSchedules) {
     }
 
     DiagnosticSink sink;
-    EXPECT_TRUE(asic::ValidateVerilog(asic::EmitVerilog(d.core, got), got, 32, sink));
+    EXPECT_TRUE(asic::ValidateVerilog(asic::EmitVerilog(d.core, got), got, sink));
     EXPECT_FALSE(sink.has_errors());
   }
 }
@@ -724,10 +724,9 @@ TEST(Partitioner, ObjectiveFunctionHelpers) {
   ObjectiveParams p;
   p.f = 2.0;
   p.g = 0.5;
-  p.geq_norm = 1000.0;
   EXPECT_DOUBLE_EQ(BaselineObjective(p), 2.0);
   EXPECT_DOUBLE_EQ(
-      Objective(Energy{0.5}, Energy{1.0}, 500.0, p),
+      Objective(Energy{0.5}, Energy{1.0}, kGeqNorm / 2, p),
       2.0 * 0.5 + 0.5 * 0.5);
   // Zero reference energy does not divide by zero.
   EXPECT_NO_THROW(Objective(Energy{1.0}, Energy{0.0}, 0.0, p));

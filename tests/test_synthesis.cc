@@ -124,13 +124,13 @@ TEST(Synthesis, RefinedEnergyGrowsWithIdleFraction) {
   EXPECT_GT(ch.refined_energy, cc.refined_energy);
 }
 
-TEST(Synthesis, ControllerOptionsScaleArea) {
+TEST(Synthesis, CoreGeqAddsTheControllerToTheDatapath) {
   Built b = Build("func main(a) { return a + 1; }", LeanSet());
-  SynthesisOptions big_ctrl;
-  big_ctrl.controller_geq_fraction = 0.5;
-  const AsicCore base = Synthesize("a", "lean", b.util, TechLibrary::Cmos6(), 8);
-  const AsicCore wide = Synthesize("b", "lean", b.util, TechLibrary::Cmos6(), 8, big_ctrl);
-  EXPECT_GT(wide.geq, base.geq);
+  const AsicCore core = Synthesize("a", "lean", b.util, TechLibrary::Cmos6(), 8);
+  const double reg_geq = TechLibrary::Cmos6().spec(power::ResourceType::kRegister).geq;
+  EXPECT_GT(WithControllerGeq(100.0), 100.0);
+  EXPECT_DOUBLE_EQ(core.geq, WithControllerGeq(b.util.geq + 8 * reg_geq));
+  EXPECT_DOUBLE_EQ(core.cells, core.geq);
 }
 
 }  // namespace

@@ -18,18 +18,26 @@ std::int64_t RunPlain(const std::string& src, std::vector<std::int64_t> args = {
 
 std::int64_t RunUnrolled(const std::string& src, int factor,
                          std::vector<std::int64_t> args = {}) {
-  const LoweredProgram p = CompileWithUnroll(src, factor);
+  const LoweredProgram p = Compile(src, factor);
   interp::Interpreter it(p.module);
   return it.Run("main", args).return_value;
 }
 
+// Parses a well-formed program: no diagnostics expected.
+Program ParseOk(const std::string& src) {
+  DiagnosticSink sink;
+  Program p = Parse(src, sink);
+  EXPECT_FALSE(sink.has_errors()) << sink.ToString();
+  return p;
+}
+
 TEST(Unroll, FactorOneIsNoOp) {
-  Program ast = Parse("func main(n) { var i; for (i = 0; i < n; i = i + 1) { } }");
+  Program ast = ParseOk("func main(n) { var i; for (i = 0; i < n; i = i + 1) { } }");
   EXPECT_EQ(UnrollLoops(ast, 1), 0);
 }
 
 TEST(Unroll, CountsUnrolledLoops) {
-  Program ast = Parse(R"(
+  Program ast = ParseOk(R"(
     func main(n) {
       var i; var j; var s;
       for (i = 0; i < n; i = i + 1) {
@@ -89,7 +97,7 @@ TEST(Unroll, BreakInsideBodyStillExitsTheLoop) {
 }
 
 TEST(Unroll, ContinueBodiesAreSkipped) {
-  Program ast = Parse(R"(
+  Program ast = ParseOk(R"(
     func main(n) {
       var i; var s;
       for (i = 0; i < n; i = i + 1) {
@@ -129,8 +137,8 @@ TEST(Unroll, NestedLoopsUnrollInnerFirst) {
 TEST(Unroll, OversizedBodiesAreLeftAlone) {
   std::string body;
   for (int i = 0; i < 20; ++i) body += "s = s + " + std::to_string(i) + ";\n";
-  Program ast = Parse("func main(n) { var i; var s; for (i = 0; i < n; i = i + 1) {\n" +
-                      body + "} return s; }");
+  Program ast = ParseOk("func main(n) { var i; var s; for (i = 0; i < n; i = i + 1) {\n" +
+                        body + "} return s; }");
   EXPECT_EQ(UnrollLoops(ast, 2, /*max_body_stmts=*/16), 0);
 }
 
@@ -154,7 +162,7 @@ TEST(Unroll, RandomizedEquivalence) {
 }
 
 TEST(Clone, DeepCopiesAreIndependent) {
-  Program ast = Parse("func main(a) { if (a > 0) { a = a + 1; } return a; }");
+  Program ast = ParseOk("func main(a) { if (a > 0) { a = a + 1; } return a; }");
   const Stmt& original = *ast.functions[0].body[0];
   StmtPtr copy = CloneStmt(original);
   // Mutating the copy leaves the original untouched.

@@ -42,8 +42,7 @@ Built Build(const std::string& src) {
   }
   out.util = ComputeUtilization(out.blocks, rs, TechLibrary::Cmos6());
   out.dp = BuildDatapath(out.blocks, out.util, TechLibrary::Cmos6());
-  out.core = Synthesize("fir kernel", "lean", out.util, TechLibrary::Cmos6(), 8,
-                        SynthesisOptions{}, &out.dp);
+  out.core = Synthesize("fir kernel", "lean", out.util, TechLibrary::Cmos6(), 8, &out.dp);
   return out;
 }
 
@@ -78,9 +77,6 @@ TEST(Verilog, SanitizesModuleNames) {
   b.core.name = "for@21 weird-name";
   const std::string v = EmitVerilog(b.core, b.dp);
   EXPECT_NE(v.find("module core_for_21_weird_name"), std::string::npos);
-  VerilogOptions opt;
-  opt.module_name = "my_core";
-  EXPECT_NE(EmitVerilog(b.core, b.dp, opt).find("module my_core"), std::string::npos);
 }
 
 TEST(Verilog, ExactlyOneModuleShell) {
