@@ -9,7 +9,6 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "core/partition_check.h"
-#include "interp/interpreter.h"
 #include "isa/codegen.h"
 #include "isa/peephole.h"
 #include "sched/dfg.h"
@@ -41,7 +40,6 @@ struct FlowInputs {
   const PartitionOptions& options;
   const sched::SchedulerOptions& sched_opts;
   const power::TechLibrary& lib;
-  const interp::Profile& profile;
   const iss::SimResult& initial_run;
   const BusTrafficAnalyzer& traffic;
 };
@@ -62,16 +60,17 @@ struct ClusterSchedule {
   std::vector<sched::BlockDfg> dfgs;
   std::vector<sched::BlockSchedule> schedules;
 
-  // The scheduled blocks weighted by their profiled #ex_times. The
-  // pointers are valid while this ClusterSchedule lives.
+  // The scheduled blocks weighted by their #ex_times, the entries the
+  // initial run profiled. The pointers are valid while this
+  // ClusterSchedule lives.
   std::vector<asic::ScheduledBlock> Blocks(const Cluster& c,
-                                           const interp::Profile& profile) const {
+                                           const iss::SimResult& initial_run) const {
     std::vector<asic::ScheduledBlock> blocks;
     blocks.reserve(dfgs.size());
     for (std::size_t i = 0; i < dfgs.size(); ++i) {
       blocks.push_back(asic::ScheduledBlock{
           &dfgs[i], &schedules[i],
-          profile.BlockCount(c.blocks[i].first, c.blocks[i].second)});
+          initial_run.block_cost(c.blocks[i].first, c.blocks[i].second).entries});
     }
     return blocks;
   }
@@ -149,7 +148,7 @@ Candidate EvaluateCandidate(const FlowInputs& in, const Cluster& c,
       return cand;
     }
   }
-  ev.util = asic::ComputeUtilization(cs.Blocks(c, in.profile), rs, in.lib);
+  ev.util = asic::ComputeUtilization(cs.Blocks(c, in.initial_run), rs, in.lib);
   ev.u_asic = options.weighted_utilization ? WeightedUtilization(ev.util, in.lib)
                                            : ev.util.u_core;
   ev.u_up = initial.UtilizationOfBlocks(c.blocks);
@@ -233,7 +232,7 @@ PartitionDecision SynthesizeWinner(const FlowInputs& in, const Cluster& c,
   }
   const int regs = 2 + static_cast<int>(scalars.size());
   if (in.options.include_interconnect) {
-    const std::vector<asic::ScheduledBlock> blocks = w.schedule.Blocks(c, in.profile);
+    const std::vector<asic::ScheduledBlock> blocks = w.schedule.Blocks(c, in.initial_run);
     d.datapath = asic::BuildDatapath(blocks, ev.util, in.lib);
     if (in.options.self_check) {
       DiagnosticSink sc;
@@ -368,17 +367,8 @@ std::shared_ptr<AppBaseline> Partitioner::BuildBaseline(const Workload& workload
   b->program = isa::Generate(module_);
   if (options_.peephole) isa::Peephole(b->program);
 
-  // --- profiling (#ex_times, Fig. 4 footnote 14) -----------------------
-  CheckCancel(options_.cancel, "partitioner (profiling)");
-  interp::Interpreter profiler(module_);
-  if (workload.setup) {
-    EngineTarget<interp::Interpreter> t(profiler);
-    workload.setup(t);
-  }
-  profiler.Run(workload.entry, workload.args, options_.max_interp_steps);
-  b->profile = profiler.profile();
-
-  // --- initial whole-system simulation ---------------------------------
+  // --- initial whole-system simulation, which also profiles #ex_times
+  // (Fig. 4 footnote 14) ------------------------------------------------
   CheckCancel(options_.cancel, "partitioner (initial simulation)");
   b->initial_run = Simulate(*b, options_.initial_config, iss::HwPartition{}, lib_, up_model_,
                             options_.max_sim_instrs);
@@ -455,7 +445,8 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
 
   // The application stage ran masked (see BuildBaseline): its fault
   // sites fire here, in Fig. 1 order, with the effect they have there.
-  // Profiling and the initial simulation throw out of Run.
+  // The profile and sim sites stand for the initial simulation, which
+  // also profiles; both throw out of Run.
   fault::MaybeInject("profile");
   fault::MaybeInject("sim");
   const iss::SimResult& initial = b.initial_run;
@@ -489,7 +480,7 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
 
   // --- Fig. 1 lines 6-13: evaluate cluster × resource set --------------
   // Greedy selection of up to max_hw_clusters clusters.
-  const FlowInputs in{module_, options_, sched_opts, lib_, b.profile, initial, traffic};
+  const FlowInputs in{module_, options_, sched_opts, lib_, initial, traffic};
   Accepted accepted;
   double current_of = BaselineObjective(options_.objective);
   std::vector<Candidate> winners;

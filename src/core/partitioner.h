@@ -16,9 +16,10 @@
 //   7. gate-level-style energy estimation and
 //      whole-system partitioned re-simulation   (line 15)
 //
-// Steps 1-4, with profiling and the initial whole-system run, read the
-// application only: Partitioner::BuildBaseline runs them once into an
-// AppBaseline that every resource-set run of the application can share.
+// Steps 1-4, with the initial whole-system run that also profiles
+// #ex_times, read the application only: Partitioner::BuildBaseline runs
+// them once into an AppBaseline that every resource-set run of the
+// application can share.
 
 #include <memory>
 #include <mutex>
@@ -37,7 +38,6 @@
 #include "core/report.h"
 #include "core/workload.h"
 #include "dsl/lower.h"
-#include "interp/interpreter.h"
 #include "iss/simulator.h"
 #include "sched/resource_set.h"
 
@@ -81,10 +81,14 @@ struct PartitionOptions {
   // Fold the steering-network (mux) area/energy into synthesized cores
   // (a cost Fig. 4's GEQ omits; see bench_ablation_mux).
   bool include_interconnect = false;
-  // Guard rails: fuel for the profiling interpreter and the cycle
-  // simulator. Hitting either limit aborts the flow with a clear error
-  // instead of hanging on a non-terminating workload.
+  // Fuel for interp::Interpreter. The flow never runs the interpreter;
+  // only flowbench's stage-by-stage replay reads this. It goes, and
+  // src/interp moves to a test-only target, with the change that
+  // retires that replay.
   std::uint64_t max_interp_steps = 500'000'000;
+  // Guard rail: fuel for the cycle simulator. Hitting the limit aborts
+  // the flow with a clear error instead of hanging on a non-terminating
+  // workload.
   std::uint64_t max_sim_instrs = 2'000'000'000;
   // Run the static validators (L3xx partition invariants, L4xx schedule
   // checks, L5xx datapath checks under include_interconnect) on every
@@ -189,11 +193,11 @@ class ResimMemo {
 };
 
 // The steps of Fig. 1 that read the application, never the resource
-// sets: the SL32 program, profiling (#ex_times), the initial
-// whole-system run, decomposition (line 2), transfer energy (lines 3-4)
-// and the ranked pre-selection (line 5). Partitioner::Run(const
-// AppBaseline&) runs lines 6-15 on it, so one baseline serves every
-// resource set of an application.
+// sets: the SL32 program, the initial whole-system run (whose block
+// entries are the profiled #ex_times), decomposition (line 2), transfer
+// energy (lines 3-4) and the ranked pre-selection (line 5).
+// Partitioner::Run(const AppBaseline&) runs lines 6-15 on it, so one
+// baseline serves every resource set of an application.
 //
 // A baseline fits any Partitioner over the same module, regions,
 // library, µP model, workload and PartitionOptions, except that
@@ -204,7 +208,6 @@ struct AppBaseline {
   const ir::Module* module = nullptr;
   Workload workload;
   isa::SlProgram program;
-  interp::Profile profile;
   iss::SimResult initial_run;
   ClusterChain chain;
   // Why line 2 failed (the flow then falls back to all-software);
@@ -242,7 +245,7 @@ class Partitioner {
   // hits the profile, sim and alloc sites instead, so every run hits
   // each once whether it built its baseline or shares one, and a
   // baseline never holds an injected failure. Throws CancelledError or
-  // Error when profiling or the initial simulation fails.
+  // Error when the initial simulation fails.
   std::shared_ptr<AppBaseline> BuildBaseline(const Workload& workload) const;
 
   const PartitionOptions& options() const { return options_; }

@@ -1,10 +1,11 @@
 #pragma once
 
 // Workload abstraction: how an application's input data ("input stimuli
-// pattern", Fig. 5 footnote 18) is installed before a profiling or
-// simulation run. Both execution engines (interp::Interpreter and
-// iss::Simulator) are adapted to this interface so a single workload
-// definition drives profiling, the initial run and partitioned re-runs.
+// pattern", Fig. 5 footnote 18) is installed before a run. The flow's
+// engine, iss::Simulator, is adapted to this interface so a single
+// workload definition drives the initial (profiling) run and the
+// partitioned re-runs; so is interp::Interpreter, the reference engine
+// that tests compare the simulator against.
 
 #include <cstdint>
 #include <functional>
@@ -25,8 +26,8 @@ class DataTarget {
   virtual void FillArray(const std::string& name, std::span<const std::int64_t> values) = 0;
 };
 
-// Binds an execution engine (interp::Interpreter, iss::Simulator) to
-// the DataTarget interface.
+// Binds an execution engine (iss::Simulator, or interp::Interpreter in
+// tests) to the DataTarget interface.
 template <class Engine>
 class EngineTarget : public DataTarget {
  public:

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "common/fault.h"
 #include "ir/eval.h"
 
 namespace lopass::interp {
@@ -84,7 +83,6 @@ std::int64_t Interpreter::GetScalar(const std::string& name) const {
 
 RunResult Interpreter::Run(const std::string& fn, std::span<const std::int64_t> args,
                            std::uint64_t max_steps) {
-  fault::MaybeInject("profile");
   const auto fid = module_.FindFunction(fn);
   if (!fid) LOPASS_THROW("no function named '" + fn + "'");
   step_limit_ = max_steps;
@@ -147,8 +145,7 @@ std::int64_t Interpreter::Exec(const ir::Function& fn, std::span<const std::int6
           const Symbol& s = module_.symbol(in.sym);
           const std::int64_t idx = Eval(in.args[0], vregs);
           if (idx < 0 || idx >= static_cast<std::int64_t>(s.length)) {
-            LOPASS_THROW("array index out of range on load of '" + s.name + "' (" +
-                         std::to_string(idx) + " of " + std::to_string(s.length) + ")");
+            ir::ThrowIndexError(in.op, s.name, idx, s.length);
           }
           const std::uint32_t addr = s.address + static_cast<std::uint32_t>(idx) * 4;
           vregs[static_cast<std::size_t>(in.result)] = memory_[addr / 4];
@@ -158,8 +155,7 @@ std::int64_t Interpreter::Exec(const ir::Function& fn, std::span<const std::int6
           const Symbol& s = module_.symbol(in.sym);
           const std::int64_t idx = Eval(in.args[0], vregs);
           if (idx < 0 || idx >= static_cast<std::int64_t>(s.length)) {
-            LOPASS_THROW("array index out of range on store to '" + s.name + "' (" +
-                         std::to_string(idx) + " of " + std::to_string(s.length) + ")");
+            ir::ThrowIndexError(in.op, s.name, idx, s.length);
           }
           const std::uint32_t addr = s.address + static_cast<std::uint32_t>(idx) * 4;
           memory_[addr / 4] = Eval(in.args[1], vregs);

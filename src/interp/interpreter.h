@@ -1,16 +1,15 @@
 #pragma once
 
-// IR-level interpreter and profiler.
+// IR-level reference interpreter.
 //
-// Supplies #ex_times — "obtained through profiling" (Fig. 4, footnote
-// 14): it executes the behavioral description on a concrete workload
-// and records how often every basic block (and hence every control step
-// of a cluster schedule) is invoked. It emits no data-access trace: the
-// ISS (iss/simulator.h) drives both caches directly on every run, which
-// takes the place of the paper's separate Trace Tool + Cache Profiler
-// (Fig. 5). Arithmetic goes through ir::EvalPure (ir/eval.h), the one
-// evaluator constant folding and the L205/L207 lint folder share, so
-// every engine computes the same program values.
+// It executes the behavioral description on a concrete workload and
+// records how often every basic block is entered. The flow does not run
+// it: the initial ISS run (iss/simulator.h) profiles #ex_times itself
+// (BlockCost::entries). The interpreter is the engine the tests compare
+// the code generator and the ISS against: return value, final memory
+// and block entry counts. Arithmetic goes through ir::EvalPure
+// (ir/eval.h), the one evaluator constant folding and the L205/L207
+// lint folder share, so every engine computes the same program values.
 
 #include <cstdint>
 #include <span>

@@ -1,8 +1,9 @@
 #pragma once
 
-// The one definition of IR arithmetic.
+// The one definition of IR arithmetic, and of the run-time faults
+// every engine raises.
 //
-// The profiler (interp/interpreter.h), constant folding
+// The reference interpreter (interp/interpreter.h), constant folding
 // (opt/passes.h) and the L205/L207 lint folder (analysis/dataflow_lint)
 // all compute program values through EvalPure, so a folded constant is
 // exactly the value the program computes at run time. Values are 64-bit
@@ -12,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string_view>
 
 #include "common/units.h"
 #include "ir/opcode.h"
@@ -28,6 +30,13 @@ constexpr bool Traps(Opcode op, std::int64_t b) {
 // zero", "modulo by zero", or an op that is not pure. Out of line
 // (ir/opcode.cc) so that EvalPure stays small enough to inline.
 [[noreturn]] void ThrowEvalError(Opcode op);
+
+// Throws lopass::Error for an element access (kLoadElem or kStoreElem)
+// at `index` outside `array` of `length` elements, e.g. "array index out
+// of range on load of 'a' (4 of 4)". The interpreter and the ISS both
+// raise it, so a failing workload reads the same in either engine.
+[[noreturn]] void ThrowIndexError(Opcode op, std::string_view array, std::int64_t index,
+                                  std::uint32_t length);
 
 // Value of the pure operation `op` (IsPure) on `a`, and on `b` for a
 // binary op; kConst and kMov yield `a`. Throws when Traps(op, b).

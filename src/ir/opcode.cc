@@ -136,6 +136,14 @@ void ThrowEvalError(Opcode op) {
   LOPASS_THROW(std::string("cannot evaluate non-pure op '") + OpcodeName(op) + "'");
 }
 
+void ThrowIndexError(Opcode op, std::string_view array, std::int64_t index,
+                     std::uint32_t length) {
+  LOPASS_THROW(std::string("array index out of range ") +
+               (op == Opcode::kStoreElem ? "on store to '" : "on load of '") +
+               std::string(array) + "' (" + std::to_string(index) + " of " +
+               std::to_string(length) + ")");
+}
+
 bool ProducesResult(Opcode op) {
   switch (op) {
     case Opcode::kWriteVar:

@@ -250,33 +250,43 @@ class FuncCodegen {
     in.imm = imm;
   }
 
-  void EmitMem(SlOp op, int rvalue, int rbase, std::int64_t offset) {
+  SlInstr& EmitMem(SlOp op, int rvalue, int rbase, std::int64_t offset) {
     SlInstr& in = Emit(op);
     in.rd = static_cast<std::int16_t>(rvalue);
     in.rs1 = static_cast<std::int16_t>(rbase);
     in.imm = offset;
+    return in;
+  }
+
+  // Puts the bounds check of element access `access` on `in`, the
+  // instruction that holds its index (SlInstr::array).
+  static void TagIndex(SlInstr& in, const ir::Instr& access) {
+    in.array = access.sym;
+    in.array_access = access.op;
+    if (access.args[0].is_imm()) in.array_index = access.args[0].imm;
   }
 
   void EmitBranch(SlOp op, int rcond, ir::BlockId target) {
     SlInstr& in = Emit(op);
     in.rs1 = static_cast<std::int16_t>(rcond);
-    in.target = target;  // patched to an instruction index later
+    in.target_block = target;  // PatchBranches sets `target`
     pending_branches_.push_back(static_cast<std::uint32_t>(code_.size() - 1));
   }
 
   void EmitJump(ir::BlockId target) {
     SlInstr& in = Emit(SlOp::kJ);
-    in.target = target;
+    in.target_block = target;
     pending_branches_.push_back(static_cast<std::uint32_t>(code_.size() - 1));
   }
 
   void PatchBranches() {
     for (std::uint32_t i : pending_branches_) {
       SlInstr& in = code_[i];
-      LOPASS_CHECK(in.target >= 0 &&
-                       static_cast<std::size_t>(in.target) < block_start_.size(),
+      LOPASS_CHECK(in.target_block >= 0 &&
+                       static_cast<std::size_t>(in.target_block) < block_start_.size(),
                    "branch target block out of range");
-      in.target = static_cast<std::int32_t>(block_start_[static_cast<std::size_t>(in.target)]);
+      in.target = static_cast<std::int32_t>(
+          block_start_[static_cast<std::size_t>(in.target_block)]);
     }
   }
 
@@ -330,13 +340,14 @@ class FuncCodegen {
         const ir::Symbol& s = mod_.symbol(in.sym);
         if (in.args[0].is_imm()) {
           const int rd = AllocReg();
-          EmitMem(SlOp::kLd, rd, kZeroReg, ElemAddress(s, in.args[0].imm));
+          TagIndex(EmitMem(SlOp::kLd, rd, kZeroReg, ElemAddress(s, in.args[0].imm)), in);
           BindReg(in.result, rd);
         } else {
           const int ridx = Materialize(in.args[0], transient);
           const int raddr = AllocReg();
           pinned_[static_cast<std::size_t>(raddr)] = true;
           EmitAluImm(SlOp::kSll, raddr, ridx, 2);
+          TagIndex(code_.back(), in);
           const int rd = AllocReg();
           EmitMem(SlOp::kLd, rd, raddr, s.address);
           if (reg_owner_[static_cast<std::size_t>(raddr)] < 0) free_.push_back(raddr);
@@ -349,12 +360,13 @@ class FuncCodegen {
         const ir::Symbol& s = mod_.symbol(in.sym);
         if (in.args[0].is_imm()) {
           const int rv = Materialize(in.args[1], transient);
-          EmitMem(SlOp::kSt, rv, kZeroReg, ElemAddress(s, in.args[0].imm));
+          TagIndex(EmitMem(SlOp::kSt, rv, kZeroReg, ElemAddress(s, in.args[0].imm)), in);
         } else {
           const int ridx = Materialize(in.args[0], transient);
           const int raddr = AllocReg();
           pinned_[static_cast<std::size_t>(raddr)] = true;
           EmitAluImm(SlOp::kSll, raddr, ridx, 2);
+          TagIndex(code_.back(), in);
           transient.push_back(raddr);
           const int rv = Materialize(in.args[1], transient);
           EmitMem(SlOp::kSt, rv, raddr, s.address);

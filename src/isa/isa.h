@@ -64,6 +64,18 @@ struct SlInstr {
   // cluster that has been moved to the ASIC core.
   ir::FunctionId fn = -1;
   ir::BlockId block = ir::kNoBlock;
+  // The IR block a branch or jump transfers to. `target` is that
+  // block's first pc, or the next code block's when the block emits no
+  // code; the simulator counts block entries through it.
+  ir::BlockId target_block = ir::kNoBlock;
+  // The bounds check of an element access, on the instruction that
+  // holds its index: the `sll` that scales a dynamic index (in rs1), or
+  // the ld/st of a constant `array_index`. The simulator rejects an
+  // index outside the array with the interpreter's message for
+  // `array_access` (kLoadElem or kStoreElem).
+  ir::SymbolId array = ir::kNoSymbol;
+  ir::Opcode array_access = ir::Opcode::kLoadElem;
+  std::int64_t array_index = 0;
 };
 
 // Register file size and conventions.

@@ -78,9 +78,12 @@ bool Round(SlProgram& program, PeepholeStats& stats) {
       continue;
     }
     // Adjacent store-load of the same address: forward the register.
+    // The load's bounds check (a constant index's) must be the store's,
+    // which still runs.
     if (in.op == SlOp::kSt && i + 1 < n && !is_target[i + 1]) {
       SlInstr& next = program.code[i + 1];
       if (next.op == SlOp::kLd && next.rs1 == in.rs1 && next.imm == in.imm &&
+          next.array == in.array && next.array_index == in.array_index &&
           next.rs1 != next.rd /* base must survive */) {
         if (next.rd == in.rd) {
           remove[i + 1] = true;  // load of the just-stored register

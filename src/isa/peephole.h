@@ -12,9 +12,9 @@
 //   * jump-to-next  `j L` where L is the next instruction  -> removed
 //
 // Removing instructions renumbers the stream, so every branch/call
-// target and every FuncInfo range is re-linked. Attribution (fn/block)
-// is preserved. Semantics are identical (randomized ISS-equivalence
-// tests assert it).
+// target and every FuncInfo range is re-linked. Attribution (fn/block,
+// the IR target block, the bounds check) is preserved. Semantics are
+// identical (randomized ISS-equivalence tests assert it).
 
 #include <cstdint>
 #include <string>

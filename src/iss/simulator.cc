@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/fault.h"
+#include "ir/eval.h"
 
 namespace lopass::iss {
 
@@ -16,7 +17,7 @@ BlockCost SimResult::CostOfBlocks(
     const std::vector<std::pair<ir::FunctionId, ir::BlockId>>& blocks) const {
   BlockCost sum;
   for (const auto& [fn, b] : blocks) {
-    const BlockCost& c = block_costs[static_cast<std::size_t>(fn)][static_cast<std::size_t>(b)];
+    const BlockCost& c = block_cost(fn, b);
     sum.cycles += c.cycles;
     sum.energy += c.energy;
     sum.instrs += c.instrs;
@@ -79,7 +80,7 @@ std::int64_t Simulator::GetScalar(const std::string& name) const {
 namespace {
 
 // One pc of the per-run decode table: everything the hot loop charges
-// that does not depend on register values.
+// or checks that does not depend on register values.
 struct Decoded {
   InstrClass cls = InstrClass::kNop;
   int cluster = -1;            // ASIC cluster under the run's partition, -1 = SW
@@ -89,6 +90,108 @@ struct Decoded {
   Energy base_energy;
   BlockCost* cost = nullptr;   // the pc's block in SimResult::block_costs
 };
+
+// The bounds check an `sll` of a dynamic index or the ld/st of a
+// constant one carries (SlInstr::array): `index` must lie in the array.
+void CheckIndex(const ir::Module& module, const SlInstr& in, std::int64_t index) {
+  const ir::Symbol& a = module.symbol(in.array);
+  if (index < 0 || index >= static_cast<std::int64_t>(a.length)) {
+    ir::ThrowIndexError(in.array_access, a.name, index, a.length);
+  }
+}
+
+bool SameBlock(const SlInstr& a, const SlInstr& b) {
+  return a.fn == b.fn && a.block == b.block;
+}
+
+// Block entries (BlockCost::entries). A block with code is entered
+// exactly when its first pc executes, since calls return mid-block. A
+// block without code (a lone `br` to the block after it) is entered by
+// every control transfer that passes it on the way to the pc it
+// reaches. A Pass is one such block of one transfer.
+struct Pass {
+  enum Via : std::uint8_t { kTaken, kFallThrough, kProgramEntry };
+  std::uint32_t pc = 0;  // the transferring instruction (the entry pc for kProgramEntry)
+  Via via = kTaken;      // taken: a branch taken, a jump or a call
+  BlockCost* block = nullptr;
+};
+
+// The passes of every control transfer in `code`: the branch or jump
+// targets, the fall-throughs out of a block, the calls and the program
+// entry at `entry_pc`. Each walks from the IR block it transfers to,
+// along the `br` of blocks without code, to the block of the pc it
+// reaches.
+std::vector<Pass> FindPasses(const ir::Module& module, const std::vector<SlInstr>& code,
+                             std::uint32_t entry_pc,
+                             std::vector<std::vector<BlockCost>>& costs) {
+  std::vector<std::vector<std::int32_t>> first_pc(costs.size());
+  for (std::size_t f = 0; f < costs.size(); ++f) first_pc[f].assign(costs[f].size(), -1);
+  for (std::uint32_t pc = 0; pc < code.size(); ++pc) {
+    if (pc > 0 && SameBlock(code[pc - 1], code[pc])) continue;
+    std::int32_t& first = first_pc[static_cast<std::size_t>(code[pc].fn)]
+                                  [static_cast<std::size_t>(code[pc].block)];
+    LOPASS_CHECK(first < 0, "a block's code is not contiguous");
+    first = static_cast<std::int32_t>(pc);
+  }
+
+  std::vector<Pass> passes;
+  auto walk = [&](ir::FunctionId fn, ir::BlockId b, std::int32_t reached, Pass pass) {
+    const ir::Function& f = module.function(fn);
+    const std::vector<std::int32_t>& firsts = first_pc[static_cast<std::size_t>(fn)];
+    for (std::size_t steps = 0;; ++steps) {
+      LOPASS_CHECK(b >= 0 && static_cast<std::size_t>(b) < firsts.size() &&
+                       steps < firsts.size(),
+                   "a control transfer must reach a block of its function");
+      if (firsts[static_cast<std::size_t>(b)] >= 0) break;
+      const ir::Instr& br = f.block(b).terminator();
+      LOPASS_CHECK(br.op == ir::Opcode::kBr,
+                   "a block without code must fall through to its br target");
+      pass.block = &costs[static_cast<std::size_t>(fn)][static_cast<std::size_t>(b)];
+      passes.push_back(pass);
+      b = br.target0;
+    }
+    LOPASS_CHECK(firsts[static_cast<std::size_t>(b)] == reached,
+                 "a control transfer must reach the first pc of its IR target");
+  };
+
+  const ir::FunctionId entry_fn = code[entry_pc].fn;
+  walk(entry_fn, module.function(entry_fn).entry, static_cast<std::int32_t>(entry_pc),
+       Pass{entry_pc, Pass::kProgramEntry});
+  for (std::uint32_t pc = 0; pc < code.size(); ++pc) {
+    const SlInstr& in = code[pc];
+    switch (in.op) {
+      case SlOp::kBeqz:
+      case SlOp::kBnez:
+      case SlOp::kJ:
+        walk(in.fn, in.target_block, in.target, Pass{pc, Pass::kTaken});
+        break;
+      case SlOp::kCall: {
+        const ir::FunctionId callee = code[static_cast<std::size_t>(in.target)].fn;
+        walk(callee, module.function(callee).entry, in.target, Pass{pc, Pass::kTaken});
+        break;
+      }
+      default:
+        break;
+    }
+    const bool last = pc + 1 == code.size() || !SameBlock(in, code[pc + 1]);
+    if (!last || in.op == SlOp::kJ || in.op == SlOp::kRet) continue;
+    // A fall-through out of the block: to its br target, or to the
+    // condbr successor its branch does not name.
+    LOPASS_CHECK(in.op != SlOp::kCall && pc + 1 < code.size(),
+                 "a block must not end in a call or run off the code");
+    const ir::Instr& term = module.function(in.fn).block(in.block).terminator();
+    ir::BlockId next = term.target0;
+    if (term.op == ir::Opcode::kCondBr) {
+      LOPASS_CHECK(in.op == SlOp::kBeqz || in.op == SlOp::kBnez,
+                   "a condbr block must end in a branch");
+      if (in.target_block == term.target0) next = term.target1;
+    } else {
+      LOPASS_CHECK(term.op == ir::Opcode::kBr, "only a br or condbr block falls through");
+    }
+    walk(in.fn, next, static_cast<std::int32_t>(pc + 1), Pass{pc, Pass::kFallThrough});
+  }
+  return passes;
+}
 
 }  // namespace
 
@@ -147,10 +250,15 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
     d.base_cycles = isa::BaseCycles(in.op);
     d.base_energy = energy_.base_energy(d.cls);
     d.cost = &r.block_costs[static_cast<std::size_t>(in.fn)][static_cast<std::size_t>(in.block)];
+    LOPASS_CHECK(in.array == ir::kNoSymbol ||
+                     module_.symbol(in.array).kind == ir::SymbolKind::kArray,
+                 "bounds check of a non-array");
   }
-  // Software executions per pc; the integer instruction and resource
-  // accounting is derived from these after the loop.
-  std::vector<std::uint64_t> sw_executions(code.size(), 0);
+  const std::vector<Pass> passes = FindPasses(module_, code, entry_fn.entry, r.block_costs);
+  // Executions and taken branches per pc; the integer instruction,
+  // resource and entry accounting is derived from these after the loop.
+  std::vector<std::uint64_t> executions(code.size(), 0);
+  std::vector<std::uint64_t> branches_taken(code.size(), 0);
 
   // regs[kZeroReg] is never written, so it always reads 0.
   std::array<std::int64_t, isa::kNumRegs> regs{};
@@ -201,12 +309,12 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
       prev_cluster = d.cluster;
     }
     const bool sw = d.cluster < 0;
+    ++executions[pc];
 
     Cycles instr_cycles = 0;
     Energy instr_energy;
 
     if (sw) {
-      ++sw_executions[pc];
       // Instruction fetch.
       if (!icache.Access(d.fetch_address, /*is_write=*/false)) {
         const Cycles penalty = 3 + i_line_words;
@@ -240,7 +348,10 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
       case SlOp::kAnd: wr_reg(in.rd, rd_reg(in.rs1) & src2()); break;
       case SlOp::kOr: wr_reg(in.rd, rd_reg(in.rs1) | src2()); break;
       case SlOp::kXor: wr_reg(in.rd, rd_reg(in.rs1) ^ src2()); break;
-      case SlOp::kSll: wr_reg(in.rd, WrapShl(rd_reg(in.rs1), src2())); break;
+      case SlOp::kSll:
+        if (in.array != ir::kNoSymbol) CheckIndex(module_, in, rd_reg(in.rs1));
+        wr_reg(in.rd, WrapShl(rd_reg(in.rs1), src2()));
+        break;
       case SlOp::kSrl:
         wr_reg(in.rd, static_cast<std::int64_t>(
                           static_cast<std::uint64_t>(rd_reg(in.rs1)) >> (src2() & 63)));
@@ -249,13 +360,13 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
       case SlOp::kMul: wr_reg(in.rd, WrapMul(rd_reg(in.rs1), src2())); break;
       case SlOp::kDiv: {
         const std::int64_t dv = src2();
-        if (dv == 0) LOPASS_THROW("division by zero in SL32 program");
+        if (dv == 0) ir::ThrowEvalError(ir::Opcode::kDiv);
         wr_reg(in.rd, WrapDiv(rd_reg(in.rs1), dv));
         break;
       }
       case SlOp::kMod: {
         const std::int64_t dv = src2();
-        if (dv == 0) LOPASS_THROW("modulo by zero in SL32 program");
+        if (dv == 0) ir::ThrowEvalError(ir::Opcode::kMod);
         wr_reg(in.rd, WrapMod(rd_reg(in.rs1), dv));
         break;
       }
@@ -270,6 +381,7 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
       case SlOp::kLi: wr_reg(in.rd, in.imm); break;
       case SlOp::kLd:
       case SlOp::kSt: {
+        if (in.array != ir::kNoSymbol) CheckIndex(module_, in, in.array_index);
         const std::int64_t addr64 = WrapAdd(rd_reg(in.rs1), in.imm);
         LOPASS_CHECK(addr64 >= 0 && addr64 <= memory_bytes - 4, "data access out of range");
         const std::uint32_t addr = static_cast<std::uint32_t>(addr64);
@@ -330,6 +442,7 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
         break;
     }
 
+    if (taken) ++branches_taken[pc];
     if (sw) {
       if (taken) {
         instr_cycles += 1;  // branch-taken pipeline bubble
@@ -344,9 +457,11 @@ SimResult Simulator::Run(const std::string& fn, std::span<const std::int64_t> ar
 
 done:
   for (std::size_t i = 0; i < code.size(); ++i) {
-    const std::uint64_t n = sw_executions[i];
+    const std::uint64_t n = executions[i];
     if (n == 0) continue;
     const Decoded& d = decoded[i];
+    if (i == 0 || !SameBlock(code[i - 1], code[i])) d.cost->entries += n;
+    if (d.cluster >= 0) continue;
     r.instr_count += n;
     d.cost->instrs += n;
     // The final ret (at `pc`) is not counted as keeping resources busy.
@@ -356,6 +471,21 @@ done:
         r.active_cycles[static_cast<std::size_t>(res)] += busy;
         d.cost->active_cycles[static_cast<std::size_t>(res)] += busy;
       }
+    }
+  }
+
+  for (const Pass& p : passes) {
+    switch (p.via) {
+      case Pass::kTaken:  // a jump or a call always transfers
+        p.block->entries += decoded[p.pc].cls == InstrClass::kBranch ? branches_taken[p.pc]
+                                                                     : executions[p.pc];
+        break;
+      case Pass::kFallThrough:
+        p.block->entries += executions[p.pc] - branches_taken[p.pc];
+        break;
+      case Pass::kProgramEntry:
+        p.block->entries += 1;
+        break;
     }
   }
 

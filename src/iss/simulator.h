@@ -88,6 +88,9 @@ struct BlockCost {
   Energy energy;
   std::uint64_t instrs = 0;
   std::array<std::uint64_t, kNumUpResources> active_cycles{};
+  // How often the block was entered, on the µP or on the ASIC core:
+  // the #ex_times of Fig. 4 (footnote 14), profiled by this run.
+  std::uint64_t entries = 0;
 };
 
 struct SimResult {
@@ -110,8 +113,12 @@ struct SimResult {
   std::uint64_t mem_reads = 0;
   std::uint64_t mem_writes = 0;
 
+  const BlockCost& block_cost(ir::FunctionId fn, ir::BlockId b) const {
+    return block_costs[static_cast<std::size_t>(fn)][static_cast<std::size_t>(b)];
+  }
   // Software cost of a set of blocks, summed in the order given (so
-  // every caller's energy sum rounds the same way).
+  // every caller's energy sum rounds the same way). Entries are not
+  // summed.
   BlockCost CostOfBlocks(
       const std::vector<std::pair<ir::FunctionId, ir::BlockId>>& blocks) const;
   // Average µP utilization restricted to a set of blocks (the paper's
@@ -127,7 +134,8 @@ class Simulator {
             const power::TechLibrary& lib = power::TechLibrary::Cmos6(),
             const TiwariModel& energy = TiwariModel::Sparclite());
 
-  // Pre-run data initialization (mirrors interp::Interpreter).
+  // Pre-run data initialization: symbol initial values, then the
+  // workload's scalars and arrays.
   void Reset();
   void SetScalar(const std::string& name, std::int64_t value);
   void FillArray(const std::string& name, std::span<const std::int64_t> values);
@@ -135,6 +143,9 @@ class Simulator {
 
   // Runs `fn(args...)` to completion and returns the system accounting.
   // `partition` marks ASIC-resident blocks (empty = all software).
+  // Throws lopass::Error on a run-time fault: an element access outside
+  // its array, a data access outside memory, division or modulo by
+  // zero, or more than `max_instrs` instructions.
   SimResult Run(const std::string& fn, std::span<const std::int64_t> args = {},
                 const HwPartition& partition = HwPartition{},
                 std::uint64_t max_instrs = 2'000'000'000);

@@ -5,9 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "dsl/lower.h"
+#include "engine_oracle.h"
 #include "interp/interpreter.h"
-#include "isa/codegen.h"
-#include "iss/simulator.h"
 
 namespace lopass::apps {
 namespace {
@@ -35,29 +34,16 @@ TEST(Apps, PaperReferenceNumbersRecorded) {
 }
 
 // Every application must compile, verify, and agree between the two
-// execution engines at a small scale.
+// execution engines, block entry counts included, at two scales.
 class AppBehaviour : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AppBehaviour, CompilesAndEnginesAgree) {
   const Application app = GetApplication(GetParam());
   const dsl::LoweredProgram p = dsl::Compile(app.dsl_source);
-  const core::Workload w = app.workload(1);
-
-  interp::Interpreter it(p.module);
-  {
-    core::EngineTarget<interp::Interpreter> t(it);
-    w.setup(t);
+  for (const int scale : {1, 4}) {
+    SCOPED_TRACE("scale " + std::to_string(scale));
+    ExpectEnginesAgree(p.module, app.workload(scale));
   }
-  const std::int64_t iv = it.Run(w.entry, w.args).return_value;
-
-  const isa::SlProgram code = isa::Generate(p.module);
-  iss::Simulator sim(p.module, code, iss::SystemConfig{});
-  {
-    core::EngineTarget<iss::Simulator> t(sim);
-    w.setup(t);
-  }
-  const std::int64_t sv = sim.Run(w.entry, w.args).return_value;
-  EXPECT_EQ(iv, sv) << app.name;
 }
 
 TEST_P(AppBehaviour, WorkloadScalesWork) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <vector>
@@ -228,6 +229,50 @@ TEST(Iss, AddressNearInt64MaxIsOutOfRange) {
       } catch (const Error& e) {
         EXPECT_NE(std::string(e.what()).find("data access out of range"), std::string::npos)
             << e.what();
+      }
+    }
+  }
+}
+
+TEST(Iss, ElementAccessOutsideItsArrayThrows) {
+  // b's neighbours a and c keep b[-1] and b[4] inside data memory, so
+  // only the array's own bounds can reject them. An index that scales
+  // by 4 onto an element (±2^62, 2^62 + 1) or past data memory (±100000)
+  // must still be reported as itself, as the interpreter reports it.
+  constexpr std::int64_t kWraps = std::int64_t{1} << 62;
+  const char* kLoad = "array a[4]; array b[4]; array c[4]; func main(i) { return b[i]; }";
+  const char* kStore =
+      "array a[4]; array b[4]; array c[4]; func main(i) { b[i] = 1; return 0; }";
+  for (const std::int64_t index : {std::int64_t{4}, std::int64_t{-1}, kWraps, -kWraps,
+                                   kWraps + 1, std::int64_t{100000}, std::int64_t{-100000}}) {
+    for (const bool store : {false, true}) {
+      for (const bool constant : {false, true}) {
+        SCOPED_TRACE(std::to_string(index) + (store ? " store" : " load") +
+                     (constant ? ", constant index" : ""));
+        std::string src = store ? kStore : kLoad;
+        if (constant) {
+          src.replace(src.find("b[i]"), 4, "b[" + std::to_string(index) + "]");
+        }
+        Prepared p = Prepare(src);
+        if (constant) {
+          const bool constant_access =
+              std::any_of(p.code.code.begin(), p.code.code.end(), [](const isa::SlInstr& in) {
+                return (in.op == isa::SlOp::kLd || in.op == isa::SlOp::kSt) &&
+                       in.rs1 == isa::kZeroReg && in.array != ir::kNoSymbol;
+              });
+          ASSERT_TRUE(constant_access) << "the index did not reach codegen as a constant";
+        }
+        Simulator sim(p.prog.module, p.code, SystemConfig{});
+        const std::vector<std::int64_t> args{index};
+        const std::string expected = std::string("array index out of range ") +
+                                     (store ? "on store to 'b' (" : "on load of 'b' (") +
+                                     std::to_string(index) + " of 4)";
+        try {
+          (void)sim.Run("main", args);
+          ADD_FAILURE() << "expected " << expected;
+        } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find(expected), std::string::npos) << e.what();
+        }
       }
     }
   }

@@ -52,6 +52,24 @@ TEST(Peephole, RemovesStoreLoadPairs) {
   EXPECT_LE(prog.code.size(), before);
 }
 
+TEST(Peephole, StoreLoadFusionKeepsTheArrayBoundsCheck) {
+  // a[-1] is g's word: the store to g and the load of a[-1] share an
+  // address, but only the load is an element access that must fail.
+  const dsl::LoweredProgram p =
+      dsl::Compile("var g; array a[4]; func main() { g = 5; return a[-1]; }");
+  SlProgram prog = Generate(p.module);
+  Peephole(prog);
+  iss::Simulator sim(p.module, prog, iss::SystemConfig{});
+  try {
+    (void)sim.Run("main");
+    ADD_FAILURE() << "expected the load of a[-1] to fail";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("array index out of range on load of 'a' (-1 of 4)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Peephole, ProgramStillLinksAfterRemoval) {
   const dsl::LoweredProgram p = dsl::Compile(R"(
     var x;

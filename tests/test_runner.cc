@@ -365,7 +365,7 @@ TEST(AppCacheTest, ABuildThatThrowsIsNotCached) {
   const core::Partitioner cancelled(prog.module, prog.regions, JobOptions(app, &fired));
   EXPECT_THROW((void)cache.Baseline(app, cancelled, 1), CancelledError);
   core::PartitionOptions starved = JobOptions(app, nullptr);
-  starved.max_interp_steps = 10;
+  starved.max_sim_instrs = 10;
   const core::Partitioner failing(prog.module, prog.regions, starved);
   EXPECT_THROW((void)cache.Baseline(app, failing, 1), Error);
   EXPECT_EQ(cache.Stats().baselines_built, 0);
