@@ -23,7 +23,6 @@
 #include "common/prng.h"
 #include "core/partitioner.h"
 #include "dsl/lower.h"
-#include "runner/app_cache.h"
 #include "runner/journal.h"
 #include "runner/worker_pool.h"
 
@@ -173,17 +172,36 @@ struct Attempt {
   core::PartitionResult result;
 };
 
-Attempt RunAttempt(const dsl::LoweredProgram& prog, const apps::Application& app,
-                   const sched::ResourceSet& rs, std::uint64_t seed,
-                   CancelToken* token, int scale, AppCache& cache) {
+// One application's share of the sweep, owned by the worker that
+// claimed the app and freed when it is done with the app. The compile
+// and the application stage (core::AppBaseline) happen on the app's
+// first job that is not replayed. A compile failure is kept: it is
+// permanent, and every job of the app records it. A build that throws
+// (a fired deadline, a real error) leaves no baseline behind, so the
+// app's next job builds afresh; the build runs with fault injection
+// masked (see core::Partitioner::BuildBaseline), so no baseline holds
+// an injected failure either.
+struct AppStage {
+  std::optional<dsl::LoweredProgram> program;
+  std::optional<std::string> compile_error;
+  std::shared_ptr<const core::AppBaseline> baseline;
+  int baselines_built = 0;
+};
+
+Attempt RunAttempt(const apps::Application& app, const sched::ResourceSet& rs,
+                   std::uint64_t seed, CancelToken* token, int scale, AppStage& stage) {
   Attempt attempt;
   core::PartitionOptions options = app.options;
   options.resource_sets = {rs};
   options.prng_seed = seed;
   options.cancel = token;
   try {
-    core::Partitioner partitioner(prog.module, prog.regions, options);
-    attempt.result = partitioner.Run(*cache.Baseline(app, partitioner, scale));
+    core::Partitioner partitioner(stage.program->module, stage.program->regions, options);
+    if (stage.baseline == nullptr) {
+      stage.baseline = partitioner.BuildBaseline(app.workload(scale));
+      ++stage.baselines_built;
+    }
+    attempt.result = partitioner.Run(*stage.baseline);
   } catch (const CancelledError& e) {
     attempt.threw = true;
     attempt.cancelled = true;
@@ -244,31 +262,36 @@ struct Completion {
 
 // Runs one job end to end: compile lookup, chaos scope, the
 // attempt/retry/breaker loop under the job's own deadline token.
-// Called concurrently from workers; touches no shared mutable state
-// beyond the (locked) app cache and, without chaos, the global fault
-// table.
-Completion EvaluateJob(const JobSpec& spec, const ExploreOptions& options, AppCache& cache,
-                       int scale) {
+// Called concurrently from workers, each on its own app's stage;
+// touches no shared mutable state beyond, without chaos, the global
+// fault table.
+Completion EvaluateJob(const JobSpec& spec, const ExploreOptions& options, int scale,
+                       AppStage& stage) {
   Completion c;
   JobResult& job = c.job;
   job.app = spec.app->name;
   job.resource_set = spec.rs->name;
   job.seed = options.base_seed ^ Fnv1a(spec.key);
 
-  // A compile failure is permanent by construction — the app cache
-  // keeps one outcome per app, outside the attempt loop, and every job
-  // of the app is recorded failed without sinking the sweep.
-  const std::shared_ptr<const AppCache::Compiled> compiled = cache.Compile(*spec.app);
-  if (!compiled->program.has_value()) {
+  // A compile failure is permanent by construction, outside the
+  // attempt loop: every job of the app is recorded failed without
+  // sinking the sweep.
+  if (!stage.program.has_value() && !stage.compile_error.has_value()) {
+    try {
+      stage.program.emplace(dsl::Compile(spec.app->dsl_source));
+    } catch (const Error& e) {
+      stage.compile_error = e.what();
+    }
+  }
+  if (stage.compile_error.has_value()) {
     job.attempts = 1;
     job.status = JobStatus::kFailed;
     job.errors = 1;
-    job.detail = compiled->error;
+    job.detail = *stage.compile_error;
     job.fault_spec = fault::CurrentSpec();
     c.notes.push_back(Diagnostic{
         Severity::kWarning, "runner.breaker", SourceLoc{},
-        "job '" + spec.key + "': compile failed, circuit breaker open: " +
-            compiled->error});
+        "job '" + spec.key + "': compile failed, circuit breaker open: " + job.detail});
     return c;
   }
 
@@ -307,8 +330,7 @@ Completion EvaluateJob(const JobSpec& spec, const ExploreOptions& options, AppCa
   std::string last_error;
   for (int attempt_no = 1; attempt_no <= max_attempts; ++attempt_no) {
     job.attempts = attempt_no;
-    Attempt attempt =
-        RunAttempt(*compiled->program, *spec.app, *spec.rs, job.seed, token_ptr, scale, cache);
+    Attempt attempt = RunAttempt(*spec.app, *spec.rs, job.seed, token_ptr, scale, stage);
 
     if (!attempt.threw) {
       if (DegradedOnlyTransiently(attempt.result) && attempt_no < max_attempts) {
@@ -403,8 +425,6 @@ std::string ExploreReport::Render() const {
 ExploreReport RunExplore(const ExploreOptions& options) {
   ExploreReport report;
 
-  // Build the job queue: application × that application's designer
-  // resource sets, in registry order (deterministic).
   std::vector<apps::Application> apps;
   if (options.apps.empty()) {
     apps = apps::AllApplications();
@@ -416,12 +436,18 @@ ExploreReport RunExplore(const ExploreOptions& options) {
 
   const int scale = options.scale > 0 ? options.scale : 1;
 
+  // The job queue: application × that application's designer resource
+  // sets, in registry order (deterministic). An app's jobs are
+  // contiguous: apps[a]'s are queue[first[a]] up to queue[first[a + 1]].
   std::vector<JobSpec> queue;
+  std::vector<std::size_t> first;
   for (const apps::Application& app : apps) {
+    first.push_back(queue.size());
     for (const sched::ResourceSet& rs : app.options.resource_sets) {
       queue.push_back(JobSpec{&app, &rs, app.name + "/" + rs.name});
     }
   }
+  first.push_back(queue.size());
 
   // Replay the committed prefix on resume.
   std::unordered_map<std::string, JobResult> replayed;
@@ -456,7 +482,6 @@ ExploreReport RunExplore(const ExploreOptions& options) {
     journal = std::make_unique<JournalWriter>(options.journal_path,
                                               /*truncate=*/!options.resume);
   }
-  AppCache cache;
 
   // The commit path — the single place order-sensitive effects happen,
   // always in job-queue order: append the report row and notes, write
@@ -473,35 +498,46 @@ ExploreReport RunExplore(const ExploreOptions& options) {
 
   // Replay hits skip evaluation; the map is read-only from here on,
   // so workers may consult it concurrently.
-  const auto resolve = [&](const JobSpec& spec) -> Completion {
+  const auto resolve = [&](const JobSpec& spec, AppStage& stage) -> Completion {
     const auto hit = replayed.find(spec.key);
     if (hit != replayed.end()) return Completion{hit->second, {}, nullptr};
-    return EvaluateJob(spec, options, cache, scale);
+    return EvaluateJob(spec, options, scale, stage);
   };
 
-  // Workers evaluate jobs out of order and park each completion in its
-  // job's slot; this thread waits for slot 0, 1, 2, ... in turn and
-  // commits it. Everything the workers share — the app cache, the
-  // fault tables, the journal — is internally synchronized; the report
-  // is touched only here. Once a commit throws, workers claim no new
-  // job and the error propagates after the in-flight ones finish, so a
-  // failed journal append ends the sweep for every --jobs value.
+  // A worker claims one application at a time and runs its jobs in
+  // queue order on that app's own stage, so no two workers ever build
+  // the same baseline. It parks each completion in its job's slot;
+  // this thread waits for slot 0, 1, 2, ... in turn and commits it.
+  // What the workers share — the fault tables and the slots — is
+  // synchronized; the report is touched only here. Once a commit
+  // throws, workers start no new job and the error propagates after
+  // the in-flight ones finish, so a failed journal append ends the
+  // sweep for every --jobs value.
   std::vector<std::optional<Completion>> slots(queue.size());
+  std::vector<ExploreStats> app_stats(apps.size());
   std::mutex mu;
   std::condition_variable filled;
   std::atomic<bool> stop{false};
-  const int workers = std::min(options.jobs, static_cast<int>(queue.size()));
-  WorkerPool pool(workers, queue.size(), [&](std::size_t index) {
-    if (stop.load(std::memory_order_relaxed)) return;
-    Completion done;
-    try {
-      done = resolve(queue[index]);
-    } catch (...) {
-      done.error = std::current_exception();
+  const int workers = std::min(options.jobs, static_cast<int>(apps.size()));
+  WorkerPool pool(workers, apps.size(), [&](std::size_t a) {
+    AppStage stage;
+    for (std::size_t index = first[a]; index < first[a + 1]; ++index) {
+      if (stop.load(std::memory_order_relaxed)) break;
+      Completion done;
+      try {
+        done = resolve(queue[index], stage);
+      } catch (...) {
+        done.error = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      slots[index] = std::move(done);
+      filled.notify_one();
     }
-    std::lock_guard<std::mutex> lock(mu);
-    slots[index] = std::move(done);
-    filled.notify_one();
+    app_stats[a].baselines_built = stage.baselines_built;
+    if (stage.baseline != nullptr) {
+      app_stats[a].resims_run = stage.baseline->resims.runs();
+      app_stats[a].resims_reused = stage.baseline->resims.reused();
+    }
   });
 
   try {
@@ -513,18 +549,18 @@ ExploreReport RunExplore(const ExploreOptions& options) {
       lock.unlock();
       if (done.error) std::rethrow_exception(done.error);
       commit(std::move(done));
-      // An app's jobs are contiguous in the queue, so once its last one
-      // is committed every one of them has run: free its baseline.
-      if (i + 1 == queue.size() || queue[i + 1].app != queue[i].app) {
-        cache.Release(queue[i].app->name);
-      }
     }
   } catch (...) {
     stop.store(true, std::memory_order_relaxed);
     pool.Join();
     throw;
   }
-  report.stats = cache.Stats();
+  pool.Join();
+  for (const ExploreStats& stats : app_stats) {
+    report.stats.baselines_built += stats.baselines_built;
+    report.stats.resims_run += stats.resims_run;
+    report.stats.resims_reused += stats.resims_reused;
+  }
   return report;
 }
 

@@ -30,28 +30,28 @@
 //
 // The queue is drained by a pool of --jobs worker threads
 // (runner/worker_pool.h); --jobs 1 is the same path on one worker.
-// Each worker evaluates whole jobs — own PRNG seed, own CancelToken
-// deadline, own retry/breaker state, and (under chaos) its own
-// thread-local fault::JobScope, so concurrent jobs can never observe
-// each other's injected faults. A worker parks each completion in its
-// job's slot, and the calling thread commits the slots in job-queue
-// order — report rows, journal appends and notes — so the report, the
-// journal bytes, and the committed prefix a later --resume replays are
-// all byte-identical for every worker count, regardless of completion
-// order. A commit that throws (a failed journal append) ends the
-// sweep: workers claim no new job, and RunExplore rethrows once the
-// in-flight ones finish.
+// The unit of parallel work is the application: a worker claims one
+// app, compiles it, builds its application stage (core::AppBaseline:
+// initial run, decomposition, transfer energy, pre-selection) and runs
+// the app's jobs in queue order on it. The compile and the baseline
+// are that worker's own, so a sweep builds each app's baseline once
+// with no lock, and the baseline memoizes the line-15 re-simulation,
+// so each distinct partition runs once. A job still hits every fault
+// site of the flow exactly once whether it built or reused the
+// baseline (see core::Partitioner::BuildBaseline), and a build that
+// throws leaves no baseline behind, so attempt counts and the journal
+// do not depend on which job built it.
 //
-// Jobs of one application share its compiled program and its
-// application stage (core::AppBaseline: profile, initial run,
-// decomposition, transfer energy, pre-selection) through a per-app
-// cache that lives for one RunExplore call, and the baseline memoizes
-// the line-15 re-simulation, so a sweep runs each app's baseline once
-// and each distinct partition once. A job still hits every fault site
-// of the flow exactly once whether it built or reused the baseline
-// (see core::Partitioner::BuildBaseline), and a build that throws is
-// never cached, so attempt counts and the journal do not depend on
-// which job filled the cache.
+// Each job keeps its own PRNG seed, CancelToken deadline,
+// retry/breaker state and (under chaos) thread-local fault::JobScope,
+// so concurrent jobs can never observe each other's injected faults.
+// A worker parks each completion in its job's slot, and the calling
+// thread commits the slots in job-queue order — report rows, journal
+// appends and notes — so the report, the journal bytes, and the
+// committed prefix a later --resume replays are all byte-identical for
+// every worker count, regardless of completion order. A commit that
+// throws (a failed journal append) ends the sweep: workers start no
+// new job, and RunExplore rethrows once the in-flight ones finish.
 //
 // The one semantic caveat: a *global* fault spec (LOPASS_FAULT_INJECT /
 // SetSpec) with one-shot site:N arms is consumed in completion order
@@ -88,8 +88,10 @@ struct ExploreOptions {
   std::vector<std::string> apps;
   // Workload scale; <= 0 uses each app's test-friendly scale 1.
   int scale = 1;
-  // Worker threads draining the job queue; values < 1 mean 1. The
-  // report and journal are byte-identical for every value.
+  // Worker threads; each claims one application at a time and runs all
+  // of its jobs, so at most one worker works on an app and no more
+  // workers than apps are started. Values < 1 mean 1. The report and
+  // journal are byte-identical for every value.
   int jobs = 1;
   // Per-job wall-clock deadline covering all attempts and the backoff
   // sleeps between them; <= 0 disables.
@@ -125,11 +127,11 @@ struct JobResult {
   std::string detail;       // first error message, or ""
 };
 
-// Run counts of one sweep's shared per-app work. Out of band, like
-// ExploreReport::notes: never rendered or journaled.
+// Run counts of one sweep's per-app work, summed over the apps. Out of
+// band, like ExploreReport::notes: never rendered or journaled.
 struct ExploreStats {
-  int baselines_built = 0;  // app stages run; a discarded duplicate counts
-  int resims_run = 0;       // line-15 re-simulations run on shared baselines
+  int baselines_built = 0;  // app stages built; a build that threw does not count
+  int resims_run = 0;       // line-15 re-simulations run on the baselines
   int resims_reused = 0;    // line-15 re-simulations served from the memo
 };
 

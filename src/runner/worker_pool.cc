@@ -4,17 +4,17 @@
 
 namespace lopass::runner {
 
-WorkerPool::WorkerPool(int workers, std::size_t jobs,
-                       std::function<void(std::size_t)> job)
-    : jobs_(jobs), job_(std::move(job)) {
+WorkerPool::WorkerPool(int workers, std::size_t items,
+                       std::function<void(std::size_t)> work)
+    : items_(items), work_(std::move(work)) {
   const int n = std::max(1, workers);
   threads_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     threads_.emplace_back([this] {
       while (true) {
         const std::size_t index = next_.fetch_add(1, std::memory_order_relaxed);
-        if (index >= jobs_) return;
-        job_(index);
+        if (index >= items_) return;
+        work_(index);
       }
     });
   }

@@ -698,6 +698,25 @@ TEST(SharedBaseline, AppStageFaultsKeepTheirColdEffect) {
     EXPECT_TRUE(hot.degraded());
     ExpectSameResult(cold, hot);
   }
+  // A real app-stage failure is no fault: a starved initial run throws
+  // from the build itself, with the cold run's permanent error.
+  PartitionOptions starved;
+  starved.max_sim_instrs = 10;
+  const Partitioner failing(p.module, p.regions, starved);
+  std::string cold_error;
+  try {
+    (void)failing.Run(w);
+    ADD_FAILURE() << "the cold run should throw";
+  } catch (const Error& e) {
+    cold_error = e.what();
+  }
+  try {
+    (void)failing.BuildBaseline(w);
+    ADD_FAILURE() << "the build should throw";
+  } catch (const Error& e) {
+    EXPECT_FALSE(fault::IsTransient(e));
+    EXPECT_EQ(std::string(e.what()), cold_error);
+  }
 }
 
 TEST(SharedBaseline, AFailedReSimulationIsNotMemoized) {

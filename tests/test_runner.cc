@@ -2,8 +2,7 @@
 // (truncation, bit flips, duplicates), cooperative cancellation, and
 // the retry / circuit-breaker / chaos supervision loop — including the
 // contract the crash tests lean on: a resumed or chaos run renders a
-// report byte-identical to a clean one — and the per-app cache a sweep
-// shares its compiles and partitioner baselines through.
+// report byte-identical to a clean one.
 
 #include <gtest/gtest.h>
 
@@ -19,8 +18,6 @@
 #include "common/cancel.h"
 #include "common/fault.h"
 #include "common/prng.h"
-#include "core/partitioner.h"
-#include "runner/app_cache.h"
 #include "runner/explore.h"
 #include "runner/journal.h"
 
@@ -341,63 +338,6 @@ TEST(TransientClassificationTest, OnlyInjectedFaultsAreTransient) {
   EXPECT_FALSE(fault::IsTransient(Error("resource set provides no resource for mul")));
   EXPECT_TRUE(fault::IsTransientMessage("schedule failed: injected fault at site 'x'"));
   EXPECT_FALSE(fault::IsTransientMessage("schedule failed: no resource for mul"));
-}
-
-// --- the per-app cache ------------------------------------------------
-
-core::PartitionOptions JobOptions(const apps::Application& app, const CancelToken* cancel) {
-  core::PartitionOptions options = app.options;
-  options.resource_sets = {app.options.resource_sets.front()};
-  options.cancel = cancel;
-  return options;
-}
-
-TEST(AppCacheTest, ABuildThatThrowsIsNotCached) {
-  const apps::Application app = apps::GetApplication("engine");
-  AppCache cache;
-  const std::shared_ptr<const AppCache::Compiled> compiled = cache.Compile(app);
-  ASSERT_TRUE(compiled->program.has_value());
-  EXPECT_EQ(cache.Compile(app), compiled);
-  const dsl::LoweredProgram& prog = *compiled->program;
-
-  CancelToken fired;
-  fired.Cancel();
-  const core::Partitioner cancelled(prog.module, prog.regions, JobOptions(app, &fired));
-  EXPECT_THROW((void)cache.Baseline(app, cancelled, 1), CancelledError);
-  core::PartitionOptions starved = JobOptions(app, nullptr);
-  starved.max_sim_instrs = 10;
-  const core::Partitioner failing(prog.module, prog.regions, starved);
-  EXPECT_THROW((void)cache.Baseline(app, failing, 1), Error);
-  EXPECT_EQ(cache.Stats().baselines_built, 0);
-
-  // The next job builds the baseline, and the one after reuses it.
-  const core::Partitioner clean(prog.module, prog.regions, JobOptions(app, nullptr));
-  const std::shared_ptr<const core::AppBaseline> built = cache.Baseline(app, clean, 1);
-  EXPECT_EQ(cache.Stats().baselines_built, 1);
-  EXPECT_EQ(cache.Baseline(app, clean, 1), built);
-  EXPECT_EQ(cache.Stats().baselines_built, 1);
-}
-
-TEST(AppCacheTest, AJobsInjectedFaultNeverReachesTheCachedBaseline) {
-  // The build runs masked, so the job's profile fault fires in Run, on
-  // the job's own hit; the baseline it left behind serves the next job
-  // exactly as a cold run would.
-  const apps::Application app = apps::GetApplication("engine");
-  AppCache cache;
-  const dsl::LoweredProgram& prog = *cache.Compile(app)->program;
-  const core::Partitioner part(prog.module, prog.regions, JobOptions(app, nullptr));
-  {
-    const fault::JobScope scope("profile:1");
-    EXPECT_THROW((void)part.Run(*cache.Baseline(app, part, 1)), InjectedFault);
-    EXPECT_EQ(fault::HitCount("profile"), 1u);
-  }
-  const core::PartitionResult next = part.Run(*cache.Baseline(app, part, 1));
-  EXPECT_EQ(cache.Stats().baselines_built, 1);
-  const core::PartitionResult cold = part.Run(app.workload(1));
-  EXPECT_FALSE(next.degraded());
-  EXPECT_EQ(next.ToRow(app.name).saving_percent(), cold.ToRow(app.name).saving_percent());
-  EXPECT_EQ(next.ToRow(app.name).time_change_percent(),
-            cold.ToRow(app.name).time_change_percent());
 }
 
 // --- the supervision loop --------------------------------------------

@@ -204,19 +204,21 @@ TEST(ParallelJournalTest, ConcurrentProducersNeverTearRecords) {
 
 // --- the headline identities ------------------------------------------
 
-ExploreOptions EngineSweep() {
+// The four cheapest applications: a worker claims a whole app, so a
+// sweep needs several apps to keep several workers busy at once.
+ExploreOptions FourAppSweep() {
   ExploreOptions options;
-  options.apps = {"engine"};
+  options.apps = {"3d", "engine", "trick", "digs"};
   options.scale = 1;
   return options;
 }
 
 TEST(ParallelExploreTest, ReportIsIdenticalAcrossWorkerCounts) {
-  ExploreOptions sequential = EngineSweep();
+  ExploreOptions sequential = FourAppSweep();
   const ExploreReport baseline = RunExplore(sequential);
-  ASSERT_EQ(baseline.jobs.size(), 4u);
+  ASSERT_EQ(baseline.jobs.size(), 16u);
   for (const int jobs : {2, 4, 8}) {
-    ExploreOptions parallel = EngineSweep();
+    ExploreOptions parallel = FourAppSweep();
     parallel.jobs = jobs;
     const ExploreReport report = RunExplore(parallel);
     EXPECT_EQ(report.Render(), baseline.Render()) << "--jobs " << jobs;
@@ -236,7 +238,7 @@ TEST(ParallelExploreTest, JournalBytesAreIdenticalAcrossWorkerCounts) {
   const std::string seq_path = TempPath("parallel_journal_seq.jsonl");
   const std::string par_path = TempPath("parallel_journal_par.jsonl");
   for (const std::uint64_t chaos_seed : {0ull, 7ull, 99ull}) {
-    ExploreOptions sequential = EngineSweep();
+    ExploreOptions sequential = FourAppSweep();
     sequential.chaos = chaos_seed != 0;
     sequential.chaos_seed = chaos_seed;
     sequential.retry.max_attempts = 4;
@@ -259,38 +261,38 @@ TEST(ParallelExploreTest, EachAppStageAndPartitionRunsOncePerSweep) {
   // Six apps x four sets: one baseline per app, and one line-15
   // re-simulation per distinct partition — 15 jobs select a partition,
   // 7 of them distinct (MPG's rs-tiny, rs-small and rs-medium select
-  // the same cluster with the same I/O words). With eight workers a
-  // miss may be computed twice in parallel, never more than once per
-  // job, and the journal stays byte-identical.
+  // the same cluster with the same I/O words). A worker owns a whole
+  // app, so the counts are exact at every worker count, and the
+  // journal stays byte-identical.
   const std::string seq_path = TempPath("stats_seq.jsonl");
   const std::string par_path = TempPath("stats_par.jsonl");
+  const auto expect_exact_counts = [](const ExploreReport& report, int jobs) {
+    EXPECT_EQ(report.stats.baselines_built, 6) << "--jobs " << jobs;
+    EXPECT_EQ(report.stats.resims_run, 7) << "--jobs " << jobs;
+    EXPECT_EQ(report.stats.resims_reused, 8) << "--jobs " << jobs;
+  };
   ExploreOptions sequential;
   sequential.journal_path = seq_path;
   const ExploreReport a = RunExplore(sequential);
   ASSERT_EQ(a.jobs.size(), 24u);
-  EXPECT_EQ(a.stats.baselines_built, 6);
-  EXPECT_EQ(a.stats.resims_run, 7);
-  EXPECT_EQ(a.stats.resims_run + a.stats.resims_reused, 15);
-
-  ExploreOptions parallel = sequential;
-  parallel.journal_path = par_path;
-  parallel.jobs = 8;
-  const ExploreReport b = RunExplore(parallel);
-  EXPECT_GE(b.stats.baselines_built, 6);
-  EXPECT_LE(b.stats.baselines_built, 24);
-  EXPECT_GE(b.stats.resims_run, 7);
-  EXPECT_LE(b.stats.resims_run, 15);
-  EXPECT_EQ(b.stats.resims_run + b.stats.resims_reused, 15);
-  EXPECT_EQ(a.Render(), b.Render());
-  EXPECT_EQ(ReadFile(seq_path), ReadFile(par_path));
+  expect_exact_counts(a, 1);
+  for (const int jobs : {2, 4, 8}) {
+    ExploreOptions parallel = sequential;
+    parallel.journal_path = par_path;
+    parallel.jobs = jobs;
+    const ExploreReport b = RunExplore(parallel);
+    expect_exact_counts(b, jobs);
+    EXPECT_EQ(a.Render(), b.Render()) << "--jobs " << jobs;
+    EXPECT_EQ(ReadFile(seq_path), ReadFile(par_path)) << "--jobs " << jobs;
+  }
   std::remove(seq_path.c_str());
   std::remove(par_path.c_str());
 }
 
 TEST(ParallelExploreTest, ChaosUnderParallelismMatchesTheCleanSequentialRun) {
-  const ExploreReport clean = RunExplore(EngineSweep());
+  const ExploreReport clean = RunExplore(FourAppSweep());
   for (const std::uint64_t chaos_seed : {7ull, 99ull}) {
-    ExploreOptions options = EngineSweep();
+    ExploreOptions options = FourAppSweep();
     options.jobs = 4;
     options.chaos = true;
     options.chaos_seed = chaos_seed;
@@ -305,11 +307,11 @@ TEST(ParallelExploreTest, ChaosUnderParallelismMatchesTheCleanSequentialRun) {
 
 TEST(ParallelExploreTest, ResumeOfAParallelSweepIsByteIdentical) {
   const std::string path = TempPath("parallel_resume.jsonl");
-  ExploreOptions options = EngineSweep();
+  ExploreOptions options = FourAppSweep();
   options.journal_path = path;
   options.jobs = 4;
   const ExploreReport full = RunExplore(options);
-  ASSERT_EQ(full.jobs.size(), 4u);
+  ASSERT_EQ(full.jobs.size(), 16u);
 
   // Keep the first two committed lines — in-order commit guarantees
   // they are jobs 0 and 1 even though 4 workers raced — then resume
@@ -324,18 +326,18 @@ TEST(ParallelExploreTest, ResumeOfAParallelSweepIsByteIdentical) {
   resume.resume = true;
   resume.jobs = 8;
   const ExploreReport resumed = RunExplore(resume);
-  ASSERT_EQ(resumed.jobs.size(), 4u);
+  ASSERT_EQ(resumed.jobs.size(), 16u);
   EXPECT_TRUE(resumed.jobs[0].replayed);
   EXPECT_TRUE(resumed.jobs[1].replayed);
   EXPECT_FALSE(resumed.jobs[2].replayed);
   EXPECT_EQ(resumed.Render(), full.Render());
-  EXPECT_EQ(LoadJournal(path).records.size(), 4u);
+  EXPECT_EQ(LoadJournal(path).records.size(), 16u);
   std::remove(path.c_str());
 }
 
 TEST(ParallelExploreTest, AFailedJournalAppendEndsTheSweep) {
   // /dev/full opens fine and fails every write, so the first commit
-  // throws. From then on workers must claim no new job: only the jobs
+  // throws. From then on workers must start no new job: only the jobs
   // already in flight reach the profiler, far fewer than the 24 of the
   // whole sweep. The armed-but-unreachable spec just counts the hits.
   if (!std::ifstream("/dev/full")) GTEST_SKIP() << "no /dev/full";

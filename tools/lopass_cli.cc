@@ -31,8 +31,9 @@
 //     --resume JOURNAL        resume: replay committed records, run the rest
 //     --apps A,B,...          applications to sweep (default: all six)
 //     --scale N               workload scale (default 1)
-//     --jobs N                worker threads draining the job queue
-//                             (default 1; report stays byte-identical)
+//     --jobs N                worker threads, each running one application
+//                             at a time (default 1; report stays
+//                             byte-identical)
 //     --deadline-ms N         per-job wall-clock deadline covering all
 //                             attempts and backoff sleeps (0 = none)
 //     --retries N             attempts per job incl. the first (default 3)
