@@ -102,7 +102,7 @@ void BM_ListSchedulerScaling(benchmark::State& state) {
   }
   state.counters["ops"] = static_cast<double>(dfg.size());
 }
-BENCHMARK(BM_ListSchedulerScaling)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_ListSchedulerScaling)->Arg(16)->Arg(64)->Arg(256)->Arg(820);
 
 void BM_PartitionerEndToEnd(benchmark::State& state) {
   const apps::Application app = apps::GetApplication("3d");

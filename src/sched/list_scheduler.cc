@@ -1,6 +1,8 @@
 #include "sched/list_scheduler.h"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 
 #include "common/error.h"
 #include "common/fault.h"
@@ -30,6 +32,39 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
     busy_until[static_cast<std::size_t>(t)].assign(
         static_cast<std::size_t>(std::max(0, rs.count[static_cast<std::size_t>(t)])), 0);
   }
+  auto free_instance = [&](ResourceType t, std::uint32_t step) -> std::uint32_t* {
+    for (std::uint32_t& until : busy_until[static_cast<std::size_t>(t)]) {
+      if (until <= step) return &until;
+    }
+    return nullptr;
+  };
+
+  // Candidate types, computed once per opcode. Nodes with the same
+  // candidate list share a class (the opcode switch yields at most
+  // seven). Every op is checked here, so an unschedulable block names
+  // its lowest-index offending op.
+  std::vector<std::vector<ResourceType>> class_types;
+  std::array<int, 256> class_of_opcode;
+  class_of_opcode.fill(-1);
+  std::vector<std::size_t> class_of(dfg.size());
+  for (std::size_t n = 0; n < dfg.size(); ++n) {
+    const ir::Opcode op = dfg.nodes[n].op;
+    int& c = class_of_opcode[static_cast<std::size_t>(op)];
+    if (c < 0) {
+      const std::vector<ResourceType> candidates = CandidateResources(op);
+      LOPASS_CHECK(!candidates.empty(),
+                   std::string("operation not HW-mappable: ") + ir::OpcodeName(op));
+      const bool provided = std::any_of(candidates.begin(), candidates.end(), [&](ResourceType t) {
+        return !busy_until[static_cast<std::size_t>(t)].empty();
+      });
+      LOPASS_CHECK(provided, std::string("resource set '") + rs.name +
+                                 "' provides no resource for " + ir::OpcodeName(op));
+      c = static_cast<int>(std::find(class_types.begin(), class_types.end(), candidates) -
+                           class_types.begin());
+      if (c == static_cast<int>(class_types.size())) class_types.push_back(candidates);
+    }
+    class_of[n] = static_cast<std::size_t>(c);
+  }
 
   // Priority key: depth (default) or negated mobility (least slack
   // first).
@@ -42,16 +77,16 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
   } else {
     for (std::size_t n = 0; n < dfg.size(); ++n) priority[n] = dfg.nodes[n].depth;
   }
+  // Highest priority first; ties by program order.
+  auto before = [&](std::size_t a, std::size_t b) {
+    if (priority[a] != priority[b]) return priority[a] > priority[b];
+    return a < b;
+  };
+  auto heap_order = [&](std::size_t a, std::size_t b) { return before(b, a); };
 
-  std::vector<int> unscheduled_preds(dfg.size());
   // Combinational delay accumulated within an op's final control step
   // (for chaining).
   std::vector<double> chain_delay(dfg.size(), 0.0);
-  std::vector<std::size_t> ready;
-  for (std::size_t n = 0; n < dfg.size(); ++n) {
-    unscheduled_preds[n] = static_cast<int>(dfg.nodes[n].preds.size());
-    if (unscheduled_preds[n] == 0) ready.push_back(n);
-  }
 
   // Checks whether node n may start at `step`, given scheduled preds.
   // Returns the accumulated chain delay at n's step, or a negative
@@ -72,86 +107,100 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
     return total;
   };
 
+  // Ready structures. `waiting` is a min-heap of (data-ready step,
+  // node); `ready[c]` is class c's heap of data-ready ops, best first;
+  // `just_ready` lists, in order, the ops whose last predecessor was
+  // placed in the current step.
+  std::vector<std::pair<std::uint32_t, std::size_t>> waiting;
+  std::vector<std::vector<std::size_t>> ready(class_types.size());
+  std::vector<std::size_t> just_ready;
+  std::vector<int> unscheduled_preds(dfg.size());
+  for (std::size_t n = 0; n < dfg.size(); ++n) {
+    unscheduled_preds[n] = static_cast<int>(dfg.nodes[n].preds.size());
+    if (unscheduled_preds[n] == 0) waiting.emplace_back(0, n);
+  }
+  std::make_heap(waiting.begin(), waiting.end(), std::greater<>());
+
   std::size_t remaining = dfg.size();
-  std::uint32_t step = 0;
   std::uint32_t makespan = 0;
 
-  while (remaining > 0) {
+  // Places n on its first candidate type that admits it at `step` and
+  // has a free instance, and releases its successors. False if none.
+  auto try_place = [&](std::size_t n, std::uint32_t step) -> bool {
+    for (ResourceType t : class_types[class_of[n]]) {
+      const double delay_ok = admissible(n, step, lib.spec(t).min_cycle_time.seconds);
+      // Data not ready, or the chain would exceed the period with this
+      // (slower) resource — a faster candidate might still fit.
+      if (delay_ok < 0.0) continue;
+      std::uint32_t* inst = free_instance(t, step);
+      if (inst == nullptr) continue;
+      const Cycles lat = lib.spec(t).op_latency;
+      *inst = step + static_cast<std::uint32_t>(lat);
+      ScheduledOp& so = sched.ops[n];
+      so.node = n;
+      so.step = step;
+      so.type = t;
+      so.latency = lat;
+      chain_delay[n] = delay_ok;
+      if (delay_ok > lib.spec(t).min_cycle_time.seconds) ++sched.chained_ops;
+      makespan = std::max(makespan, step + static_cast<std::uint32_t>(lat));
+      --remaining;
+      for (std::size_t s : dfg.nodes[n].succs) {
+        if (--unscheduled_preds[s] == 0) just_ready.push_back(s);
+      }
+      return true;
+    }
+    return false;
+  };
+
+  for (std::uint32_t step = 0; remaining > 0; ++step) {
     CheckCancel(options.cancel, "list schedule");
     LOPASS_CHECK(step < 4'000'000,
                  "list scheduler iteration cap (4000000 steps) exceeded without "
                  "scheduling every op (resource set too small or cyclic DFG?)");
-    // Highest priority first; ties by program order.
-    std::sort(ready.begin(), ready.end(), [&](std::size_t a, std::size_t b) {
-      if (priority[a] != priority[b]) return priority[a] > priority[b];
-      return a < b;
-    });
-
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      std::vector<std::size_t> next_ready;
-      for (std::size_t n : ready) {
-        const auto candidates = CandidateResources(dfg.nodes[n].op);
-        LOPASS_CHECK(!candidates.empty(),
-                     std::string("operation not HW-mappable: ") +
-                         ir::OpcodeName(dfg.nodes[n].op));
-        bool placed = false;
-        for (ResourceType t : candidates) {
-          const double delay_ok =
-              admissible(n, step, lib.spec(t).min_cycle_time.seconds);
-          // Data not ready, or the chain would exceed the period with
-          // this (slower) resource — a faster candidate might still fit.
-          if (delay_ok < 0.0) continue;
-          auto& inst = busy_until[static_cast<std::size_t>(t)];
-          for (std::uint32_t i = 0; i < inst.size(); ++i) {
-            if (inst[i] <= step) {
-              const Cycles lat = lib.spec(t).op_latency;
-              inst[i] = step + static_cast<std::uint32_t>(lat);
-              ScheduledOp& so = sched.ops[n];
-              so.node = n;
-              so.step = step;
-              so.type = t;
-              so.latency = lat;
-              chain_delay[n] = delay_ok;
-              if (delay_ok > lib.spec(t).min_cycle_time.seconds) ++sched.chained_ops;
-              makespan = std::max(makespan, step + static_cast<std::uint32_t>(lat));
-              placed = true;
-              break;
-            }
-          }
-          if (placed) break;
-        }
-        if (!placed) {
-          // Either data not ready, no free instance, or the set lacks
-          // every candidate type (a configuration error).
-          bool feasible = false;
-          for (ResourceType t : candidates) {
-            if (!busy_until[static_cast<std::size_t>(t)].empty()) feasible = true;
-          }
-          LOPASS_CHECK(feasible, std::string("resource set '") + rs.name +
-                                     "' provides no resource for " +
-                                     ir::OpcodeName(dfg.nodes[n].op));
-          next_ready.push_back(n);
-          continue;
-        }
-        --remaining;
-        for (std::size_t s : dfg.nodes[n].succs) {
-          if (--unscheduled_preds[s] == 0) {
-            // With chaining the successor may be schedulable in this
-            // very step: put it in the current working set.
-            next_ready.push_back(s);
-            progressed = true;
-          }
-        }
-      }
-      ready = std::move(next_ready);
-      // With chaining enabled, newly readied successors may issue in
-      // the same step; loop again. Without chaining, one pass suffices
-      // because admissible() rejects same-step dependents.
-      if (!options.enable_chaining) break;
+    while (!waiting.empty() && waiting.front().first <= step) {
+      std::pop_heap(waiting.begin(), waiting.end(), std::greater<>());
+      auto& heap = ready[class_of[waiting.back().second]];
+      heap.push_back(waiting.back().second);
+      std::push_heap(heap.begin(), heap.end(), heap_order);
+      waiting.pop_back();
     }
-    ++step;
+
+    // Issue the best data-ready op among the classes with a free
+    // instance of some candidate type, until no such class is left.
+    for (;;) {
+      std::vector<std::size_t>* best = nullptr;
+      for (std::size_t c = 0; c < ready.size(); ++c) {
+        if (ready[c].empty()) continue;
+        if (best != nullptr && !before(ready[c].front(), best->front())) continue;
+        const bool has_free = std::any_of(
+            class_types[c].begin(), class_types[c].end(),
+            [&](ResourceType t) { return free_instance(t, step) != nullptr; });
+        if (has_free) best = &ready[c];
+      }
+      if (best == nullptr) break;
+      std::pop_heap(best->begin(), best->end(), heap_order);
+      const std::size_t n = best->back();
+      best->pop_back();
+      const bool placed = try_place(n, step);
+      LOPASS_CHECK(placed, "a data-ready op found no free instance");
+    }
+
+    // With chaining, ops made ready in this step may issue in it too:
+    // each is tried once, in the order it became ready. The rest wait
+    // until their last predecessor's result is registered.
+    for (std::size_t i = 0; i < just_ready.size(); ++i) {
+      const std::size_t n = just_ready[i];
+      if (options.enable_chaining && try_place(n, step)) continue;
+      std::uint32_t data_ready = 0;
+      for (std::size_t p : dfg.nodes[n].preds) {
+        data_ready = std::max(
+            data_ready, sched.ops[p].step + static_cast<std::uint32_t>(sched.ops[p].latency));
+      }
+      waiting.emplace_back(data_ready, n);
+      std::push_heap(waiting.begin(), waiting.end(), std::greater<>());
+    }
+    just_ready.clear();
   }
 
   sched.num_steps = std::max(makespan, 1u);

@@ -116,12 +116,48 @@ TEST(ListScheduler, MultiCycleLatencyRespected) {
   ValidateSchedule(g, s, OneOfEach());
 }
 
+// The Error text of scheduling g under rs; empty if it does not throw.
+std::string ScheduleError(const BlockDfg& g, const ResourceSet& rs) {
+  try {
+    ListSchedule(g, rs, TechLibrary::Cmos6());
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(ListScheduler, ThrowsWhenNoResourceForOp) {
   const BlockDfg g = HotDfg("func main(a) { return a * a; }", 1);
   ResourceSet rs;
   rs.name = "no-mult";
   rs.set(ResourceType::kAlu, 1).set(ResourceType::kAdder, 1);
   EXPECT_THROW(ListSchedule(g, rs, TechLibrary::Cmos6()), Error);
+  EXPECT_NE(ScheduleError(g, rs).find("resource set 'no-mult' provides no resource for mul"),
+            std::string::npos)
+      << ScheduleError(g, rs);
+}
+
+TEST(ListScheduler, UnschedulableBlockNamesItsLowestIndexOp) {
+  // The mul comes first in program order, but the div heads a longer
+  // chain and so has the higher priority. The check runs over the ops
+  // in program order before any is placed, so the mul is named.
+  const BlockDfg g = HotDfg("func main(a, b) { return a * b + (((a / b) + 1) + 2); }", 5);
+  std::size_t mul = g.size();
+  std::size_t div = g.size();
+  for (std::size_t n = 0; n < g.size(); ++n) {
+    if (g.nodes[n].op == ir::Opcode::kMul) mul = n;
+    if (g.nodes[n].op == ir::Opcode::kDiv) div = n;
+  }
+  ASSERT_LT(mul, div);
+  ASSERT_LT(div, g.size());
+  ASSERT_GT(g.nodes[div].depth, g.nodes[mul].depth);
+  ResourceSet rs;
+  rs.name = "no-mul-div";
+  rs.set(ResourceType::kAlu, 1).set(ResourceType::kAdder, 1);
+  const std::string what = ScheduleError(g, rs);
+  EXPECT_NE(what.find("resource set 'no-mul-div' provides no resource for mul"),
+            std::string::npos)
+      << what;
 }
 
 TEST(ListScheduler, PrefersSmallerResource) {
