@@ -54,10 +54,10 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
       const std::vector<ResourceType> candidates = CandidateResources(op);
       LOPASS_CHECK(!candidates.empty(),
                    std::string("operation not HW-mappable: ") + ir::OpcodeName(op));
-      const bool provided = std::any_of(candidates.begin(), candidates.end(), [&](ResourceType t) {
+      const bool feasible = std::any_of(candidates.begin(), candidates.end(), [&](ResourceType t) {
         return !busy_until[static_cast<std::size_t>(t)].empty();
       });
-      LOPASS_CHECK(provided, std::string("resource set '") + rs.name +
+      LOPASS_CHECK(feasible, std::string("resource set '") + rs.name +
                                  "' provides no resource for " + ir::OpcodeName(op));
       c = static_cast<int>(std::find(class_types.begin(), class_types.end(), candidates) -
                            class_types.begin());
