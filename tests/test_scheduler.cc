@@ -131,10 +131,9 @@ TEST(ListScheduler, ThrowsWhenNoResourceForOp) {
   ResourceSet rs;
   rs.name = "no-mult";
   rs.set(ResourceType::kAlu, 1).set(ResourceType::kAdder, 1);
-  EXPECT_THROW(ListSchedule(g, rs, TechLibrary::Cmos6()), Error);
-  EXPECT_NE(ScheduleError(g, rs).find("resource set 'no-mult' provides no resource for mul"),
-            std::string::npos)
-      << ScheduleError(g, rs);
+  const std::string what = ScheduleError(g, rs);
+  EXPECT_NE(what.find("resource set 'no-mult' provides no resource for mul"), std::string::npos)
+      << what;
 }
 
 TEST(ListScheduler, UnschedulableBlockNamesItsLowestIndexOp) {
