@@ -1,7 +1,7 @@
 // Infrastructure micro-benchmarks (google-benchmark): throughput of the
 // substrates the partitioner is built on — the instruction-set
-// simulator, the cache simulator, the list scheduler and the end-to-end
-// partitioning flow.
+// simulator, the cache simulator, the block-DFG builder, the list
+// scheduler and the end-to-end partitioning flow.
 
 #include <benchmark/benchmark.h>
 
@@ -80,21 +80,37 @@ void BM_CacheSim(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheSim)->Arg(1024)->Arg(8192);
 
-void BM_ListSchedulerScaling(benchmark::State& state) {
-  // Synthetic block: a long expression over array loads.
+// Synthetic block: a long expression over array loads, `terms` terms
+// of about five DFG ops each. Returns its biggest block.
+ir::BasicBlock LongExpressionBlock(std::int64_t terms) {
   std::string expr = "a";
-  for (int i = 0; i < state.range(0); ++i) {
+  for (int i = 0; i < terms; ++i) {
     expr = "(" + expr + " + m[(a + " + std::to_string(i) + ") & 255] * " +
            std::to_string(i % 9 + 1) + ")";
   }
   const dsl::LoweredProgram p =
       dsl::Compile("array m[256];\nfunc main(a) { return " + expr + "; }");
-  // Find the biggest block.
-  sched::BlockDfg dfg;
+  ir::BasicBlock biggest;
   for (const ir::BasicBlock& b : p.module.function(0).blocks) {
-    sched::BlockDfg g = sched::BuildBlockDfg(b);
-    if (g.size() > dfg.size()) dfg = std::move(g);
+    if (b.instrs.size() > biggest.instrs.size()) biggest = b;
   }
+  return biggest;
+}
+
+void BM_BuildBlockDfg(benchmark::State& state) {
+  const ir::BasicBlock block = LongExpressionBlock(state.range(0));
+  std::size_t ops = 0;
+  for (auto _ : state) {
+    const sched::BlockDfg dfg = sched::BuildBlockDfg(block);
+    ops = dfg.size();
+    benchmark::DoNotOptimize(dfg.nodes.data());
+  }
+  state.counters["ops"] = static_cast<double>(ops);
+}
+BENCHMARK(BM_BuildBlockDfg)->Arg(16)->Arg(64)->Arg(256)->Arg(820);
+
+void BM_ListSchedulerScaling(benchmark::State& state) {
+  const sched::BlockDfg dfg = sched::BuildBlockDfg(LongExpressionBlock(state.range(0)));
   const auto sets = sched::DefaultDesignerSets();
   for (auto _ : state) {
     benchmark::DoNotOptimize(

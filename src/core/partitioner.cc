@@ -53,23 +53,25 @@ struct Accepted {
   double geq = 0.0;
 };
 
-// A cluster's blocks list-scheduled under one resource set (Fig. 1
-// line 8). Under include_interconnect the winner's copy is what its
-// datapath is built from (line 14), so no block is scheduled twice.
+// A pre-selected cluster's blocks list-scheduled under one resource set
+// (Fig. 1 line 8). The DFGs are the baseline's; only the schedules
+// belong to this pairing. Under include_interconnect the winner's copy
+// is what its datapath is built from (line 14), so no block is
+// scheduled twice.
 struct ClusterSchedule {
-  std::vector<sched::BlockDfg> dfgs;
+  const std::vector<sched::BlockDfg>* dfgs = nullptr;
   std::vector<sched::BlockSchedule> schedules;
 
   // The scheduled blocks weighted by their #ex_times, the entries the
-  // initial run profiled. The pointers are valid while this
-  // ClusterSchedule lives.
+  // initial run profiled. The pointers are valid while the baseline and
+  // this ClusterSchedule live.
   std::vector<asic::ScheduledBlock> Blocks(const Cluster& c,
                                            const iss::SimResult& initial_run) const {
     std::vector<asic::ScheduledBlock> blocks;
-    blocks.reserve(dfgs.size());
-    for (std::size_t i = 0; i < dfgs.size(); ++i) {
+    blocks.reserve(schedules.size());
+    for (std::size_t i = 0; i < schedules.size(); ++i) {
       blocks.push_back(asic::ScheduledBlock{
-          &dfgs[i], &schedules[i],
+          &(*dfgs)[i], &schedules[i],
           initial_run.block_cost(c.blocks[i].first, c.blocks[i].second).entries});
     }
     return blocks;
@@ -78,14 +80,13 @@ struct ClusterSchedule {
 
 // Throws Error when the set cannot implement some operation of the
 // cluster (e.g. no multiplier for a mul-heavy block).
-ClusterSchedule ScheduleCluster(const FlowInputs& in, const Cluster& c,
+ClusterSchedule ScheduleCluster(const FlowInputs& in, const PreselectedCluster& p,
                                 const sched::ResourceSet& rs) {
   ClusterSchedule cs;
-  cs.dfgs.reserve(c.blocks.size());
-  cs.schedules.reserve(c.blocks.size());
-  for (const auto& [fn, b] : c.blocks) {
-    cs.dfgs.push_back(sched::BuildBlockDfg(in.module.function(fn).block(b)));
-    cs.schedules.push_back(sched::ListSchedule(cs.dfgs.back(), rs, in.lib, in.sched_opts));
+  cs.dfgs = &p.dfgs;
+  cs.schedules.reserve(p.dfgs.size());
+  for (const sched::BlockDfg& dfg : p.dfgs) {
+    cs.schedules.push_back(sched::ListSchedule(dfg, rs, in.lib, in.sched_opts));
   }
   return cs;
 }
@@ -100,9 +101,10 @@ struct Candidate {
 
 // Fig. 1 lines 8-13 for one pairing. Self-check findings go to
 // `diagnostics`; an injected fault or a cancellation propagates.
-Candidate EvaluateCandidate(const FlowInputs& in, const Cluster& c,
+Candidate EvaluateCandidate(const FlowInputs& in, const PreselectedCluster& p,
                             const sched::ResourceSet& rs, const Accepted& accepted,
                             std::vector<Diagnostic>& diagnostics) {
+  const Cluster& c = *p.cluster;
   const PartitionOptions& options = in.options;
   const iss::SimResult& initial = in.initial_run;
   Candidate cand;
@@ -117,7 +119,7 @@ Candidate EvaluateCandidate(const FlowInputs& in, const Cluster& c,
   // A resource set that cannot implement some operation makes this
   // pairing infeasible.
   try {
-    cand.schedule = ScheduleCluster(in, c, rs);
+    cand.schedule = ScheduleCluster(in, p, rs);
   } catch (const InjectedFault&) {
     throw;  // injected faults must reach the per-cluster isolation layer
   } catch (const CancelledError&) {
@@ -134,7 +136,7 @@ Candidate EvaluateCandidate(const FlowInputs& in, const Cluster& c,
   if (options.self_check) {
     DiagnosticSink sc;
     for (std::size_t i = 0; i < c.blocks.size(); ++i) {
-      sched::ValidateSchedule(cs.dfgs[i], cs.schedules[i], rs, in.lib, sc,
+      sched::ValidateSchedule((*cs.dfgs)[i], cs.schedules[i], rs, in.lib, sc,
                               options.scheduler.enable_chaining,
                               "cluster '" + c.label + "', block " +
                                   std::to_string(i) + ", set '" + rs.name + "'");
@@ -416,7 +418,16 @@ std::shared_ptr<AppBaseline> Partitioner::BuildBaseline(const Workload& workload
   if (static_cast<int>(ranked.size()) > options_.max_preselect) {
     ranked.resize(static_cast<std::size_t>(options_.max_preselect));
   }
-  for (const Ranked& r : ranked) b->ranked.push_back(r.cluster);
+  // The DFGs every resource set schedules. A build failure throws: a
+  // baseline never holds one.
+  for (const Ranked& r : ranked) {
+    PreselectedCluster& p = b->ranked.emplace_back();
+    p.cluster = r.cluster;
+    p.dfgs.reserve(r.cluster->blocks.size());
+    for (const auto& [fn, block] : r.cluster->blocks) {
+      p.dfgs.push_back(sched::BuildBlockDfg(module_.function(fn).block(block)));
+    }
+  }
   return b;
 }
 
@@ -487,8 +498,8 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
 
   for (int round = 0; round < options_.max_hw_clusters; ++round) {
     std::optional<Candidate> best;
-    for (const Cluster* candidate : b.ranked) {
-      const Cluster& c = *candidate;
+    for (const PreselectedCluster& p : b.ranked) {
+      const Cluster& c = *p.cluster;
       if (accepted.ids.count(c.id) || accepted.chain_pos.count(c.chain_pos)) continue;
       for (const sched::ResourceSet& rs : options_.resource_sets) {
         Candidate cand;
@@ -498,7 +509,7 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
         // and, worst case, falls back to the all-software baseline.
         CheckCancel(options_.cancel, "partitioner (candidate evaluation)");
         try {
-          cand = EvaluateCandidate(in, c, rs, accepted, result.diagnostics);
+          cand = EvaluateCandidate(in, p, rs, accepted, result.diagnostics);
         } catch (const CancelledError&) {
           throw;  // a fired deadline would cancel every remaining
                   // candidate too — abort instead of flooding diagnostics

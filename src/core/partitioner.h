@@ -39,6 +39,7 @@
 #include "core/workload.h"
 #include "dsl/lower.h"
 #include "iss/simulator.h"
+#include "sched/dfg.h"
 #include "sched/resource_set.h"
 
 namespace lopass::core {
@@ -192,18 +193,27 @@ class ResimMemo {
   mutable int reused_ = 0;
 };
 
+// A pre-selected cluster (Fig. 1 line 5) with the DFGs of its blocks,
+// in `cluster->blocks` order. A block DFG depends on the block alone,
+// so every resource set schedules these same graphs.
+struct PreselectedCluster {
+  const Cluster* cluster = nullptr;  // points into AppBaseline::chain
+  std::vector<sched::BlockDfg> dfgs;
+};
+
 // The steps of Fig. 1 that read the application, never the resource
 // sets: the SL32 program, the initial whole-system run (whose block
 // entries are the profiled #ex_times), decomposition (line 2), transfer
-// energy (lines 3-4) and the ranked pre-selection (line 5).
-// Partitioner::Run(const AppBaseline&) runs lines 6-15 on it, so one
-// baseline serves every resource set of an application.
+// energy (lines 3-4), the ranked pre-selection (line 5) and the block
+// DFGs of the pre-selected clusters. Partitioner::Run(const
+// AppBaseline&) runs lines 6-15 on it, so one baseline serves every
+// resource set of an application, and Run never builds a DFG.
 //
 // A baseline fits any Partitioner over the same module, regions,
 // library, µP model, workload and PartitionOptions, except that
 // resource_sets, prng_seed and cancel may differ. It is immutable once
 // built except for its internally locked re-simulation memo, so threads
-// may share one.
+// may share one: the DFGs are only read after the build.
 struct AppBaseline {
   const ir::Module* module = nullptr;
   Workload workload;
@@ -217,8 +227,8 @@ struct AppBaseline {
   std::vector<Diagnostic> chain_findings;
   // Reads `chain`; null when decomposition failed.
   std::unique_ptr<BusTrafficAnalyzer> traffic;
-  // Pre-selected clusters, best benefit first (points into `chain`).
-  std::vector<const Cluster*> ranked;
+  // Pre-selected clusters, best benefit first.
+  std::vector<PreselectedCluster> ranked;
   mutable ResimMemo resims;
 };
 
@@ -245,7 +255,8 @@ class Partitioner {
   // hits the profile, sim and alloc sites instead, so every run hits
   // each once whether it built its baseline or shares one, and a
   // baseline never holds an injected failure. Throws CancelledError or
-  // Error when the initial simulation fails.
+  // Error when the initial simulation or a block DFG build fails, so no
+  // failed baseline is ever kept.
   std::shared_ptr<AppBaseline> BuildBaseline(const Workload& workload) const;
 
   const PartitionOptions& options() const { return options_; }

@@ -1,7 +1,8 @@
 #include "sched/dfg.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
+#include <cstdint>
 
 #include "common/error.h"
 
@@ -21,104 +22,156 @@ bool IsRegisterTransfer(ir::Opcode op) {
   }
 }
 
+namespace {
+
+// Gives each distinct id (a vreg or a symbol) a dense slot 0, 1, ... in
+// the order first added, through a flat open-addressed table sized to
+// the block, so no cost depends on how many ids the module has.
+class DenseIds {
+ public:
+  explicit DenseIds(std::size_t max_ids)
+      : bits_(static_cast<int>(std::bit_width(std::max<std::size_t>(2 * max_ids, 8) - 1))),
+        table_(std::size_t{1} << bits_) {}
+
+  // The slot of `id`, or -1 if it was never added.
+  std::int32_t Find(std::int32_t id) const {
+    for (std::size_t k = Home(id);; k = (k + 1) & (table_.size() - 1)) {
+      if (table_[k].slot < 0 || table_[k].id == id) return table_[k].slot;
+    }
+  }
+
+  std::int32_t Add(std::int32_t id) {
+    for (std::size_t k = Home(id);; k = (k + 1) & (table_.size() - 1)) {
+      if (table_[k].slot < 0) table_[k] = Entry{id, size_++};
+      if (table_[k].id == id) return table_[k].slot;
+    }
+  }
+
+ private:
+  struct Entry {
+    std::int32_t id = 0;
+    std::int32_t slot = -1;
+  };
+  std::size_t Home(std::int32_t id) const {
+    return (static_cast<std::uint32_t>(id) * 0x9e3779b1u) >> (32 - bits_);
+  }
+
+  int bits_;  // log2 of the table size
+  std::vector<Entry> table_;
+  std::int32_t size_ = 0;
+};
+
+bool UsesSymbolSlot(Opcode op) {
+  return op == Opcode::kReadVar || op == Opcode::kWriteVar || op == Opcode::kLoadElem ||
+         op == Opcode::kStoreElem;
+}
+
+}  // namespace
+
 BlockDfg BuildBlockDfg(const ir::BasicBlock& block) {
   const std::size_t n = block.instrs.size();
+  constexpr std::int32_t kNone = -1;
 
-  // Determines whether instruction i becomes a DFG node.
-  auto is_node = [&](std::size_t i) {
-    const ir::Instr& in = block.instrs[i];
-    return !ir::IsTerminator(in.op) && !IsRegisterTransfer(in.op);
+  // Per instruction: its node, or kNone for a register transfer or the
+  // terminator; and for a register transfer, the range of `forwarded`
+  // holding the nodes it stands for (its contracted producers), as
+  // instruction indices.
+  std::vector<std::int32_t> node_of(n, kNone);
+  struct Range {
+    std::size_t begin = 0, end = 0;
   };
+  std::vector<Range> forwards(n);
+  std::vector<std::int32_t> forwarded;
 
-  // effective_sources[i]: the DFG-visible producers instruction i
-  // forwards (for register-transfer instrs) or depends on (for nodes).
-  // Computed in program order; register-transfer instructions are
-  // contracted by inheriting their producers' effective sources.
-  std::vector<std::vector<std::size_t>> fwd(n);  // instr -> producing instr indices
-  std::unordered_map<ir::VregId, std::size_t> def_of;       // vreg -> instr
-  std::unordered_map<ir::SymbolId, std::size_t> var_value;  // scalar -> producing instr
-  std::unordered_map<ir::SymbolId, std::size_t> last_array_store;
-  std::unordered_map<ir::SymbolId, std::vector<std::size_t>> array_loads_since_store;
+  // Per vreg slot: the defining instruction. Per symbol slot: the
+  // writevar holding the scalar's value, the last store to the array,
+  // and the newest of the loads since that store (a list threaded
+  // through `loads`).
+  DenseIds vregs(n), syms(n);
+  std::vector<std::int32_t> def_of(n, kNone), var_value(n, kNone), last_store(n, kNone),
+      newest_load(n, kNone);
+  struct Load {
+    std::int32_t instr, older;
+  };
+  std::vector<Load> loads;
 
-  // Resolves one producing instruction to DFG-visible sources.
-  auto sources_of_instr = [&](std::size_t p, std::vector<std::size_t>& out) {
-    if (is_node(p)) {
-      out.push_back(p);
+  // The DFG-visible producers of the current instruction, as
+  // instruction indices.
+  std::vector<std::int32_t> srcs;
+  auto add_producer = [&](std::int32_t p) {
+    if (node_of[p] != kNone) {
+      srcs.push_back(p);
     } else {
-      out.insert(out.end(), fwd[p].begin(), fwd[p].end());
+      const Range r = forwards[p];
+      srcs.insert(srcs.end(), forwarded.begin() + r.begin, forwarded.begin() + r.end);
     }
   };
 
+  // Sized up front: baselines keep their DFGs, so no slack capacity.
   BlockDfg g;
-  std::vector<int> node_of(n, -1);
-  std::vector<std::vector<std::size_t>> node_srcs(n);
-
+  g.nodes.reserve(static_cast<std::size_t>(
+      std::count_if(block.instrs.begin(), block.instrs.end(), [](const ir::Instr& in) {
+        return !ir::IsTerminator(in.op) && !IsRegisterTransfer(in.op);
+      })));
   for (std::size_t i = 0; i < n; ++i) {
     const ir::Instr& in = block.instrs[i];
-    std::vector<std::size_t> srcs;
+    if (ir::IsTerminator(in.op)) continue;
+    const auto self = static_cast<std::int32_t>(i);
+    srcs.clear();
     for (const ir::Operand& a : in.args) {
       if (!a.is_vreg()) continue;
-      auto it = def_of.find(a.vreg);
-      if (it != def_of.end()) sources_of_instr(it->second, srcs);
+      const std::int32_t v = vregs.Find(a.vreg);
+      if (v != kNone) add_producer(def_of[v]);
     }
-    if (in.op == Opcode::kReadVar) {
-      // Value written earlier in this block flows through.
-      auto it = var_value.find(in.sym);
-      if (it != var_value.end()) sources_of_instr(it->second, srcs);
+    const std::int32_t s = UsesSymbolSlot(in.op) ? syms.Add(in.sym) : kNone;
+    switch (in.op) {
+      case Opcode::kReadVar:
+        // A value written earlier in this block flows through.
+        if (var_value[s] != kNone) add_producer(var_value[s]);
+        break;
+      case Opcode::kLoadElem:
+        // Array ordering (memory-port ops stay scheduled).
+        if (last_store[s] != kNone) srcs.push_back(last_store[s]);
+        loads.push_back(Load{self, newest_load[s]});
+        newest_load[s] = static_cast<std::int32_t>(loads.size() - 1);
+        break;
+      case Opcode::kStoreElem:
+        if (last_store[s] != kNone) srcs.push_back(last_store[s]);
+        for (std::int32_t k = newest_load[s]; k != kNone; k = loads[k].older) {
+          srcs.push_back(loads[k].instr);
+        }
+        newest_load[s] = kNone;
+        last_store[s] = self;
+        break;
+      default:
+        break;
     }
-    if (in.op == Opcode::kWriteVar && !in.args.empty() && in.args[0].is_imm()) {
-      // Immediate store: no producers.
-    }
-
-    if (IsRegisterTransfer(in.op)) {
-      // Contracted: remember what it forwards.
-      std::sort(srcs.begin(), srcs.end());
-      srcs.erase(std::unique(srcs.begin(), srcs.end()), srcs.end());
-      fwd[i] = srcs;
-      if (in.op == Opcode::kWriteVar) var_value[in.sym] = i;
-      if (in.result != ir::kNoVreg) def_of[in.result] = i;
-      continue;
-    }
-    if (ir::IsTerminator(in.op)) continue;
-
-    // Array ordering dependencies (memory-port ops stay scheduled).
-    if (in.op == Opcode::kLoadElem) {
-      auto it = last_array_store.find(in.sym);
-      if (it != last_array_store.end()) srcs.push_back(it->second);
-      array_loads_since_store[in.sym].push_back(i);
-    } else if (in.op == Opcode::kStoreElem) {
-      auto it = last_array_store.find(in.sym);
-      if (it != last_array_store.end()) srcs.push_back(it->second);
-      for (std::size_t ln : array_loads_since_store[in.sym]) srcs.push_back(ln);
-      array_loads_since_store[in.sym].clear();
-      last_array_store[in.sym] = i;
-    }
-
     std::sort(srcs.begin(), srcs.end());
     srcs.erase(std::unique(srcs.begin(), srcs.end()), srcs.end());
 
-    DfgNode node;
-    node.instr_index = i;
-    node.op = in.op;
-    node_of[i] = static_cast<int>(g.nodes.size());
-    node_srcs[i] = std::move(srcs);
-    g.nodes.push_back(std::move(node));
-    if (in.result != ir::kNoVreg) def_of[in.result] = i;
-  }
-
-  // Wire edges.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (node_of[i] < 0) continue;
-    const std::size_t to = static_cast<std::size_t>(node_of[i]);
-    for (std::size_t src : node_srcs[i]) {
-      LOPASS_CHECK(node_of[src] >= 0, "DFG source is not a node");
-      const std::size_t from = static_cast<std::size_t>(node_of[src]);
-      if (from == to) continue;
-      auto& succs = g.nodes[from].succs;
-      if (std::find(succs.begin(), succs.end(), to) != succs.end()) continue;
-      succs.push_back(to);
-      g.nodes[to].preds.push_back(from);
+    if (IsRegisterTransfer(in.op)) {
+      // Contracted: remember what it forwards.
+      forwards[i] = Range{forwarded.size(), forwarded.size() + srcs.size()};
+      forwarded.insert(forwarded.end(), srcs.begin(), srcs.end());
+      if (in.op == Opcode::kWriteVar) var_value[s] = self;
+    } else {
+      // Every source is an earlier node, so each edge is new and every
+      // succs list grows in node order.
+      const std::size_t to = g.nodes.size();
+      DfgNode node;
+      node.instr_index = i;
+      node.op = in.op;
+      node.preds.reserve(srcs.size());
+      for (std::int32_t src : srcs) {
+        LOPASS_CHECK(node_of[src] != kNone, "DFG source is not a node");
+        const auto from = static_cast<std::size_t>(node_of[src]);
+        node.preds.push_back(from);
+        g.nodes[from].succs.push_back(to);
+      }
+      node_of[i] = static_cast<std::int32_t>(to);
+      g.nodes.push_back(std::move(node));
     }
+    if (in.result != ir::kNoVreg) def_of[vregs.Add(in.result)] = self;
   }
 
   // Longest path to sink (scheduling priority), reverse topological

@@ -36,6 +36,11 @@ struct BlockDfg {
 //  * def->use on virtual registers (through contracted copies),
 //  * conservative ordering between stores and loads/stores on the same
 //    array symbol (memory-port operations stay in the DFG).
+// One pass in program order, linear in the block: vreg and symbol ids
+// are compacted per block, so no cost depends on the module's size.
+// Each node's preds and each node's succs are in ascending node order.
+// The DFG depends on the block alone; core::AppBaseline builds one per
+// pre-selected block and every resource set schedules it.
 BlockDfg BuildBlockDfg(const ir::BasicBlock& block);
 
 // True for opcodes realized by the register file / interconnect rather

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <span>
 #include <utility>
 
 #include "common/error.h"
@@ -43,7 +44,10 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
   // candidate list share a class (the opcode switch yields at most
   // seven). Every op is checked here, so an unschedulable block names
   // its lowest-index offending op.
-  std::vector<std::vector<ResourceType>> class_types;
+  // Both checks are configuration outcomes (a block with a call, a set
+  // without a multiplier), not internal invariants: they throw a plain
+  // Error whose text names the op.
+  std::vector<std::span<const ResourceType>> class_types;
   std::array<int, 256> class_of_opcode;
   class_of_opcode.fill(-1);
   std::vector<std::size_t> class_of(dfg.size());
@@ -51,15 +55,21 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
     const ir::Opcode op = dfg.nodes[n].op;
     int& c = class_of_opcode[static_cast<std::size_t>(op)];
     if (c < 0) {
-      const std::vector<ResourceType> candidates = CandidateResources(op);
-      LOPASS_CHECK(!candidates.empty(),
-                   std::string("operation not HW-mappable: ") + ir::OpcodeName(op));
+      const std::span<const ResourceType> candidates = CandidateResources(op);
+      if (candidates.empty()) {
+        throw Error(std::string("operation not HW-mappable: ") + ir::OpcodeName(op));
+      }
       const bool feasible = std::any_of(candidates.begin(), candidates.end(), [&](ResourceType t) {
         return !busy_until[static_cast<std::size_t>(t)].empty();
       });
-      LOPASS_CHECK(feasible, std::string("resource set '") + rs.name +
-                                 "' provides no resource for " + ir::OpcodeName(op));
-      c = static_cast<int>(std::find(class_types.begin(), class_types.end(), candidates) -
+      if (!feasible) {
+        throw Error(std::string("resource set '") + rs.name + "' provides no resource for " +
+                    ir::OpcodeName(op));
+      }
+      c = static_cast<int>(std::find_if(class_types.begin(), class_types.end(),
+                                        [&](std::span<const ResourceType> types) {
+                                          return std::ranges::equal(types, candidates);
+                                        }) -
                            class_types.begin());
       if (c == static_cast<int>(class_types.size())) class_types.push_back(candidates);
     }

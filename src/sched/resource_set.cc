@@ -13,42 +13,50 @@ double ResourceSet::BudgetGeq(const power::TechLibrary& lib) const {
   return geq;
 }
 
-std::vector<ResourceType> CandidateResources(ir::Opcode op) {
+std::span<const ResourceType> CandidateResources(ir::Opcode op) {
   using ir::Opcode;
+  // An adder is smaller than a full ALU; prefer it.
+  static constexpr ResourceType kAdditive[] = {ResourceType::kAdder, ResourceType::kAlu};
+  static constexpr ResourceType kLogic[] = {ResourceType::kAlu};
+  // A comparison is a subtraction plus flag logic: it can execute on a
+  // dedicated comparator, a plain adder, or the ALU.
+  static constexpr ResourceType kCompare[] = {ResourceType::kComparator, ResourceType::kAdder,
+                                              ResourceType::kAlu};
+  static constexpr ResourceType kShift[] = {ResourceType::kShifter};
+  static constexpr ResourceType kMultiply[] = {ResourceType::kMultiplier};
+  static constexpr ResourceType kDivide[] = {ResourceType::kDivider};
+  static constexpr ResourceType kMemory[] = {ResourceType::kMemoryPort};
   switch (op) {
     case Opcode::kAdd:
     case Opcode::kSub:
     case Opcode::kNeg:
-      // An adder is smaller than a full ALU; prefer it.
-      return {ResourceType::kAdder, ResourceType::kAlu};
+      return kAdditive;
     case Opcode::kAnd:
     case Opcode::kOr:
     case Opcode::kXor:
     case Opcode::kNot:
     case Opcode::kMin:
     case Opcode::kMax:
-      return {ResourceType::kAlu};
+      return kLogic;
     case Opcode::kCmpEq:
     case Opcode::kCmpNe:
     case Opcode::kCmpLt:
     case Opcode::kCmpLe:
     case Opcode::kCmpGt:
     case Opcode::kCmpGe:
-      // A comparison is a subtraction plus flag logic: it can execute
-      // on a dedicated comparator, a plain adder, or the ALU.
-      return {ResourceType::kComparator, ResourceType::kAdder, ResourceType::kAlu};
+      return kCompare;
     case Opcode::kShl:
     case Opcode::kShr:
     case Opcode::kSar:
-      return {ResourceType::kShifter};
+      return kShift;
     case Opcode::kMul:
-      return {ResourceType::kMultiplier};
+      return kMultiply;
     case Opcode::kDiv:
     case Opcode::kMod:
-      return {ResourceType::kDivider};
+      return kDivide;
     case Opcode::kLoadElem:
     case Opcode::kStoreElem:
-      return {ResourceType::kMemoryPort};
+      return kMemory;
     case Opcode::kConst:
     case Opcode::kMov:
     case Opcode::kReadVar:

@@ -10,6 +10,7 @@
 // such reference sets; applications may supply their own.
 
 #include <array>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,8 +38,9 @@ struct ResourceSet {
 // increasing size ("sorted according to the increasing size of a
 // resource", Fig. 4 line 5) so that the smallest / most energy
 // efficient candidate is preferred. Terminators and calls return an
-// empty list (handled by the controller / not HW-mappable).
-std::vector<power::ResourceType> CandidateResources(ir::Opcode op);
+// empty list (handled by the controller / not HW-mappable). The span
+// views a static table.
+std::span<const power::ResourceType> CandidateResources(ir::Opcode op);
 
 // 4 reference sets modeled after past designs, small to large.
 std::vector<ResourceSet> DefaultDesignerSets();

@@ -428,7 +428,9 @@ TEST(Hotspots, SharesSumAndOrder) {
   // shadow function clusters are absent here).
   double cycle_total = 0.0;
   for (std::size_t i = 0; i < hs.size(); ++i) {
-    if (i) EXPECT_LE(hs[i].energy.joules, hs[i - 1].energy.joules);
+    if (i) {
+      EXPECT_LE(hs[i].energy.joules, hs[i - 1].energy.joules);
+    }
     EXPECT_GE(hs[i].cycle_share, 0.0);
     EXPECT_LE(hs[i].cycle_share, 1.0);
     if (hs[i].cluster_id < r.chain.chain_length) cycle_total += hs[i].cycle_share;
@@ -717,6 +719,44 @@ TEST(SharedBaseline, AppStageFaultsKeepTheirColdEffect) {
     EXPECT_FALSE(fault::IsTransient(e));
     EXPECT_EQ(std::string(e.what()), cold_error);
   }
+}
+
+TEST(SharedBaseline, HoldsThePreselectedBlockDfgsThatRunSchedules) {
+  const dsl::LoweredProgram p = dsl::Compile(kHotCold);
+  const Workload w = HotColdWorkload();
+  const Partitioner part(p.module, p.regions);
+  const std::shared_ptr<AppBaseline> b = part.BuildBaseline(w);
+  ASSERT_FALSE(b->ranked.empty());
+  for (const PreselectedCluster& r : b->ranked) {
+    SCOPED_TRACE(r.cluster->label);
+    ASSERT_EQ(r.dfgs.size(), r.cluster->blocks.size());
+    for (std::size_t i = 0; i < r.dfgs.size(); ++i) {
+      const auto [fn, block] = r.cluster->blocks[i];
+      const sched::BlockDfg fresh = sched::BuildBlockDfg(p.module.function(fn).block(block));
+      ASSERT_EQ(r.dfgs[i].size(), fresh.size());
+      for (std::size_t n = 0; n < fresh.size(); ++n) {
+        EXPECT_EQ(r.dfgs[i].nodes[n].instr_index, fresh.nodes[n].instr_index);
+        EXPECT_EQ(r.dfgs[i].nodes[n].preds, fresh.nodes[n].preds);
+        EXPECT_EQ(r.dfgs[i].nodes[n].succs, fresh.nodes[n].succs);
+        EXPECT_EQ(r.dfgs[i].nodes[n].depth, fresh.nodes[n].depth);
+      }
+    }
+  }
+  // Resource instances bound over all evaluations.
+  auto instances = [](const PartitionResult& r) {
+    std::size_t total = 0;
+    for (const ClusterEvaluation& ev : r.evaluations) total += ev.util.instance_util.size();
+    return total;
+  };
+  EXPECT_GT(instances(part.Run(*b)), 0u);
+  // Emptied DFGs leave no op to bind: Run reads the baseline's graphs
+  // and builds none of its own.
+  for (PreselectedCluster& r : b->ranked) {
+    for (sched::BlockDfg& g : r.dfgs) g = sched::BlockDfg{};
+  }
+  const PartitionResult emptied = part.Run(*b);
+  EXPECT_FALSE(emptied.evaluations.empty());
+  EXPECT_EQ(instances(emptied), 0u);
 }
 
 TEST(SharedBaseline, AFailedReSimulationIsNotMemoized) {

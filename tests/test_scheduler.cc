@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "common/prng.h"
@@ -157,6 +160,28 @@ TEST(ListScheduler, UnschedulableBlockNamesItsLowestIndexOp) {
   EXPECT_NE(what.find("resource set 'no-mul-div' provides no resource for mul"),
             std::string::npos)
       << what;
+}
+
+TEST(ListScheduler, ConfigurationErrorsAreNotInvariantViolations) {
+  // A set without a needed resource and an op no resource implements
+  // are outcomes of the configuration: the text names the op, with no
+  // invariant prefix or source location.
+  ResourceSet no_mult;
+  no_mult.name = "no-mult";
+  no_mult.set(ResourceType::kAlu, 1).set(ResourceType::kAdder, 1);
+  BlockDfg call;
+  call.nodes.resize(1);
+  call.nodes[0].op = ir::Opcode::kCall;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {ScheduleError(HotDfg("func main(a) { return a * a; }", 1), no_mult),
+       "resource set 'no-mult' provides no resource for mul"},
+      {ScheduleError(call, DefaultDesignerSets().back()), "operation not HW-mappable: call"},
+  };
+  for (const auto& [what, want] : cases) {
+    EXPECT_EQ(what, want);
+    EXPECT_EQ(what.find("internal invariant"), std::string::npos) << what;
+    EXPECT_EQ(what.find("list_scheduler.cc"), std::string::npos) << what;
+  }
 }
 
 TEST(ListScheduler, PrefersSmallerResource) {
