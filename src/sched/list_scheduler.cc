@@ -43,10 +43,9 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
   // Candidate types, computed once per opcode. Nodes with the same
   // candidate list share a class (the opcode switch yields at most
   // seven). Every op is checked here, so an unschedulable block names
-  // its lowest-index offending op.
-  // Both checks are configuration outcomes (a block with a call, a set
-  // without a multiplier), not internal invariants: they throw a plain
-  // Error whose text names the op.
+  // its lowest-index offending op. Both checks are configuration
+  // outcomes (a block with a call, a set without a multiplier), not
+  // internal invariants, so they throw a plain Error.
   std::vector<std::span<const ResourceType>> class_types;
   std::array<int, 256> class_of_opcode;
   class_of_opcode.fill(-1);

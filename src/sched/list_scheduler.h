@@ -56,7 +56,7 @@ struct SchedulerOptions {
   const CancelToken* cancel = nullptr;
 };
 
-// Schedules one block DFG under the resource set. Throws if an
+// Schedules one block DFG under the resource set. Throws Error if an
 // operation has no candidate resource (calls inside clusters must be
 // filtered out by the caller) or the resource set provides none of the
 // op's candidate types; the message names the lowest-index such op.
