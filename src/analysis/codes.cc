@@ -81,9 +81,6 @@ const std::vector<CodeInfo>& AllCodes() {
        "num_steps must equal the schedule's makespan"},
       {"L404", Severity::kError, "op latency/resource inconsistent with the library",
        "latency must come from the library spec of an admissible resource type"},
-      {"L405", Severity::kError, "force-directed schedule invalid",
-       "FDS must respect precedence, its latency budget and report a "
-       "peak-covering allocation"},
 
       // --- L5xx: netlist / datapath / Verilog -----------------------
       {"L500", Severity::kError, "combinational loop through chained units",

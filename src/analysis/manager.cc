@@ -16,9 +16,9 @@
 #include "core/dataflow.h"
 #include "core/partition_check.h"
 #include "dsl/lower.h"
+#include "iss/simulator.h"
 #include "power/tech_library.h"
 #include "sched/dfg.h"
-#include "sched/force_directed.h"
 #include "sched/list_scheduler.h"
 #include "sched/resource_set.h"
 #include "sched/validate.h"
@@ -78,7 +78,7 @@ void DrivePartitionChecks(const dsl::LoweredProgram& prog, const std::string& en
   }
   core::ValidateClusterChain(module, chain, sink);
 
-  const core::BusTrafficAnalyzer traffic(module, chain, lib, 256 * 1024);
+  const core::BusTrafficAnalyzer traffic(module, chain, lib, iss::SystemConfig{}.memory_bytes);
   core::ValidateGenUse(module, chain, traffic, sink);
 
   const std::vector<sched::ResourceSet> sets = sched::DefaultDesignerSets();
@@ -96,20 +96,6 @@ void DrivePartitionChecks(const dsl::LoweredProgram& prog, const std::string& en
     std::deque<sched::BlockDfg> dfgs;
     for (const auto& [fn, bid] : c.blocks) {
       dfgs.push_back(sched::BuildBlockDfg(module.function(fn).block(bid)));
-    }
-
-    // Force-directed schedules are resource-set independent.
-    for (std::size_t i = 0; i < dfgs.size(); ++i) {
-      if (dfgs[i].size() == 0) continue;
-      try {
-        const sched::FdsSchedule fds = sched::ForceDirectedSchedule(dfgs[i], lib, 0);
-        sched::ValidateFdsSchedule(dfgs[i], fds, lib, sink,
-                                   cluster_str + ", block " + std::to_string(i) +
-                                       " (force-directed)");
-      } catch (const Error& e) {
-        sink.AddNote("analysis.pipeline",
-                     cluster_str + ": force-directed scheduling skipped: " + e.what());
-      }
     }
 
     for (const sched::ResourceSet& rs : sets) {

@@ -7,8 +7,8 @@
 // LintProgram exercises every stage the partitioner would run, purely
 // statically (no workload, no simulation): frontend + IR verification
 // (L1xx), dataflow lints (L2xx), cluster decomposition + partition
-// invariants (L3xx), list/force-directed scheduling of every hardware
-// candidate across the designer resource sets + schedule validation
+// invariants (L3xx), list scheduling of every hardware candidate
+// across the designer resource sets + schedule validation
 // (L4xx), and utilization/datapath/Verilog synthesis + netlist lints
 // (L5xx). A defect anywhere in the pipeline comes back as one
 // diagnostic with a stable L-code in a single pass.

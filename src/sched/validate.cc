@@ -165,63 +165,4 @@ bool ValidateSchedule(const BlockDfg& dfg, const BlockSchedule& sched,
   return rep.errors() == 0;
 }
 
-bool ValidateFdsSchedule(const BlockDfg& dfg, const FdsSchedule& sched,
-                         const power::TechLibrary& lib, DiagnosticSink& sink,
-                         const std::string& where) {
-  Reporter rep(sink, where);
-  if (sched.step.size() != dfg.size() || sched.type.size() != dfg.size()) {
-    std::ostringstream os;
-    os << "FDS schedule covers " << sched.step.size() << "/" << sched.type.size()
-       << " nodes but the DFG has " << dfg.size();
-    rep.Add("L405", os.str());
-    return false;
-  }
-
-  std::uint32_t makespan = 0;
-  for (std::size_t n = 0; n < dfg.size(); ++n) {
-    const std::uint32_t lat =
-        static_cast<std::uint32_t>(lib.spec(sched.type[n]).op_latency);
-    makespan = std::max(makespan, sched.step[n] + lat);
-    for (std::size_t p : dfg.nodes[n].preds) {
-      const std::uint32_t pfinish =
-          sched.step[p] + static_cast<std::uint32_t>(lib.spec(sched.type[p]).op_latency);
-      if (sched.step[n] < pfinish) {
-        std::ostringstream os;
-        os << NodeStr(n, dfg) << " starts at step " << sched.step[n]
-           << " before predecessor " << NodeStr(p, dfg) << " finishes at step " << pfinish;
-        rep.Add("L405", os.str());
-      }
-    }
-  }
-  if (dfg.size() > 0 && makespan > sched.latency) {
-    std::ostringstream os;
-    os << "FDS makespan " << makespan << " exceeds the latency budget " << sched.latency;
-    rep.Add("L405", os.str());
-  }
-
-  // The reported allocation must cover the actual peak concurrency —
-  // it is what the ablation benchmarks cost hardware by.
-  for (int t = 0; t < power::kNumResourceTypes; ++t) {
-    const ResourceType type = static_cast<ResourceType>(t);
-    std::vector<int> occupancy(makespan, 0);
-    int peak = 0;
-    for (std::size_t n = 0; n < dfg.size(); ++n) {
-      if (sched.type[n] != type) continue;
-      const std::uint32_t lat =
-          static_cast<std::uint32_t>(lib.spec(type).op_latency);
-      for (std::uint32_t s = sched.step[n]; s < sched.step[n] + lat && s < makespan; ++s) {
-        peak = std::max(peak, ++occupancy[s]);
-      }
-    }
-    if (peak > sched.allocation[static_cast<std::size_t>(t)]) {
-      std::ostringstream os;
-      os << "FDS allocation lists " << sched.allocation[static_cast<std::size_t>(t)] << " "
-         << power::ResourceTypeName(type) << " units but peak concurrency is " << peak;
-      rep.Add("L405", os.str());
-    }
-  }
-
-  return rep.errors() == 0;
-}
-
 }  // namespace lopass::sched

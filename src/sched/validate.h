@@ -1,8 +1,7 @@
 #pragma once
 
 // Post-scheduling validators (L4xx) — independent re-checks that a
-// schedule produced by the list scheduler or the force-directed
-// scheduler respects the DFG's precedence constraints and never
+// list schedule respects the DFG's precedence constraints and never
 // oversubscribes the designer's resource set in any control step.
 //
 // Run from the partitioner when PartitionOptions::self_check is on and
@@ -12,7 +11,6 @@
 #include <string>
 
 #include "common/diag.h"
-#include "sched/force_directed.h"
 #include "sched/list_scheduler.h"
 
 namespace lopass::sched {
@@ -34,12 +32,5 @@ bool ValidateSchedule(const BlockDfg& dfg, const BlockSchedule& sched,
                       const ResourceSet& rs, const power::TechLibrary& lib,
                       DiagnosticSink& sink, bool chaining_enabled = false,
                       const std::string& where = {});
-
-// Validates a force-directed schedule (L405): makespan within the
-// latency budget, precedence respected (FDS never chains), and the
-// reported per-type allocation covering the actual peak concurrency.
-bool ValidateFdsSchedule(const BlockDfg& dfg, const FdsSchedule& sched,
-                         const power::TechLibrary& lib, DiagnosticSink& sink,
-                         const std::string& where = {});
 
 }  // namespace lopass::sched

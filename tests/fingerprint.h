@@ -3,7 +3,8 @@
 // Helpers shared by the pinned-fingerprint tests
 // (test_schedule_fingerprint, test_dfg_fingerprint): a 64-bit FNV-1a
 // hash, the `name hex` fixture format under LOPASS_TEST_DATA_DIR, and
-// the generated straight-line blocks of about 3K operations both pin.
+// the generated straight-line blocks of about 3K operations both pin
+// (test_analysis lints the same blocks).
 
 #include <gtest/gtest.h>
 

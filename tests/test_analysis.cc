@@ -23,10 +23,12 @@
 #include "asic/utilization.h"
 #include "asic/verilog.h"
 #include "common/diag.h"
+#include "common/prng.h"
 #include "core/cluster.h"
 #include "core/dataflow.h"
 #include "core/partition_check.h"
 #include "dsl/lower.h"
+#include "fingerprint.h"
 #include "power/tech_library.h"
 #include "sched/dfg.h"
 #include "sched/list_scheduler.h"
@@ -302,6 +304,23 @@ TEST(PartitionCheck, FlippedCandidateFlagIsL306) {
   DiagnosticSink sink;
   EXPECT_FALSE(core::ValidateClusterChain(cc.prog.module, cc.chain, sink));
   EXPECT_TRUE(SinkHas(sink, "L306"));
+}
+
+// ---------------------------------------------------------------------
+// The whole-pipeline drive on a generated ~3K-op loop body: lint runs
+// only the stages the flow runs, so a block this size lints in
+// milliseconds (the ctest TIMEOUT catches a drive that grows
+// super-linearly again).
+
+TEST(LintDrive, GeneratedBigBlockLintsClean) {
+  for (int mix = 0; mix < 3; ++mix) {
+    Prng rng(static_cast<std::uint64_t>(mix) + 1000);
+    const analysis::LintReport r = Lint(fingerprint::BigBlockSource(rng, 900, mix));
+    EXPECT_EQ(r.errors, 0u) << "mix " << mix;
+    for (const Diagnostic& d : r.diagnostics) {
+      EXPECT_EQ(d.message.find("force-directed"), std::string::npos) << d.message;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "apps/app.h"
 #include "common/error.h"
+#include "core/cluster.h"
 #include "dsl/lower.h"
 #include "sched/asap_alap.h"
 #include "sched/list_scheduler.h"
@@ -23,9 +32,16 @@ BlockDfg HotDfg(const std::string& src, std::size_t min_ops) {
   return best;
 }
 
+// The one checker of an FDS schedule: it covers every node, finishes
+// within its latency budget, respects precedence (FDS never chains),
+// and its reported allocation covers each type's peak concurrency —
+// the unit counts bench_ablation_fds costs hardware by.
 void ValidateFds(const BlockDfg& g, const FdsSchedule& s,
                  const TechLibrary& lib = TechLibrary::Cmos6()) {
   ASSERT_EQ(s.step.size(), g.size());
+  ASSERT_EQ(s.type.size(), g.size());
+  std::array<std::vector<int>, power::kNumResourceTypes> occupancy;
+  for (auto& o : occupancy) o.assign(s.latency, 0);
   for (std::size_t i = 0; i < g.size(); ++i) {
     const Cycles lat = lib.spec(s.type[i]).op_latency;
     EXPECT_LE(s.step[i] + lat, s.latency) << i;
@@ -33,7 +49,38 @@ void ValidateFds(const BlockDfg& g, const FdsSchedule& s,
       const Cycles plat = lib.spec(s.type[p]).op_latency;
       EXPECT_GE(s.step[i], s.step[p] + plat) << i << " before pred " << p;
     }
+    std::vector<int>& o = occupancy[static_cast<std::size_t>(s.type[i])];
+    for (Cycles c = s.step[i]; c < s.step[i] + lat && c < s.latency; ++c) ++o[c];
   }
+  for (int t = 0; t < power::kNumResourceTypes; ++t) {
+    const std::vector<int>& o = occupancy[static_cast<std::size_t>(t)];
+    const int peak = o.empty() ? 0 : *std::max_element(o.begin(), o.end());
+    EXPECT_GE(s.allocation[static_cast<std::size_t>(t)], peak)
+        << power::ResourceTypeName(static_cast<ResourceType>(t));
+  }
+}
+
+// The non-empty blocks of every hardware-candidate cluster of `src`.
+std::vector<BlockDfg> CandidateDfgs(const std::string& src, const std::string& entry) {
+  const dsl::LoweredProgram p = dsl::Compile(src);
+  const core::ClusterChain chain = core::DecomposeIntoClusters(p.module, p.regions, entry);
+  std::vector<BlockDfg> dfgs;
+  for (const core::Cluster& c : chain.clusters) {
+    if (!c.hw_candidate) continue;
+    for (const auto& [fn, b] : c.blocks) {
+      BlockDfg g = BuildBlockDfg(p.module.function(fn).block(b));
+      if (g.size() > 0) dfgs.push_back(std::move(g));
+    }
+  }
+  return dfgs;
+}
+
+std::string ReadExample(const std::string& name) {
+  std::ifstream in(std::string(LOPASS_EXAMPLES_DIR) + "/" + name);
+  EXPECT_TRUE(in.is_open()) << name;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 TEST(ForceDirected, ChainIsForced) {
@@ -115,6 +162,27 @@ TEST(ForceDirected, MultiCycleOpsOccupyTheirSpan) {
       ForceDirectedSchedule(g, TechLibrary::Cmos6(), asap.makespan + 2);
   ValidateFds(g, s);
   EXPECT_LE(s.allocation[static_cast<int>(ResourceType::kMultiplier)], 2);
+}
+
+TEST(ForceDirected, ValidOnEveryCandidateBlockOfTheShippedPrograms) {
+  // FDS's real-program coverage (lint runs only the flow's list
+  // scheduler): every non-empty block of every hardware candidate of
+  // the six applications and the shipped examples, at critical-path
+  // latency.
+  std::vector<std::pair<std::string, std::vector<BlockDfg>>> programs;
+  for (const apps::Application& app : apps::AllApplications()) {
+    programs.emplace_back(app.name, CandidateDfgs(app.dsl_source, app.options.entry));
+  }
+  for (const char* example : {"fir.lp", "matmul.lp"}) {
+    programs.emplace_back(example, CandidateDfgs(ReadExample(example), "main"));
+  }
+  for (const auto& [name, dfgs] : programs) {
+    ASSERT_FALSE(dfgs.empty()) << name;
+    for (std::size_t i = 0; i < dfgs.size(); ++i) {
+      SCOPED_TRACE(name + ", block " + std::to_string(i));
+      ValidateFds(dfgs[i], ForceDirectedSchedule(dfgs[i], TechLibrary::Cmos6(), 0));
+    }
+  }
 }
 
 }  // namespace
