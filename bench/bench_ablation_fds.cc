@@ -12,8 +12,8 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "force_directed.h"
 #include "dsl/lower.h"
-#include "sched/force_directed.h"
 #include "sched/list_scheduler.h"
 
 int main() {

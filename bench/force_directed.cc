@@ -1,4 +1,4 @@
-#include "sched/force_directed.h"
+#include "force_directed.h"
 
 #include <algorithm>
 #include <limits>

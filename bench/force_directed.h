@@ -9,7 +9,9 @@
 // minimizing the number of functional-unit instances needed. Used here
 // as an allocation estimator — bench_ablation_fds asks whether the
 // designer resource sets the paper's flow relies on could have been
-// derived automatically at the list schedule's latency.
+// derived automatically at the list schedule's latency. The Fig. 1
+// flow only list-schedules, so this scheduler lives beside its
+// ablation, outside the `lopass` library.
 
 #include <array>
 #include <cstdint>

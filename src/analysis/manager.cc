@@ -123,7 +123,7 @@ void DrivePartitionChecks(const dsl::LoweredProgram& prog, const std::string& en
 
       try {
         const asic::UtilizationResult util = asic::ComputeUtilization(blocks, rs, lib);
-        const asic::Datapath dp = asic::BuildDatapath(blocks, util, lib);
+        const asic::Datapath dp = asic::BuildDatapath(blocks, util);
         asic::ValidateDatapath(blocks, util, dp, sink,
                                cluster_str + ", set '" + rs.name + "'");
         const asic::AsicCore core =

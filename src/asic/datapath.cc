@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 
 #include "common/error.h"
 
@@ -17,7 +16,7 @@ int UnitKey(power::ResourceType t, int instance) {
 }  // namespace
 
 Datapath BuildDatapath(const std::vector<ScheduledBlock>& blocks,
-                       const UtilizationResult& util, const power::TechLibrary& lib) {
+                       const UtilizationResult& util) {
   Datapath dp;
 
   // Unit table from the utilization result.
@@ -74,32 +73,7 @@ Datapath BuildDatapath(const std::vector<ScheduledBlock>& blocks,
     dp.mux_geq += 25.0 * extra_legs;
   }
   dp.mux_energy_per_op = Energy::from_picojoules(15.0);
-  (void)lib;
   return dp;
-}
-
-std::string Datapath::ToString(const power::TechLibrary& lib) const {
-  std::ostringstream os;
-  os << "datapath: " << units.size() << " functional units, FSM " << fsm_states
-     << " states, interconnect " << total_mux_legs << " mux legs (" << mux_geq
-     << " GEQ)\n";
-  for (const DatapathUnit& u : units) {
-    os << "  " << power::ResourceTypeName(u.type) << '#' << u.instance << "  ops="
-       << u.ops << " active=" << u.active_cycles << "cyc  inputs from {";
-    for (std::size_t i = 0; i < u.producers.size(); ++i) {
-      if (i) os << ", ";
-      if (u.producers[i] < 0) {
-        os << "regfile";
-      } else {
-        os << power::ResourceTypeName(
-                  static_cast<power::ResourceType>(u.producers[i] / 256))
-           << '#' << (u.producers[i] % 256);
-      }
-    }
-    os << "}\n";
-  }
-  (void)lib;
-  return os.str();
 }
 
 }  // namespace lopass::asic

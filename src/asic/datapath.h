@@ -6,7 +6,8 @@
 // the utilization analysis this module derives the datapath structure a
 // behavioral-synthesis backend would emit — functional-unit instances,
 // the steering logic (input multiplexers) each instance needs, and the
-// controller FSM's state count — and renders it as a readable netlist.
+// controller FSM's state count. asic::EmitVerilog (asic/verilog.h)
+// renders it as a structural netlist.
 //
 // The interconnect model also quantifies what Fig. 4's GEQ omits: every
 // distinct producer feeding an instance input adds a mux leg, costing
@@ -15,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "asic/utilization.h"
@@ -46,13 +46,11 @@ struct Datapath {
   int total_mux_legs = 0;
   double mux_geq = 0.0;      // area of the steering network
   Energy mux_energy_per_op;  // average steering energy per routed operand
-
-  std::string ToString(const power::TechLibrary& lib) const;
 };
 
 // Derives the datapath structure from a utilization/binding result and
 // the scheduled blocks it was computed from.
 Datapath BuildDatapath(const std::vector<ScheduledBlock>& blocks,
-                       const UtilizationResult& util, const power::TechLibrary& lib);
+                       const UtilizationResult& util);
 
 }  // namespace lopass::asic

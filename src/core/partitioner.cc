@@ -235,7 +235,7 @@ PartitionDecision SynthesizeWinner(const FlowInputs& in, const Cluster& c,
   const int regs = 2 + static_cast<int>(scalars.size());
   if (in.options.include_interconnect) {
     const std::vector<asic::ScheduledBlock> blocks = w.schedule.Blocks(c, in.initial_run);
-    d.datapath = asic::BuildDatapath(blocks, ev.util, in.lib);
+    d.datapath = asic::BuildDatapath(blocks, ev.util);
     if (in.options.self_check) {
       DiagnosticSink sc;
       asic::ValidateDatapath(blocks, ev.util, *d.datapath, sc,

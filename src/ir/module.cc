@@ -18,18 +18,6 @@ std::vector<BlockId> BasicBlock::successors() const {
   }
 }
 
-std::vector<std::vector<BlockId>> Function::ComputePredecessors() const {
-  std::vector<std::vector<BlockId>> preds(blocks.size());
-  for (const BasicBlock& b : blocks) {
-    for (BlockId s : b.successors()) {
-      LOPASS_CHECK(s >= 0 && static_cast<std::size_t>(s) < blocks.size(),
-                   "successor out of range");
-      preds[static_cast<std::size_t>(s)].push_back(b.id);
-    }
-  }
-  return preds;
-}
-
 SymbolId Module::AddScalar(const std::string& name, FunctionId owner) {
   Symbol s;
   s.id = static_cast<SymbolId>(symbols_.size());
@@ -157,10 +145,6 @@ VregId FunctionBuilder::Emit(Opcode op, std::vector<Operand> args, SymbolId sym)
   if (ProducesResult(op)) in.result = NewVreg();
   fn_.block(cur_).instrs.push_back(in);
   return in.result;
-}
-
-VregId FunctionBuilder::EmitConst(std::int64_t value) {
-  return Emit(Opcode::kConst, {Operand::Imm(value)});
 }
 
 VregId FunctionBuilder::EmitReadVar(SymbolId var) {

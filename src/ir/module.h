@@ -103,8 +103,6 @@ struct Function {
     LOPASS_CHECK(b >= 0 && static_cast<std::size_t>(b) < blocks.size(), "bad block id");
     return blocks[static_cast<std::size_t>(b)];
   }
-  // Predecessor lists for all blocks (index = block id).
-  std::vector<std::vector<BlockId>> ComputePredecessors() const;
 };
 
 class Module {
@@ -165,7 +163,6 @@ class FunctionBuilder {
   // Generic append; returns the result vreg (or kNoVreg).
   VregId Emit(Opcode op, std::vector<Operand> args, SymbolId sym = kNoSymbol);
 
-  VregId EmitConst(std::int64_t value);
   VregId EmitReadVar(SymbolId var);
   void EmitWriteVar(SymbolId var, Operand value);
   VregId EmitLoadElem(SymbolId array, Operand index);

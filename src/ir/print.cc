@@ -4,37 +4,19 @@
 
 namespace lopass::ir {
 
-namespace {
-
-std::string OperandStr(const Operand& a) {
-  if (a.is_imm()) return std::to_string(a.imm);
-  return "%" + std::to_string(a.vreg);
-}
-
-void PrintRegion(const RegionTree& tree, RegionId id, int indent, std::ostringstream& os) {
-  const RegionNode& n = tree.node(id);
-  os << std::string(static_cast<std::size_t>(indent) * 2, ' ') << RegionKindName(n.kind)
-     << " '" << n.label << "'";
-  if (!n.blocks.empty()) {
-    os << " blocks[";
-    for (std::size_t i = 0; i < n.blocks.size(); ++i) {
-      if (i) os << ',';
-      os << n.blocks[i];
-    }
-    os << ']';
-  }
-  os << '\n';
-  for (RegionId c : n.children) PrintRegion(tree, c, indent + 1, os);
-}
-
-}  // namespace
-
 std::string ToString(const Module& m, const Instr& in) {
   std::ostringstream os;
   if (in.result != kNoVreg) os << '%' << in.result << " = ";
   os << OpcodeName(in.op);
   if (in.sym != kNoSymbol) os << ' ' << m.symbol(in.sym).name;
-  for (const Operand& a : in.args) os << ' ' << OperandStr(a);
+  for (const Operand& a : in.args) {
+    os << ' ';
+    if (a.is_imm()) {
+      os << a.imm;
+    } else {
+      os << '%' << a.vreg;
+    }
+  }
   if (in.op == Opcode::kBr) os << " ->bb" << in.target0;
   if (in.op == Opcode::kCondBr) os << " ->bb" << in.target0 << " ->bb" << in.target1;
   return os.str();
@@ -65,12 +47,6 @@ std::string ToString(const Module& m) {
     }
   }
   for (const Function& f : m.functions()) os << ToString(m, f);
-  return os.str();
-}
-
-std::string ToString(const RegionTree& tree, FunctionId fn) {
-  std::ostringstream os;
-  PrintRegion(tree, tree.function_root(fn), 0, os);
   return os.str();
 }
 

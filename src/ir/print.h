@@ -5,13 +5,11 @@
 #include <string>
 
 #include "ir/module.h"
-#include "ir/region.h"
 
 namespace lopass::ir {
 
 std::string ToString(const Module& m);
 std::string ToString(const Module& m, const Function& f);
 std::string ToString(const Module& m, const Instr& in);
-std::string ToString(const RegionTree& tree, FunctionId fn);
 
 }  // namespace lopass::ir

@@ -297,7 +297,7 @@ class FuncCodegen {
     ResetBlockState(bb);
     for (std::size_t i = 0; i < bb.instrs.size(); ++i) {
       ExpireOldValues(i);
-      GenInstr(bb, bb.instrs[i]);
+      GenInstr(bb.instrs[i]);
     }
   }
 
@@ -307,7 +307,7 @@ class FuncCodegen {
            static_cast<std::size_t>(b) < fn_.blocks.size();
   }
 
-  void GenInstr(const ir::BasicBlock& bb, const ir::Instr& in) {
+  void GenInstr(const ir::Instr& in) {
     std::vector<int> transient;
     switch (in.op) {
       case Opcode::kConst: {
@@ -457,7 +457,6 @@ class FuncCodegen {
         break;
       }
     }
-    (void)bb;
   }
 
   // Spills every live vreg before a call (temps are caller-scratch).

@@ -1,19 +1,11 @@
 #include "isa/peephole.h"
 
 #include <algorithm>
-#include <sstream>
 #include <vector>
 
 #include "common/error.h"
 
 namespace lopass::isa {
-
-std::string PeepholeStats::ToString() const {
-  std::ostringstream os;
-  os << "self-moves=" << self_moves << " add-zero=" << add_zero
-     << " store-load=" << store_load << " jump-to-next=" << jump_to_next;
-  return os.str();
-}
 
 namespace {
 

@@ -17,7 +17,6 @@
 // identical (randomized ISS-equivalence tests assert it).
 
 #include <cstdint>
-#include <string>
 
 #include "isa/isa.h"
 
@@ -32,7 +31,6 @@ struct PeepholeStats {
   std::uint64_t total() const {
     return self_moves + add_zero + store_load + jump_to_next;
   }
-  std::string ToString() const;
 };
 
 // Rewrites `program` in place to a fixed point (at most four rounds).

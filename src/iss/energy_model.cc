@@ -50,11 +50,6 @@ const TiwariModel& TiwariModel::Sparclite() {
   return m;
 }
 
-TiwariModel& TiwariModel::set_base_energy(InstrClass c, Energy e) {
-  base_[static_cast<std::size_t>(c)] = e;
-  return *this;
-}
-
 TiwariModel& TiwariModel::set_overheads(Energy same_class, Energy switch_class) {
   for (std::size_t a = 0; a < overhead_.size(); ++a) {
     for (std::size_t b = 0; b < overhead_.size(); ++b) {
@@ -68,11 +63,6 @@ TiwariModel& TiwariModel::set_pair_overhead(isa::InstrClass a, isa::InstrClass b
                                             Energy e) {
   overhead_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] = e;
   overhead_[static_cast<std::size_t>(b)][static_cast<std::size_t>(a)] = e;
-  return *this;
-}
-
-TiwariModel& TiwariModel::set_stall_energy(Energy e) {
-  stall_ = e;
   return *this;
 }
 

@@ -58,12 +58,10 @@ class TiwariModel {
   }
 
   // Mutators for calibration / ablation.
-  TiwariModel& set_base_energy(isa::InstrClass c, Energy e);
   // Uniform overrides: same-class diagonal and all off-diagonal pairs.
   TiwariModel& set_overheads(Energy same_class, Energy switch_class);
   // One specific pair (set symmetrically).
   TiwariModel& set_pair_overhead(isa::InstrClass a, isa::InstrClass b, Energy e);
-  TiwariModel& set_stall_energy(Energy e);
 
   // Uniformly scales every energy in the model (base, overhead matrix,
   // stall) — used together with TechLibrary::ScaledTo for technology-

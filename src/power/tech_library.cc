@@ -103,12 +103,6 @@ const ResourceSpec& TechLibrary::spec(ResourceType t) const {
   return specs_[static_cast<std::size_t>(idx)];
 }
 
-Energy TechLibrary::idle_energy(ResourceType t, Cycles cycles) const {
-  const ResourceSpec& s = spec(t);
-  const Duration span{static_cast<double>(cycles) * params_.clock_period().seconds};
-  return s.average_power * span * idle_power_fraction_;
-}
-
 Energy TechLibrary::active_energy(ResourceType t, std::uint64_t ops) const {
   const ResourceSpec& s = spec(t);
   return s.energy_per_op * static_cast<double>(ops);

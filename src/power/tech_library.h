@@ -98,12 +98,6 @@ class TechLibrary {
   const ResourceSpec& spec(ResourceType t) const;
   const TechParams& params() const { return params_; }
 
-  // Energy consumed by resource `t` over `cycles` clock cycles while
-  // clocked but *not* actively used (Eq. 2's wasted-energy term for one
-  // resource). Non-gated resources burn a fixed fraction of their
-  // active power switching idly.
-  Energy idle_energy(ResourceType t, Cycles cycles) const;
-
   // Energy of `ops` active operations on resource `t` (used energy).
   Energy active_energy(ResourceType t, std::uint64_t ops) const;
 

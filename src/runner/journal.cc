@@ -35,7 +35,9 @@ std::string HexCrc(std::uint32_t crc) {
 // Finds the start of `"key":` inside a flat record, returning the
 // offset just past the colon (skipping spaces), or npos.
 std::size_t FindValue(std::string_view record, std::string_view key) {
-  const std::string needle = std::string("\"") + std::string(key) + "\":";
+  std::string needle(1, '"');
+  needle += key;
+  needle += "\":";
   const std::size_t at = record.find(needle);
   if (at == std::string_view::npos) return std::string_view::npos;
   std::size_t pos = at + needle.size();

@@ -4,15 +4,6 @@ namespace lopass::sched {
 
 using power::ResourceType;
 
-double ResourceSet::BudgetGeq(const power::TechLibrary& lib) const {
-  double geq = 0.0;
-  for (int t = 0; t < power::kNumResourceTypes; ++t) {
-    geq += count[static_cast<std::size_t>(t)] *
-           lib.spec(static_cast<ResourceType>(t)).geq;
-  }
-  return geq;
-}
-
 std::span<const ResourceType> CandidateResources(ir::Opcode op) {
   using ir::Opcode;
   // An adder is smaller than a full ALU; prefer it.

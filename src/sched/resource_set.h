@@ -30,8 +30,6 @@ struct ResourceSet {
     count[static_cast<std::size_t>(t)] = n;
     return *this;
   }
-  // Total gate-equivalents if the full budget were instantiated.
-  double BudgetGeq(const power::TechLibrary& lib) const;
 };
 
 // The resource types able to execute an IR operation, sorted by

@@ -432,7 +432,7 @@ NetlistFixture MakeNetlist() {
   n.blocks.push_back(asic::ScheduledBlock{&n.sf.dfg, &n.sf.sched, 1});
   const power::TechLibrary& lib = power::TechLibrary::Cmos6();
   n.util = asic::ComputeUtilization(n.blocks, n.sf.rs, lib);
-  n.dp = asic::BuildDatapath(n.blocks, n.util, lib);
+  n.dp = asic::BuildDatapath(n.blocks, n.util);
   return n;
 }
 

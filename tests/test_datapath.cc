@@ -50,7 +50,7 @@ sched::ResourceSet LeanSet() {
 
 TEST(Datapath, UnitsMatchUtilization) {
   Built b = Build("func main(a, c) { return a * c + (a << 1); }", LeanSet());
-  const Datapath dp = BuildDatapath(b.blocks, b.util, TechLibrary::Cmos6());
+  const Datapath dp = BuildDatapath(b.blocks, b.util);
   EXPECT_EQ(dp.units.size(), b.util.instance_util.size());
   std::uint64_t ops = 0;
   for (const DatapathUnit& u : dp.units) ops += u.ops;
@@ -63,7 +63,7 @@ TEST(Datapath, ProducerEdgesFollowDataflow) {
   // mul feeds add: the adder-class consumer lists the multiplier as a
   // producer; the mul itself reads the register file.
   Built b = Build("func main(a, c) { return a * c + 1; }", LeanSet());
-  const Datapath dp = BuildDatapath(b.blocks, b.util, TechLibrary::Cmos6());
+  const Datapath dp = BuildDatapath(b.blocks, b.util);
   const DatapathUnit* mul = nullptr;
   const DatapathUnit* add = nullptr;
   for (const DatapathUnit& u : dp.units) {
@@ -90,7 +90,7 @@ TEST(Datapath, FsmStatesCoverAllBlocks) {
       for (i = 0; i < a; i = i + 1) { s = s + i * 3; }
       return s;
     })", LeanSet());
-  const Datapath dp = BuildDatapath(b.blocks, b.util, TechLibrary::Cmos6());
+  const Datapath dp = BuildDatapath(b.blocks, b.util);
   std::uint32_t steps = 0;
   for (const ScheduledBlock& sb : b.blocks) steps += std::max(sb.schedule->num_steps, 1u);
   EXPECT_EQ(dp.fsm_states, steps + 1);
@@ -101,27 +101,17 @@ TEST(Datapath, SharedUnitAccumulatesMuxLegs) {
   // at least three distinct producers -> mux legs > 1.
   Built b = Build("func main(a, c) { return (a * c + 1) + ((a << 2) + 3) + (a + c); }",
                   LeanSet());
-  const Datapath dp = BuildDatapath(b.blocks, b.util, TechLibrary::Cmos6());
+  const Datapath dp = BuildDatapath(b.blocks, b.util);
   int max_legs = 0;
   for (const DatapathUnit& u : dp.units) max_legs = std::max(max_legs, u.mux_legs());
   EXPECT_GE(max_legs, 3);
   EXPECT_GT(dp.mux_geq, 0.0);
 }
 
-TEST(Datapath, RenderedNetlistMentionsUnits) {
-  Built b = Build("func main(a, c) { return a * c + (a / 3); }", LeanSet());
-  const Datapath dp = BuildDatapath(b.blocks, b.util, TechLibrary::Cmos6());
-  const std::string text = dp.ToString(TechLibrary::Cmos6());
-  EXPECT_NE(text.find("multiplier#0"), std::string::npos);
-  EXPECT_NE(text.find("divider#0"), std::string::npos);
-  EXPECT_NE(text.find("FSM"), std::string::npos);
-  EXPECT_NE(text.find("regfile"), std::string::npos);
-}
-
 TEST(Datapath, InterconnectCostFoldsIntoSynthesis) {
   Built b = Build("func main(a, c) { return (a * c + 1) + ((a << 2) + 3) + (a + c); }",
                   LeanSet(), 100);
-  const Datapath dp = BuildDatapath(b.blocks, b.util, TechLibrary::Cmos6());
+  const Datapath dp = BuildDatapath(b.blocks, b.util);
   const AsicCore plain = Synthesize("p", "lean", b.util, TechLibrary::Cmos6(), 8);
   const AsicCore muxed = Synthesize("m", "lean", b.util, TechLibrary::Cmos6(), 8, &dp);
   EXPECT_GT(muxed.geq, plain.geq);

@@ -81,7 +81,7 @@ TEST(IrModule, BlockSuccessors) {
   const BlockId b1 = fb.NewBlock();
   const BlockId b2 = fb.NewBlock();
   fb.SetBlock(b0);
-  const VregId c = fb.EmitConst(1);
+  const VregId c = fb.Emit(Opcode::kConst, {Operand::Imm(1)});
   fb.EmitCondBr(Operand::Vreg(c), b1, b2);
   fb.SetBlock(b1);
   fb.EmitBr(b2);
@@ -92,9 +92,6 @@ TEST(IrModule, BlockSuccessors) {
   EXPECT_EQ(fn.block(b0).successors(), (std::vector<BlockId>{b1, b2}));
   EXPECT_EQ(fn.block(b1).successors(), (std::vector<BlockId>{b2}));
   EXPECT_TRUE(fn.block(b2).successors().empty());
-
-  const auto preds = fn.ComputePredecessors();
-  EXPECT_EQ(preds[static_cast<std::size_t>(b2)].size(), 2u);
 }
 
 TEST(IrVerify, AcceptsMinimalModule) {
@@ -117,7 +114,7 @@ TEST(IrVerify, RejectsMissingTerminator) {
   FunctionBuilder fb(m, f);
   const BlockId b = fb.NewBlock();
   fb.SetBlock(b);
-  fb.EmitConst(1);  // no terminator
+  fb.Emit(Opcode::kConst, {Operand::Imm(1)});  // no terminator
   EXPECT_TRUE(HasCode(VerifyCodes(m), "L102"));
 }
 

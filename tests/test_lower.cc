@@ -84,6 +84,33 @@ TEST(Lower, IfElseRegions) {
   EXPECT_EQ(ifelse, 1);
 }
 
+TEST(Lower, IfWithoutElseRegionShape) {
+  const LoweredProgram p = Compile(R"(
+    var g = 3;
+    func main(a) {
+      var x;
+      x = a * g;
+      if (x > 10) { x = x - 1; }
+      return x;
+    })");
+  // Fixed shape: the function root holds a leading leaf, the if region
+  // and a trailing leaf; the if's one arm is a sequence holding a leaf.
+  ASSERT_EQ(p.regions.num_nodes(), 6u);
+  const ir::RegionNode& root = p.regions.node(p.regions.function_root(0));
+  EXPECT_EQ(root.kind, RegionKind::kFunction);
+  EXPECT_EQ(root.label, "func main");
+  ASSERT_EQ(root.children.size(), 3u);
+  EXPECT_EQ(p.regions.node(root.children[0]).kind, RegionKind::kLeaf);
+  EXPECT_EQ(p.regions.node(root.children[2]).kind, RegionKind::kLeaf);
+  const ir::RegionNode& if_region = p.regions.node(root.children[1]);
+  EXPECT_EQ(if_region.kind, RegionKind::kIfElse);
+  ASSERT_EQ(if_region.children.size(), 1u);
+  const ir::RegionNode& arm = p.regions.node(if_region.children[0]);
+  EXPECT_EQ(arm.kind, RegionKind::kSequence);
+  ASSERT_EQ(arm.children.size(), 1u);
+  EXPECT_EQ(p.regions.node(arm.children[0]).kind, RegionKind::kLeaf);
+}
+
 TEST(Lower, EveryBlockOwnedByExactlyOneRegion) {
   const LoweredProgram p = Compile(R"(
     func main(a) {

@@ -321,7 +321,7 @@ TEST(Partitioner, InterconnectSynthesizesTheEvaluatedSchedules) {
       blocks.push_back(asic::ScheduledBlock{&dfgs.back(), &schedules.back(), 1});
     }
     const asic::Datapath want =
-        asic::BuildDatapath(blocks, asic::ComputeUtilization(blocks, *rs, lib), lib);
+        asic::BuildDatapath(blocks, asic::ComputeUtilization(blocks, *rs, lib));
     const asic::Datapath& got = *d.datapath;
     EXPECT_EQ(got.fsm_states, want.fsm_states);
     EXPECT_EQ(got.total_mux_legs, want.total_mux_legs);

@@ -152,11 +152,5 @@ TEST(Peephole, AppsShrinkAndStillPartition) {
   }
 }
 
-TEST(Peephole, StatsToString) {
-  PeepholeStats s;
-  s.store_load = 4;
-  EXPECT_NE(s.ToString().find("store-load=4"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace lopass::isa

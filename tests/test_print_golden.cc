@@ -2,8 +2,6 @@
 // dump and SL32 disassembly of a fixed program. These catch accidental
 // format or lowering churn that the semantic tests would not notice.
 
-#include <algorithm>
-
 #include <gtest/gtest.h>
 
 #include "dsl/lower.h"
@@ -45,18 +43,6 @@ TEST(GoldenPrint, IrDump) {
       "  %7 = readvar x\n"
       "  ret %7\n";
   EXPECT_EQ(text, expected);
-}
-
-TEST(GoldenPrint, RegionDump) {
-  const dsl::LoweredProgram p = dsl::Compile(kFixed);
-  const std::string text = ir::ToString(p.regions, 0);
-  // Stable structure: function root, a leading leaf, the if region with
-  // one arm, and a trailing leaf.
-  EXPECT_NE(text.find("function 'func main'"), std::string::npos);
-  EXPECT_NE(text.find("ifelse"), std::string::npos);
-  // Fixed shape: root + leading leaf + if + then-sequence + then-leaf
-  // + trailing leaf = 6 lines.
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 6);
 }
 
 TEST(GoldenPrint, DisassemblyShape) {

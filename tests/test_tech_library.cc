@@ -45,22 +45,6 @@ TEST(TechLibrary, SequentialDividerIsSlowButFrugal) {
             lib.spec(ResourceType::kMultiplier).average_power);
 }
 
-TEST(TechLibrary, IdleEnergyScalesWithCyclesAndFraction) {
-  TechLibrary lib = TechLibrary::Cmos6();
-  const Energy e1 = lib.idle_energy(ResourceType::kAlu, 1000);
-  const Energy e2 = lib.idle_energy(ResourceType::kAlu, 2000);
-  EXPECT_NEAR(e2.joules, 2.0 * e1.joules, 1e-18);
-
-  lib.set_idle_power_fraction(0.9);
-  const Energy e3 = lib.idle_energy(ResourceType::kAlu, 1000);
-  EXPECT_GT(e3, e1);
-  // An idle, non-gated resource burns less than an active one per cycle.
-  const TechLibrary& ref = TechLibrary::Cmos6();
-  const Energy active = ref.active_energy(ResourceType::kAlu, 1);
-  const Energy idle_per_cycle = ref.idle_energy(ResourceType::kAlu, 1);
-  EXPECT_LT(idle_per_cycle, active);
-}
-
 TEST(TechLibrary, ActiveEnergyScalesWithOps) {
   const TechLibrary& lib = TechLibrary::Cmos6();
   EXPECT_DOUBLE_EQ(lib.active_energy(ResourceType::kMultiplier, 10).joules,

@@ -41,7 +41,7 @@ Built Build(const std::string& src) {
     out.blocks.push_back(ScheduledBlock{&out.dfgs[i], &out.schedules[i], 50});
   }
   out.util = ComputeUtilization(out.blocks, rs, TechLibrary::Cmos6());
-  out.dp = BuildDatapath(out.blocks, out.util, TechLibrary::Cmos6());
+  out.dp = BuildDatapath(out.blocks, out.util);
   out.core = Synthesize("fir kernel", "lean", out.util, TechLibrary::Cmos6(), 8, &out.dp);
   return out;
 }
@@ -68,8 +68,9 @@ TEST(Verilog, StructuralShellIsComplete) {
   EXPECT_NE(v.find("sl_memport memport_0"), std::string::npos);
   // FSM sized for the schedule.
   EXPECT_NE(v.find("Controller FSM"), std::string::npos);
-  // Steering commentary for shared units.
+  // Steering commentary for shared units, naming their sources.
   EXPECT_NE(v.find("input steering"), std::string::npos);
+  EXPECT_NE(v.find("regfile"), std::string::npos);
 }
 
 TEST(Verilog, SanitizesModuleNames) {
