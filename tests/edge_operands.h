@@ -47,7 +47,10 @@ inline std::string Apply(const BinaryForm& f, const std::string& a, const std::s
 // exceeds INT64_MAX), so it is written in hex.
 inline std::string Literal(std::int64_t v) {
   if (v == std::numeric_limits<std::int64_t>::min()) return "0x8000000000000000";
-  return "(" + std::to_string(v) + ")";
+  std::string s = "(";
+  s += std::to_string(v);
+  s += ')';
+  return s;
 }
 
 // Turns every kSar of `m` into kShr (see kBinaryForms).

@@ -65,7 +65,11 @@ inline void ExpectPinned(const std::string& file, const std::string& prefix,
 // Straight-line loop body of `statements` assignments; `mix` 0 uses no
 // multiply or divide, 1 adds multiplies, 2 adds divides as well.
 inline std::string BigBlockSource(Prng& rng, int statements, int mix) {
-  auto var = [&] { return "v" + std::to_string(rng.next_below(12)); };
+  auto var = [&] {
+    std::string v = "v";
+    v += std::to_string(rng.next_below(12));
+    return v;
+  };
   auto elem = [&](const char* a) {
     return std::string(a) + "[(i + " + std::to_string(rng.next_below(8)) + ") & 7]";
   };

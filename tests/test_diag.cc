@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/diag.h"
 #include "core/workload.h"
 #include "dsl/lexer.h"
@@ -38,7 +40,11 @@ TEST(Diag, SinkCountsAndSeverities) {
 
 TEST(Diag, SinkIsBoundedButKeepsCounting) {
   DiagnosticSink sink(/*max_diagnostics=*/2);
-  for (int i = 0; i < 5; ++i) sink.AddError("x.y", "e" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) {
+    std::string message = "e";
+    message += std::to_string(i);
+    sink.AddError("x.y", message);
+  }
   EXPECT_EQ(sink.diagnostics().size(), 2u);
   EXPECT_EQ(sink.error_count(), 5u);
   EXPECT_EQ(sink.dropped(), 3u);
