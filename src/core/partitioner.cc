@@ -313,16 +313,16 @@ Partitioner::Partitioner(const ir::Module& module, const ir::RegionTree& regions
 
 namespace {
 
-// One whole-system run of the baseline's workload on the ISS.
-iss::SimResult Simulate(const AppBaseline& b, const iss::SystemConfig& config,
-                        const iss::HwPartition& partition, const power::TechLibrary& lib,
-                        const iss::TiwariModel& up_model, std::uint64_t max_instrs) {
+// One execution of the baseline's workload on the ISS.
+iss::Trace Execute(const AppBaseline& b, const iss::SystemConfig& config,
+                   const power::TechLibrary& lib, const iss::TiwariModel& up_model,
+                   std::uint64_t max_instrs) {
   iss::Simulator sim(*b.module, b.program, config, lib, up_model);
   if (b.workload.setup) {
     EngineTarget<iss::Simulator> t(sim);
     b.workload.setup(t);
   }
-  return sim.Run(b.workload.entry, b.workload.args, partition, max_instrs);
+  return sim.Execute(b.workload.entry, b.workload.args, max_instrs);
 }
 
 }  // namespace
@@ -371,9 +371,12 @@ std::shared_ptr<AppBaseline> Partitioner::BuildBaseline(const Workload& workload
 
   // --- initial whole-system simulation, which also profiles #ex_times
   // (Fig. 4 footnote 14) ------------------------------------------------
+  // Line 15 prices every partition from this run's trace.
   CheckCancel(options_.cancel, "partitioner (initial simulation)");
-  b->initial_run = Simulate(*b, options_.initial_config, iss::HwPartition{}, lib_, up_model_,
-                            options_.max_sim_instrs);
+  b->accounting.emplace(module_, b->program, lib_, up_model_);
+  b->trace = Execute(*b, options_.initial_config, lib_, up_model_, options_.max_sim_instrs);
+  b->initial_run =
+      b->accounting->Account(b->trace, iss::HwPartition{}, options_.initial_config);
 
   // --- Fig. 1 line 2: cluster decomposition ----------------------------
   // Isolation boundary: if decomposition fails, the all-software
@@ -619,13 +622,11 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
   try {
     const iss::SystemConfig& config =
         options_.partitioned_config.value_or(options_.initial_config);
-    // Reuse an earlier run of the same partition on this baseline,
-    // hitting the sim site the simulation would have hit.
-    if (b.resims.Find(partition, result.partitioned_run)) {
-      fault::MaybeInject("sim");
-    } else {
-      result.partitioned_run =
-          Simulate(b, config, partition, lib_, up_model_, options_.max_sim_instrs);
+    // The initial run's trace priced under the partition, or an
+    // earlier pricing of the same partition on this baseline.
+    fault::MaybeInject("sim");
+    if (!b.resims.Find(partition, result.partitioned_run)) {
+      result.partitioned_run = b.accounting->Account(b.trace, partition, config);
       b.resims.Publish(partition, result.partitioned_run);
     }
   } catch (const CancelledError&) {

@@ -38,6 +38,7 @@
 #include "core/report.h"
 #include "core/workload.h"
 #include "dsl/lower.h"
+#include "iss/accounting.h"
 #include "iss/simulator.h"
 #include "sched/dfg.h"
 #include "sched/resource_set.h"
@@ -174,10 +175,11 @@ struct PartitionResult {
   AppRow ToRow(const std::string& app_name) const;
 };
 
-// Line-15 re-simulations already run on one AppBaseline, keyed on the
-// full HwPartition (block -> cluster map and each cluster's I/O words).
-// Thread-safe: a miss simulates outside the lock, and the first result
-// published for a key wins.
+// Line-15 re-simulations (accounting passes over the baseline's trace)
+// already run on one AppBaseline, keyed on the full HwPartition (block ->
+// cluster map and each cluster's I/O words). Thread-safe: a miss prices
+// its partition outside the lock, and the first result published for a
+// key wins.
 class ResimMemo {
  public:
   // Copies the stored run for `partition` into `out`; false on a miss.
@@ -218,6 +220,10 @@ struct AppBaseline {
   const ir::Module* module = nullptr;
   Workload workload;
   isa::SlProgram program;
+  // The program's accounting tables and the initial run's trace: the
+  // initial run and every line-15 re-simulation are passes over them.
+  std::optional<iss::Accounting> accounting;
+  iss::Trace trace;
   iss::SimResult initial_run;
   ClusterChain chain;
   // Why line 2 failed (the flow then falls back to all-software);

@@ -8,12 +8,16 @@
 // calculation [12], feeding trace-driven cache simulators and the
 // analytical memory/bus energy models.
 //
-// The simulator is partition-aware: blocks that the partitioner mapped
-// to the ASIC core still execute *functionally* (the ASIC performs
-// their computation), but their instruction fetches, data accesses,
-// cycles and energy are not charged to the µP core or its caches.
-// Cluster entry/exit triggers the additional shared-memory transfers of
-// section 3.3 (the µP deposits/reads back data; Fig. 2a bus scheme).
+// It works in two halves. Simulator::Execute runs the program once,
+// functionally, and records a compact Trace of its path and data
+// addresses. The accounting pass (iss/accounting.h) prices a trace
+// under a partition: blocks that the partitioner mapped to the ASIC
+// core still execute (the ASIC performs their computation), but their
+// instruction fetches, data accesses, cycles and energy are not charged
+// to the µP core or its caches, and cluster entry/exit triggers the
+// additional shared-memory transfers of section 3.3 (the µP
+// deposits/reads back data; Fig. 2a bus scheme). A partition changes no
+// executed path and no address, so one trace prices every partition.
 // The ASIC core's own cycles/energy are modeled by asic/ and added by
 // the partition evaluator in core/.
 
@@ -127,6 +131,38 @@ struct SimResult {
       const std::vector<std::pair<ir::FunctionId, ir::BlockId>>& blocks) const;
 };
 
+// One execution of a program, compactly: the path as one bit per
+// conditional-branch outcome, the data addresses as the loads and
+// stores that break their own pc's last stride (StridePredictor). Calls
+// and returns are rebuilt from the code.
+struct Trace {
+  std::int64_t return_value = 0;
+  std::uint32_t entry_pc = 0;
+  // Bit i % 64 of word i / 64: conditional branch i was taken.
+  std::vector<std::uint64_t> taken;
+  // For each load or store whose address differs from its pc's
+  // prediction, two LEB128 numbers: how many loads and stores ran
+  // since the previous such one, then the zigzag-coded 32-bit
+  // difference between the address and the prediction.
+  std::vector<std::uint8_t> strides;
+
+  std::size_t bytes() const { return taken.size() * sizeof(std::uint64_t) + strides.size(); }
+};
+
+// A load or store is predicted at its pc's last address plus its last
+// stride. Both wrap at 32 bits, so every address is the prediction
+// plus some 32-bit difference.
+struct StridePredictor {
+  std::uint32_t last = 0;
+  std::uint32_t stride = 0;
+
+  std::uint32_t Predict() const { return last + stride; }
+  void Update(std::uint32_t address) {
+    stride = address - last;
+    last = address;
+  }
+};
+
 class Simulator {
  public:
   Simulator(const ir::Module& module, const isa::SlProgram& program,
@@ -141,11 +177,16 @@ class Simulator {
   void FillArray(const std::string& name, std::span<const std::int64_t> values);
   std::int64_t GetScalar(const std::string& name) const;
 
-  // Runs `fn(args...)` to completion and returns the system accounting.
-  // `partition` marks ASIC-resident blocks (empty = all software).
-  // Throws lopass::Error on a run-time fault: an element access outside
-  // its array, a data access outside memory, division or modulo by
-  // zero, or more than `max_instrs` instructions.
+  // Runs `fn(args...)` to completion and returns its trace. Throws
+  // lopass::Error on a run-time fault: an element access outside its
+  // array, a data access outside memory, division or modulo by zero,
+  // or more than `max_instrs` instructions.
+  Trace Execute(const std::string& fn, std::span<const std::int64_t> args = {},
+                std::uint64_t max_instrs = 2'000'000'000);
+
+  // Execute, then the accounting pass under `partition` (empty = all
+  // software) and this simulator's configuration. Hits the `sim` fault
+  // site first.
   SimResult Run(const std::string& fn, std::span<const std::int64_t> args = {},
                 const HwPartition& partition = HwPartition{},
                 std::uint64_t max_instrs = 2'000'000'000);

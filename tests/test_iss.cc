@@ -4,11 +4,18 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "apps/app.h"
+#include "common/fault.h"
+#include "common/prng.h"
+#include "core/partitioner.h"
 #include "dsl/lower.h"
 #include "isa/codegen.h"
+#include "iss/accounting.h"
+#include "program_gen.h"
 
 namespace lopass::iss {
 namespace {
@@ -189,6 +196,180 @@ TEST(Simulator, InstructionLimitGuard) {
   Prepared p = Prepare("func main() { while (1) { } return 0; }");
   Simulator sim(p.prog.module, p.code, SystemConfig{});
   EXPECT_THROW(sim.Run("main", {}, HwPartition{}, 1000), Error);
+}
+
+// The fuel limit belongs to the execution and keeps its message, from
+// Execute, from Run and from the flow's initial run.
+TEST(Trace, InstructionLimitMessageIsUnchanged) {
+  const std::string src = "func main() { while (1) { } return 0; }";
+  const std::string message =
+      "simulator fuel exhausted after 1000 instructions (non-terminating workload?) (";
+  auto expect_message = [&](const std::function<void()>& run) {
+    try {
+      run();
+      ADD_FAILURE() << "expected the fuel limit";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.substr(0, message.size()), message) << what;
+      EXPECT_NE(what.find("simulator.cc:"), std::string::npos) << what;
+    }
+  };
+  Prepared p = Prepare(src);
+  expect_message([&] { Simulator(p.prog.module, p.code, SystemConfig{}).Execute("main", {}, 1000); });
+  expect_message([&] {
+    Simulator(p.prog.module, p.code, SystemConfig{}).Run("main", {}, HwPartition{}, 1000);
+  });
+  core::PartitionOptions opts;
+  opts.max_sim_instrs = 1000;
+  expect_message(
+      [&] { (void)core::Partitioner(p.prog.module, p.prog.regions, opts).BuildBaseline({}); });
+}
+
+// Every SimResult field, doubles bit for bit.
+void ExpectSameRun(const SimResult& a, const SimResult& b) {
+  EXPECT_EQ(a.return_value, b.return_value);
+  EXPECT_EQ(a.instr_count, b.instr_count);
+  EXPECT_EQ(a.up_cycles, b.up_cycles);
+  for (const auto& [x, y] : {std::pair{a.energy.up_core, b.energy.up_core},
+                             std::pair{a.energy.icache, b.energy.icache},
+                             std::pair{a.energy.dcache, b.energy.dcache},
+                             std::pair{a.energy.mem, b.energy.mem},
+                             std::pair{a.energy.bus, b.energy.bus},
+                             std::pair{a.energy.asic_core, b.energy.asic_core}}) {
+    EXPECT_EQ(x.joules, y.joules);
+  }
+  for (const auto& [x, y] : {std::pair{a.icache_stats, b.icache_stats},
+                             std::pair{a.dcache_stats, b.dcache_stats}}) {
+    EXPECT_EQ(x.read_hits, y.read_hits);
+    EXPECT_EQ(x.read_misses, y.read_misses);
+    EXPECT_EQ(x.write_hits, y.write_hits);
+    EXPECT_EQ(x.write_misses, y.write_misses);
+    EXPECT_EQ(x.writebacks, y.writebacks);
+    EXPECT_EQ(x.line_fills, y.line_fills);
+  }
+  EXPECT_EQ(a.active_cycles, b.active_cycles);
+  EXPECT_EQ(a.up_utilization, b.up_utilization);
+  ASSERT_EQ(a.block_costs.size(), b.block_costs.size());
+  for (std::size_t f = 0; f < a.block_costs.size(); ++f) {
+    ASSERT_EQ(a.block_costs[f].size(), b.block_costs[f].size());
+    for (std::size_t k = 0; k < a.block_costs[f].size(); ++k) {
+      const BlockCost& x = a.block_costs[f][k];
+      const BlockCost& y = b.block_costs[f][k];
+      EXPECT_EQ(x.cycles, y.cycles) << f << "/" << k;
+      EXPECT_EQ(x.energy.joules, y.energy.joules) << f << "/" << k;
+      EXPECT_EQ(x.instrs, y.instrs) << f << "/" << k;
+      EXPECT_EQ(x.active_cycles, y.active_cycles) << f << "/" << k;
+      EXPECT_EQ(x.entries, y.entries) << f << "/" << k;
+    }
+  }
+  EXPECT_EQ(a.cluster_entries, b.cluster_entries);
+  EXPECT_EQ(a.transfer_words_in, b.transfer_words_in);
+  EXPECT_EQ(a.transfer_words_out, b.transfer_words_out);
+  EXPECT_EQ(a.mem_reads, b.mem_reads);
+  EXPECT_EQ(a.mem_writes, b.mem_writes);
+}
+
+SystemConfig SeededConfig(Prng& rng) {
+  SystemConfig cfg;
+  for (power::CacheGeometry* g : {&cfg.icache, &cfg.dcache}) {
+    g->line_bytes = 16u << rng.next_below(3);
+    g->associativity = 1u << rng.next_below(4);
+    g->capacity_bytes = g->line_bytes * g->associativity << rng.next_below(5);
+  }
+  if (rng.next_below(2) == 1) cfg.dcache_policy = cache::WritePolicy::kWriteThroughNoAllocate;
+  return cfg;
+}
+
+// The baseline holds the initial run's trace; pricing it under a
+// partition and a configuration equals simulating that partition cold.
+TEST(Trace, AccountingTheBaselineTraceEqualsAColdRun) {
+  const std::string kCalls = R"(
+    var g;
+    array a[32]; array b[32];
+    func scale(x) { var k; var s; for (k = 0; k < 4; k = k + 1) { s = s + a[(x + k) & 31] * 3; } return s; }
+    func pick(x) { if ((x & 1) == 1) { g = g + x; return scale(x); } return x >> 1; }
+    func main(p) {
+      var i; var t; t = p;
+      for (i = 0; i < 60; i = i + 1) { t = t + pick(i) - scale(t & 31); a[i & 31] = t & 127; }
+      return t + g;
+    })";
+  for (int seed = 0; seed < 10; ++seed) {
+    Prng rng(static_cast<std::uint64_t>(seed) * 0x2545f4914f6cdd1dull + 17);
+    const std::string src = seed % 3 == 0 ? kCalls : core::GenerateProgram(rng);
+    SCOPED_TRACE(src);
+    const dsl::LoweredProgram p = dsl::Compile(src);
+    const core::Workload w = core::GeneratedWorkload(rng.next_in(-100, 100));
+    core::PartitionOptions opts;
+    opts.peephole = rng.next_below(2) == 1;
+    opts.initial_config = SeededConfig(rng);
+    const std::shared_ptr<const core::AppBaseline> b =
+        core::Partitioner(p.module, p.regions, opts).BuildBaseline(w);
+
+    auto cold = [&](const SystemConfig& cfg, const HwPartition& part) {
+      Simulator sim(p.module, b->program, cfg);
+      core::EngineTarget<Simulator> t(sim);
+      w.setup(t);
+      return sim.Run(w.entry, w.args, part);
+    };
+    ExpectSameRun(b->initial_run, cold(opts.initial_config, HwPartition{}));
+    for (int k = 0; k < 3; ++k) {
+      SCOPED_TRACE("partition " + std::to_string(k));
+      HwPartition part;
+      for (std::size_t f = 0; f < p.module.num_functions(); ++f) {
+        auto& blocks = part.block_cluster.emplace_back();
+        for (std::size_t n = p.module.function(static_cast<ir::FunctionId>(f)).blocks.size();
+             n > 0; --n) {
+          blocks.push_back(static_cast<int>(rng.next_below(3)) - 1);
+        }
+      }
+      part.clusters = {HwPartition::ClusterIo{static_cast<std::uint32_t>(rng.next_below(6)),
+                                              static_cast<std::uint32_t>(rng.next_below(6))},
+                       HwPartition::ClusterIo{1, 0}};
+      const SystemConfig cfg = SeededConfig(rng);
+      ExpectSameRun(b->accounting->Account(b->trace, part, cfg), cold(cfg, part));
+    }
+  }
+}
+
+// A cached stage never stores a failure: a run that faults throws out
+// of the build, so no baseline (and no trace) exists to reuse.
+TEST(Trace, AFaultingRunLeavesNoBaseline) {
+  for (const char* src : {"var d; func main() { return 7 / d; }",
+                          "var i; array a[4]; func main() { return a[i + 4]; }"}) {
+    SCOPED_TRACE(src);
+    Prepared p = Prepare(src);
+    EXPECT_THROW((void)Simulator(p.prog.module, p.code, SystemConfig{}).Execute("main"), Error);
+    const core::Partitioner part(p.prog.module, p.prog.regions);
+    std::shared_ptr<core::AppBaseline> b;
+    EXPECT_THROW(b = part.BuildBaseline({}), Error);
+    EXPECT_EQ(b, nullptr);
+  }
+}
+
+// The line-15 `sim` site fires whether the partition's pricing is new
+// (memo miss) or reused (memo hit), with the same all-software fallback.
+TEST(Trace, SimSiteFiresOnMemoMissAndMemoHit) {
+  const apps::Application app = apps::GetApplication("engine");
+  const dsl::LoweredProgram p = dsl::Compile(app.dsl_source);
+  const core::Partitioner part(p.module, p.regions, app.options);
+  const std::shared_ptr<const core::AppBaseline> shared = part.BuildBaseline(app.workload(1));
+  auto failed_resim = [&] {
+    const fault::JobScope scope("sim:2");
+    const core::PartitionResult r = part.Run(*shared);
+    EXPECT_EQ(r.diagnostics.back().code, "partition.resim");
+    EXPECT_FALSE(r.partitioned());
+    ExpectSameRun(r.partitioned_run, shared->initial_run);
+  };
+  failed_resim();  // miss
+  EXPECT_EQ(shared->resims.runs(), 0);
+  const core::PartitionResult clean = part.Run(*shared);
+  ASSERT_TRUE(clean.partitioned());
+  EXPECT_EQ(shared->resims.runs(), 1);
+  failed_resim();  // hit
+  EXPECT_EQ(shared->resims.runs(), 1);
+  EXPECT_EQ(shared->resims.reused(), 0);
+  ExpectSameRun(part.Run(*shared).partitioned_run, clean.partitioned_run);
+  EXPECT_EQ(shared->resims.reused(), 1);
 }
 
 
