@@ -12,6 +12,7 @@
 #include "dsl/lower.h"
 #include "interp/interpreter.h"
 #include "isa/codegen.h"
+#include "iss/accounting.h"
 #include "iss/simulator.h"
 #include "sched/dfg.h"
 #include "sched/list_scheduler.h"
@@ -49,6 +50,98 @@ void BM_IssThroughput(benchmark::State& state) {
       static_cast<double>(instrs), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_IssThroughput)->Arg(10000)->Arg(100000);
+
+// A loop of 8 trips over `statements` straight-line assignments to
+// scalars and two 8-element arrays: the shape of flowbench's
+// partition-bigblock programs (about 57 K instructions a run at 1000
+// statements).
+std::string BigBlockSource(int statements) {
+  Prng rng(7);
+  auto var = [&] {
+    std::string v = "v";
+    v += std::to_string(rng.next_below(12));
+    return v;
+  };
+  std::string src;
+  for (int v = 0; v < 12; ++v) src += "var v" + std::to_string(v) + ";\n";
+  src += "array a[8];\narray b[8];\nfunc main() {\n  var i;\n  for (i = 0; i < 8; i = i + 1) {\n";
+  for (int s = 0; s < statements; ++s) {
+    const std::string k = std::to_string(rng.next_below(8));
+    switch (rng.next_below(3)) {
+      case 0: src += "    " + var() + " = " + var() + " + " + var() + ";\n"; break;
+      case 1: src += "    a[(i + " + k + ") & 7] = " + var() + " ^ b[i & 7];\n"; break;
+      default: src += "    " + var() + " = (" + var() + " & a[(i + " + k + ") & 7]) << 1;\n"; break;
+    }
+  }
+  src += "  }\n  return v0 ^ a[3];\n}\n";
+  return src;
+}
+
+// The program of the trace benchmarks: kKernel over n = 100000 (Arg 0)
+// or BigBlockSource(1000) (Arg 1).
+struct TraceProgram {
+  explicit TraceProgram(bool big)
+      : big(big),
+        p(dsl::Compile(big ? BigBlockSource(1000) : std::string(kKernel))),
+        prog(isa::Generate(p.module)) {}
+  iss::Simulator NewSimulator() const {
+    iss::Simulator sim(p.module, prog, iss::SystemConfig{});
+    if (!big) sim.SetScalar("n", 100000);
+    return sim;
+  }
+  bool big;
+  dsl::LoweredProgram p;
+  isa::SlProgram prog;
+};
+
+// The executor alone: run the program and record its trace.
+void BM_TraceExecute(benchmark::State& state) {
+  const TraceProgram t(state.range(0) == 1);
+  const std::uint64_t instrs = t.NewSimulator().Run("main").instr_count;
+  std::uint64_t total = 0;
+  for (auto _ : state) {
+    iss::Simulator sim = t.NewSimulator();
+    const iss::Trace trace = sim.Execute("main");
+    benchmark::DoNotOptimize(trace.return_value);
+    total += instrs;
+  }
+  state.counters["instr/s"] =
+      benchmark::Counter(static_cast<double>(total), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TraceExecute)->Arg(0)->Arg(1);
+
+// The accounting pass alone, all software, on tables built once: what
+// the initial run adds to the executor and what a line-15
+// re-simulation costs.
+void BM_TraceAccount(benchmark::State& state) {
+  const TraceProgram t(state.range(0) == 1);
+  const iss::Accounting accounting(t.p.module, t.prog);
+  const iss::Trace trace = t.NewSimulator().Execute("main");
+  std::uint64_t total = 0;
+  for (auto _ : state) {
+    const iss::SimResult r = accounting.Account(trace, iss::HwPartition{}, iss::SystemConfig{});
+    total += r.instr_count;
+    benchmark::DoNotOptimize(r.up_cycles);
+  }
+  state.counters["instr/s"] =
+      benchmark::Counter(static_cast<double>(total), benchmark::Counter::kIsRate);
+  state.counters["trace_bytes"] = static_cast<double>(trace.bytes());
+}
+BENCHMARK(BM_TraceAccount)->Arg(0)->Arg(1);
+
+// Simulator::Run on the big block: execute and account with a fresh
+// accounting table per run, the set-up a one-off run pays.
+void BM_IssBigBlockRun(benchmark::State& state) {
+  const TraceProgram t(true);
+  std::uint64_t total = 0;
+  for (auto _ : state) {
+    iss::Simulator sim = t.NewSimulator();
+    total += sim.Run("main").instr_count;
+  }
+  state.counters["instr/s"] =
+      benchmark::Counter(static_cast<double>(total), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_IssBigBlockRun);
 
 void BM_InterpreterThroughput(benchmark::State& state) {
   const dsl::LoweredProgram p = dsl::Compile(kKernel);
