@@ -315,9 +315,8 @@ namespace {
 
 // One execution of the baseline's workload on the ISS.
 iss::Trace Execute(const AppBaseline& b, const iss::SystemConfig& config,
-                   const power::TechLibrary& lib, const iss::TiwariModel& up_model,
                    std::uint64_t max_instrs) {
-  iss::Simulator sim(*b.module, b.program, config, lib, up_model);
+  iss::Simulator sim(*b.module, b.program, config);
   if (b.workload.setup) {
     EngineTarget<iss::Simulator> t(sim);
     b.workload.setup(t);
@@ -374,7 +373,7 @@ std::shared_ptr<AppBaseline> Partitioner::BuildBaseline(const Workload& workload
   // Line 15 prices every partition from this run's trace.
   CheckCancel(options_.cancel, "partitioner (initial simulation)");
   b->accounting.emplace(module_, b->program, lib_, up_model_);
-  b->trace = Execute(*b, options_.initial_config, lib_, up_model_, options_.max_sim_instrs);
+  b->trace = Execute(*b, options_.initial_config, options_.max_sim_instrs);
   b->initial_run =
       b->accounting->Account(b->trace, iss::HwPartition{}, options_.initial_config);
 

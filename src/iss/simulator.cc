@@ -94,7 +94,7 @@ class TraceRecorder {
  public:
   explicit TraceRecorder(std::size_t code_size) : predictors_(code_size) {}
 
-  void Branch(bool taken) {
+  void RecordBranch(bool taken) {
     word_ |= static_cast<std::uint64_t>(taken) << bits_;
     if (++bits_ == 64) {
       trace_.taken.push_back(word_);
@@ -103,7 +103,7 @@ class TraceRecorder {
     }
   }
 
-  void Access(std::uint32_t pc, std::uint32_t address) {
+  void RecordAddress(std::uint32_t pc, std::uint32_t address) {
     StridePredictor& p = predictors_[pc];
     const std::uint32_t predicted = p.Predict();
     if (address != predicted) {
@@ -221,7 +221,7 @@ Trace Simulator::Execute(const std::string& fn, std::span<const std::int64_t> ar
         const std::int64_t addr64 = WrapAdd(rd_reg(in.rs1), in.imm);
         LOPASS_CHECK(addr64 >= 0 && addr64 <= memory_bytes - 4, "data access out of range");
         const std::uint32_t addr = static_cast<std::uint32_t>(addr64);
-        trace.Access(pc, addr);
+        trace.RecordAddress(pc, addr);
         if (in.op == SlOp::kSt) {
           memory_[addr / 4] = rd_reg(in.rd);
         } else {
@@ -232,7 +232,7 @@ Trace Simulator::Execute(const std::string& fn, std::span<const std::int64_t> ar
       case SlOp::kBeqz:
       case SlOp::kBnez: {
         const bool taken = (rd_reg(in.rs1) == 0) == (in.op == SlOp::kBeqz);
-        trace.Branch(taken);
+        trace.RecordBranch(taken);
         if (taken) next_pc = static_cast<std::uint32_t>(in.target);
         break;
       }

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/app.h"
@@ -215,7 +217,8 @@ TEST(Trace, InstructionLimitMessageIsUnchanged) {
     }
   };
   Prepared p = Prepare(src);
-  expect_message([&] { Simulator(p.prog.module, p.code, SystemConfig{}).Execute("main", {}, 1000); });
+  expect_message(
+      [&] { (void)Simulator(p.prog.module, p.code, SystemConfig{}).Execute("main", {}, 1000); });
   expect_message([&] {
     Simulator(p.prog.module, p.code, SystemConfig{}).Run("main", {}, HwPartition{}, 1000);
   });
@@ -286,7 +289,11 @@ TEST(Trace, AccountingTheBaselineTraceEqualsAColdRun) {
   const std::string kCalls = R"(
     var g;
     array a[32]; array b[32];
-    func scale(x) { var k; var s; for (k = 0; k < 4; k = k + 1) { s = s + a[(x + k) & 31] * 3; } return s; }
+    func scale(x) {
+      var k; var s;
+      for (k = 0; k < 4; k = k + 1) { s = s + a[(x + k) & 31] * 3; }
+      return s;
+    }
     func pick(x) { if ((x & 1) == 1) { g = g + x; return scale(x); } return x >> 1; }
     func main(p) {
       var i; var t; t = p;
