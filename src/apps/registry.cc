@@ -20,7 +20,7 @@ Application GetApplication(const std::string& name) {
   for (Application& a : AllApplications()) {
     if (a.name == name) return a;
   }
-  LOPASS_THROW("unknown application '" + name + "'");
+  throw Error("unknown application '" + name + "'");
 }
 
 core::PartitionResult RunApplication(const Application& app, int scale) {

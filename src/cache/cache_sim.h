@@ -58,10 +58,6 @@ class CacheSim {
     return true;
   }
 
-  // Records `n` more reads of the line the previous access hit or
-  // filled: what `n` more Access calls to that line record.
-  void RepeatReads(std::uint64_t n) { stats_.read_hits += n; }
-
   const CacheStats& stats() const { return stats_; }
 
   // Total energy dissipated inside this cache core for the recorded

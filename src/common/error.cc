@@ -1,23 +1,19 @@
 #include "common/error.h"
 
+#include <cstring>
 #include <sstream>
 
 namespace lopass {
-
-void ThrowError(const char* file, int line, const std::string& msg) {
-  std::ostringstream os;
-  os << msg << " (" << file << ":" << line << ")";
-  throw Error(os.str());
-}
-
 namespace internal {
 
 std::string FormatCheckMessage(const char* file, int line, const char* expr,
                                const std::string& detail) {
+  // The basename only: a checkout's directory is no part of the bug.
+  const char* slash = std::strrchr(file, '/');
   std::ostringstream os;
   os << "internal invariant violated: " << expr;
   if (!detail.empty()) os << " — " << detail;
-  os << " (" << file << ":" << line << ")";
+  os << " (" << (slash ? slash + 1 : file) << ":" << line << ")";
   return os.str();
 }
 

@@ -3,10 +3,12 @@
 // Error handling for lopass.
 //
 // The library throws lopass::Error for all user-facing failures (parse
-// errors, malformed IR, invalid configuration). LOPASS_CHECK is used
-// for internal invariants whose violation indicates a bug in lopass
-// itself; it also throws (rather than aborting) so tests can assert on
-// invariant violations.
+// errors, malformed IR, invalid configuration, bad workload data); its
+// text is the message alone, so it reads the same from any checkout.
+// LOPASS_CHECK is used for internal invariants whose violation
+// indicates a bug in lopass itself; it also throws (rather than
+// aborting) so tests can assert on invariant violations, and its text
+// names the violated expression and its `file.cc:line`.
 
 #include <stdexcept>
 #include <string>
@@ -17,8 +19,6 @@ class Error : public std::runtime_error {
  public:
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
-
-[[noreturn]] void ThrowError(const char* file, int line, const std::string& msg);
 
 namespace internal {
 std::string FormatCheckMessage(const char* file, int line, const char* expr,
@@ -36,6 +36,3 @@ std::string FormatCheckMessage(const char* file, int line, const char* expr,
           __FILE__, __LINE__, #cond, (detail)));                                \
     }                                                                           \
   } while (0)
-
-// User-facing error with formatted message.
-#define LOPASS_THROW(msg) ::lopass::ThrowError(__FILE__, __LINE__, (msg))

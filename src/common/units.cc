@@ -11,9 +11,9 @@ bool EnergyIsSane(Energy e) { return std::isfinite(e.joules); }
 
 void CheckEnergySane(Energy e, const char* what) {
   if (!EnergyIsSane(e)) {
-    LOPASS_THROW(std::string(what) +
-                 " produced a non-finite energy value (model misconfiguration "
-                 "or overflowing accumulation)");
+    throw Error(std::string(what) +
+                " produced a non-finite energy value (model misconfiguration "
+                "or overflowing accumulation)");
   }
 }
 

@@ -86,14 +86,14 @@ const Cluster& ClusterChain::at_chain_pos(int pos) const {
   for (const Cluster& c : clusters) {
     if (c.chain_pos == pos && c.id < chain_length) return c;
   }
-  LOPASS_THROW("no cluster at chain position " + std::to_string(pos));
+  throw Error("no cluster at chain position " + std::to_string(pos));
 }
 
 ClusterChain DecomposeIntoClusters(const ir::Module& module, const ir::RegionTree& regions,
                                    const std::string& entry) {
   fault::MaybeInject("alloc");
   const auto entry_fn = module.FindFunction(entry);
-  if (!entry_fn) LOPASS_THROW("no entry function named '" + entry + "'");
+  if (!entry_fn) throw Error("no entry function named '" + entry + "'");
 
   const auto call_sites = CountCallSites(module);
   ClusterChain chain;

@@ -16,13 +16,10 @@ std::vector<HotspotEntry> ComputeHotspots(const ClusterChain& chain,
     e.cluster_id = c.id;
     e.label = c.label;
     e.hw_candidate = c.hw_candidate;
-    for (const auto& [fn, b] : c.blocks) {
-      const iss::BlockCost& bc =
-          initial.block_costs[static_cast<std::size_t>(fn)][static_cast<std::size_t>(b)];
-      e.cycles += bc.cycles;
-      e.energy += bc.energy;
-      e.instrs += bc.instrs;
-    }
+    const iss::BlockCost cost = initial.CostOfBlocks(c.blocks);
+    e.cycles = cost.cycles;
+    e.energy = cost.energy;
+    e.instrs = cost.instrs;
     if (initial.up_cycles > 0) {
       e.cycle_share = static_cast<double>(e.cycles) / static_cast<double>(initial.up_cycles);
     }

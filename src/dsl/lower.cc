@@ -21,6 +21,12 @@ using ir::RegionId;
 using ir::RegionKind;
 using ir::SymbolId;
 
+// A semantic error in the program, at the source line it names.
+struct SemanticError : Error {
+  SemanticError(int line, const std::string& message) : Error(message), line(line) {}
+  int line;
+};
+
 class Lowerer {
  public:
   LoweredProgram Run(const Program& ast) {
@@ -41,10 +47,7 @@ class Lowerer {
     }
     // Declare all functions up front (forward references).
     for (const FuncDecl& f : ast.functions) {
-      if (mod_.FindFunction(f.name)) {
-        LOPASS_THROW("line " + std::to_string(f.line) + ": duplicate function '" +
-                     f.name + "'");
-      }
+      if (mod_.FindFunction(f.name)) SemErr(f.line, "duplicate function '" + f.name + "'");
       const ir::FunctionId fid = mod_.AddFunction(f.name);
       mod_.symbol_mutable(mod_.function(fid).symbol).decl_line = f.line;
     }
@@ -61,13 +64,11 @@ class Lowerer {
 
  private:
   void CheckNewGlobal(const std::string& name, int line) {
-    if (globals_.count(name)) {
-      LOPASS_THROW("line " + std::to_string(line) + ": duplicate global '" + name + "'");
-    }
+    if (globals_.count(name)) SemErr(line, "duplicate global '" + name + "'");
   }
 
   [[noreturn]] void SemErr(int line, const std::string& msg) {
-    LOPASS_THROW("line " + std::to_string(line) + ": " + msg);
+    throw SemanticError(line, msg);
   }
 
   SymbolId LookupVar(const std::string& name, int line) {
@@ -487,7 +488,7 @@ class Lowerer {
             fb_->EmitCall(mod_.function(*callee).symbol, std::move(args)));
       }
     }
-    LOPASS_THROW("unreachable expression kind");
+    throw Error("unreachable expression kind");
   }
 
   ir::Module mod_;
@@ -509,44 +510,6 @@ class Lowerer {
 
 }  // namespace
 
-LoweredProgram Lower(const Program& ast) {
-  Lowerer lw;
-  return lw.Run(ast);
-}
-
-namespace {
-
-// Semantic errors are thrown as "line N: message" with a trailing
-// " (src/file.cc:NNN)" origin appended by LOPASS_THROW; recover the
-// source location and strip the internal origin so driver diagnostics
-// stay structured and speak about the user's DSL file.
-Diagnostic SemanticDiagnostic(std::string what) {
-  const std::size_t paren = what.rfind(" (");
-  if (paren != std::string::npos && what.size() > paren + 2 && what.back() == ')' &&
-      what.find(".cc:", paren) != std::string::npos) {
-    what.resize(paren);
-  }
-  Diagnostic d;
-  d.severity = Severity::kError;
-  d.code = "lower.semantic";
-  d.message = what;
-  if (what.rfind("line ", 0) == 0) {
-    std::size_t pos = 5;
-    int line = 0;
-    while (pos < what.size() && what[pos] >= '0' && what[pos] <= '9') {
-      line = line * 10 + (what[pos] - '0');
-      ++pos;
-    }
-    if (line > 0 && pos + 1 < what.size() && what[pos] == ':') {
-      d.loc = SourceLoc{line, 1};
-      d.message = what.substr(pos + 2);
-    }
-  }
-  return d;
-}
-
-}  // namespace
-
 Result<LoweredProgram> CompileToResult(std::string_view source, int unroll_factor,
                                        int max_body_stmts) {
   DiagnosticSink sink;
@@ -562,17 +525,19 @@ Result<LoweredProgram> CompileToResult(std::string_view source, int unroll_facto
   if (sink.has_errors()) return Result<LoweredProgram>::Failure(sink.Take());
   try {
     if (unroll_factor > 1) UnrollLoops(ast, unroll_factor, max_body_stmts);
-    LoweredProgram p = Lower(ast);
+    LoweredProgram p = Lowerer().Run(ast);
     // Accumulate every structural violation (L1xx) into the sink instead
     // of throwing on the first — the driver reports them all in one pass.
     if (!ir::Verify(p.module, sink)) {
       return Result<LoweredProgram>::Failure(sink.Take());
     }
     return Result<LoweredProgram>(std::move(p), sink.Take());
+  } catch (const SemanticError& e) {
+    sink.AddError("lower.semantic", e.what(), SourceLoc{e.line, 1});
   } catch (const Error& e) {
-    sink.Add(SemanticDiagnostic(e.what()));
-    return Result<LoweredProgram>::Failure(sink.Take());
+    sink.AddError("lower.semantic", e.what());
   }
+  return Result<LoweredProgram>::Failure(sink.Take());
 }
 
 LoweredProgram Compile(std::string_view source, int unroll_factor, int max_body_stmts) {

@@ -11,7 +11,6 @@
 #include <string_view>
 
 #include "common/diag.h"
-#include "dsl/ast.h"
 #include "ir/module.h"
 #include "ir/region.h"
 
@@ -21,10 +20,6 @@ struct LoweredProgram {
   ir::Module module;
   ir::RegionTree regions;
 };
-
-// Lowers a parsed program. Throws lopass::Error on semantic errors
-// (undeclared identifiers, redeclaration, bad builtin arity, ...).
-LoweredProgram Lower(const Program& ast);
 
 // The frontend: parse with error recovery (so every syntax error in
 // the file is reported, with source locations), unroll loops by

@@ -64,8 +64,14 @@ std::int64_t Interpreter::GetArrayElem(ir::SymbolId sym, std::uint32_t index) co
 namespace {
 ir::SymbolId FindGlobal(const ir::Module& m, const std::string& name) {
   auto id = m.FindSymbol(name, -1);
-  if (!id) LOPASS_THROW("no global named '" + name + "'");
+  if (!id) throw Error("no global named '" + name + "'");
   return *id;
+}
+
+// Out of line: the step loop only tests its fuel.
+[[noreturn]] void ThrowFuelError(std::uint64_t step_limit) {
+  throw Error("interpreter fuel exhausted after " + std::to_string(step_limit) +
+              " steps (non-terminating workload?)");
 }
 }  // namespace
 
@@ -84,7 +90,7 @@ std::int64_t Interpreter::GetScalar(const std::string& name) const {
 RunResult Interpreter::Run(const std::string& fn, std::span<const std::int64_t> args,
                            std::uint64_t max_steps) {
   const auto fid = module_.FindFunction(fn);
-  if (!fid) LOPASS_THROW("no function named '" + fn + "'");
+  if (!fid) throw Error("no function named '" + fn + "'");
   step_limit_ = max_steps;
   steps_ = 0;
   call_depth_ = 0;
@@ -103,7 +109,7 @@ std::int64_t Interpreter::Eval(const Operand& op, const std::vector<std::int64_t
 
 std::int64_t Interpreter::Exec(const ir::Function& fn, std::span<const std::int64_t> args) {
   LOPASS_CHECK(args.size() == fn.params.size(), "argument count mismatch");
-  if (++call_depth_ > 64) LOPASS_THROW("call depth limit exceeded (recursion?)");
+  if (++call_depth_ > 64) throw Error("call depth limit exceeded (recursion?)");
   ++profile_.call_count;
 
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -119,10 +125,7 @@ std::int64_t Interpreter::Exec(const ir::Function& fn, std::span<const std::int6
     const ir::BasicBlock& bb = fn.block(cur);
     bool jumped = false;
     for (const ir::Instr& in : bb.instrs) {
-      if (++steps_ > step_limit_) {
-        LOPASS_THROW("interpreter fuel exhausted after " + std::to_string(step_limit_) +
-                     " steps (non-terminating workload?)");
-      }
+      if (++steps_ > step_limit_) ThrowFuelError(step_limit_);
       ++profile_.total_dynamic_ops;
       switch (in.op) {
         case Opcode::kConst:

@@ -131,17 +131,17 @@ bool IsPure(Opcode op) {
 }
 
 void ThrowEvalError(Opcode op) {
-  if (op == Opcode::kDiv) LOPASS_THROW("division by zero");
-  if (op == Opcode::kMod) LOPASS_THROW("modulo by zero");
-  LOPASS_THROW(std::string("cannot evaluate non-pure op '") + OpcodeName(op) + "'");
+  if (op == Opcode::kDiv) throw Error("division by zero");
+  if (op == Opcode::kMod) throw Error("modulo by zero");
+  throw Error(std::string("cannot evaluate non-pure op '") + OpcodeName(op) + "'");
 }
 
 void ThrowIndexError(Opcode op, std::string_view array, std::int64_t index,
                      std::uint32_t length) {
-  LOPASS_THROW(std::string("array index out of range ") +
-               (op == Opcode::kStoreElem ? "on store to '" : "on load of '") +
-               std::string(array) + "' (" + std::to_string(index) + " of " +
-               std::to_string(length) + ")");
+  throw Error(std::string("array index out of range ") +
+              (op == Opcode::kStoreElem ? "on store to '" : "on load of '") +
+              std::string(array) + "' (" + std::to_string(index) + " of " +
+              std::to_string(length) + ")");
 }
 
 bool ProducesResult(Opcode op) {

@@ -69,7 +69,7 @@ SlOp BinOpFor(Opcode op) {
     case Opcode::kCmpLe: return SlOp::kSle;
     case Opcode::kCmpGt: return SlOp::kSgt;
     case Opcode::kCmpGe: return SlOp::kSge;
-    default: LOPASS_THROW(std::string("no SL32 op for ") + ir::OpcodeName(op));
+    default: throw Error(std::string("no SL32 op for ") + ir::OpcodeName(op));
   }
 }
 

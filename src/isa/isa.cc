@@ -79,7 +79,7 @@ const FuncInfo& SlProgram::function(ir::FunctionId fn) const {
   for (const FuncInfo& f : functions) {
     if (f.fn == fn) return f;
   }
-  LOPASS_THROW("SL32 program has no function with id " + std::to_string(fn));
+  throw Error("SL32 program has no function with id " + std::to_string(fn));
 }
 
 std::string ToString(const SlProgram& p) {

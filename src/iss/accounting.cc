@@ -1,6 +1,5 @@
 #include "iss/accounting.h"
 
-#include <bit>
 #include <limits>
 
 #include "cache/cache_sim.h"
@@ -284,11 +283,6 @@ SimResult Accounting::Account(const Trace& trace, const HwPartition& partition,
   std::vector<StridePredictor> predictors(size);
   TraceReader reader(trace);
   std::vector<std::uint32_t> call_stack;
-  // I-cache lines: a fetch from the line of the previous fetch is a hit
-  // that changes no replacement state, so only line changes look up.
-  const int i_offset_bits = std::bit_width(config.icache.line_bytes) - 1;
-  std::uint64_t i_line = ~std::uint64_t{0};
-  std::uint64_t i_repeats = 0;
   std::uint32_t pc = trace.entry_pc;
   InstrClass prev_class = InstrClass::kNop;
   int prev_cluster = -1;
@@ -311,18 +305,12 @@ SimResult Accounting::Account(const Trace& trace, const HwPartition& partition,
       Energy block_energy = costs[first.block]->energy;
       Energy e = energy_.base_energy(first.cls) + energy_.overhead(prev_class, first.cls);
       for (std::uint32_t q = pc;;) {
-        const std::uint32_t fetch = code_base_ + 4 * q;
-        if (fetch >> i_offset_bits == i_line) {
-          ++i_repeats;
-        } else {
-          i_line = fetch >> i_offset_bits;
-          if (!icache.Access(fetch, /*is_write=*/false)) {
-            cycles += i_penalty;
-            e = i_stall + e;
-            bus += i_bus;
-            mem += i_mem;
-            mem_reads += i_line_words;
-          }
+        if (!icache.Access(code_base_ + 4 * q, /*is_write=*/false)) {
+          cycles += i_penalty;
+          e = i_stall + e;
+          bus += i_bus;
+          mem += i_mem;
+          mem_reads += i_line_words;
         }
         if (pcs_[q].next_access == q) {
           const std::uint32_t address = reader.Address(predictors[q]);
@@ -399,7 +387,6 @@ SimResult Accounting::Account(const Trace& trace, const HwPartition& partition,
     }
     pc = next_pc;
   }
-  icache.RepeatReads(i_repeats);
   r.energy.up_core = up_core;
 
   std::uint64_t running = 0;

@@ -59,18 +59,28 @@ void Simulator::Reset() {
 
 ir::SymbolId Simulator::FindGlobal(const std::string& name) const {
   auto id = module_.FindSymbol(name, -1);
-  if (!id) LOPASS_THROW("no global named '" + name + "'");
+  if (!id) throw Error("no global named '" + name + "'");
   return *id;
 }
 
 void Simulator::SetScalar(const std::string& name, std::int64_t value) {
-  memory_[module_.symbol(FindGlobal(name)).address / 4] = value;
+  const ir::Symbol& s = module_.symbol(FindGlobal(name));
+  if (s.kind != ir::SymbolKind::kScalar) {
+    throw Error("global '" + name + "' is an array of " + std::to_string(s.length) +
+                " elements, not a scalar");
+  }
+  memory_[s.address / 4] = value;
 }
 
 void Simulator::FillArray(const std::string& name, std::span<const std::int64_t> values) {
   const ir::Symbol& s = module_.symbol(FindGlobal(name));
-  LOPASS_CHECK(s.kind == ir::SymbolKind::kArray, "FillArray needs an array");
-  LOPASS_CHECK(values.size() <= s.length, "too many initializer values");
+  if (s.kind != ir::SymbolKind::kArray) {
+    throw Error("global '" + name + "' is a scalar, not an array");
+  }
+  if (values.size() > s.length) {
+    throw Error(std::to_string(values.size()) + " values do not fit array '" + name +
+                "' of " + std::to_string(s.length) + " elements");
+  }
   std::copy(values.begin(), values.end(), memory_.begin() + s.address / 4);
 }
 
@@ -87,6 +97,12 @@ void CheckIndex(const ir::Module& module, const SlInstr& in, std::int64_t index)
   if (index < 0 || index >= static_cast<std::int64_t>(a.length)) {
     ir::ThrowIndexError(in.array_access, a.name, index, a.length);
   }
+}
+
+// Out of line: the execution loop only tests its fuel.
+[[noreturn]] void ThrowFuelError(std::uint64_t max_instrs) {
+  throw Error("simulator fuel exhausted after " + std::to_string(max_instrs) +
+              " instructions (non-terminating workload?)");
 }
 
 // Writes a Trace (see its comment for the format) as the run goes.
@@ -142,7 +158,7 @@ class TraceRecorder {
 Trace Simulator::Execute(const std::string& fn, std::span<const std::int64_t> args,
                          std::uint64_t max_instrs) {
   const auto fid = module_.FindFunction(fn);
-  if (!fid) LOPASS_THROW("no function named '" + fn + "'");
+  if (!fid) throw Error("no function named '" + fn + "'");
   const isa::FuncInfo& entry_fn = program_.function(*fid);
   const ir::Function& entry_ir = module_.function(*fid);
   LOPASS_CHECK(args.size() == entry_ir.params.size(), "argument count mismatch");
@@ -162,10 +178,7 @@ Trace Simulator::Execute(const std::string& fn, std::span<const std::int64_t> ar
   for (;;) {
     LOPASS_CHECK(pc < code.size(), "pc out of range");
     const SlInstr& in = code[pc];
-    if (++executed > max_instrs) {
-      LOPASS_THROW("simulator fuel exhausted after " + std::to_string(max_instrs) +
-                   " instructions (non-terminating workload?)");
-    }
+    if (++executed > max_instrs) ThrowFuelError(max_instrs);
 
     auto rd_reg = [&](int idx) -> std::int64_t { return regs[static_cast<std::size_t>(idx)]; };
     auto wr_reg = [&](int idx, std::int64_t v) {

@@ -171,7 +171,9 @@ class Simulator {
             const TiwariModel& energy = TiwariModel::Sparclite());
 
   // Pre-run data initialization: symbol initial values, then the
-  // workload's scalars and arrays.
+  // workload's scalars and arrays. Setting an unknown global, an array
+  // as a scalar, or a scalar or too many values as an array throws
+  // lopass::Error.
   void Reset();
   void SetScalar(const std::string& name, std::int64_t value);
   void FillArray(const std::string& name, std::span<const std::int64_t> values);

@@ -7,6 +7,7 @@
 #   FAULT_SPEC   value for LOPASS_FAULT_INJECT ("" = no injection)
 #   EXPECT_RC    required exit code
 #   EXPECT_ERR   substring that must appear on stderr ("" = skip check)
+#   EXPECT_NO_ERR substring that must not appear on stderr (unset = skip check)
 #   EXPECT_OUT   substring that must appear on stdout (unset = skip check)
 #
 # The invocation is wrapped in a timeout by the caller (ctest TIMEOUT),
@@ -36,6 +37,14 @@ if(EXPECT_ERR)
   if(found EQUAL -1)
     message(FATAL_ERROR
       "stderr does not contain '${EXPECT_ERR}'\nstderr was:\n${err}")
+  endif()
+endif()
+
+if(EXPECT_NO_ERR)
+  string(FIND "${err}" "${EXPECT_NO_ERR}" found)
+  if(NOT found EQUAL -1)
+    message(FATAL_ERROR
+      "stderr contains '${EXPECT_NO_ERR}'\nstderr was:\n${err}")
   endif()
 endif()
 

@@ -113,6 +113,28 @@ TEST(DiagGolden, UnknownIdentifier) {
   EXPECT_EQ(diags[0].loc.line, 3);
 }
 
+TEST(DiagGolden, DuplicateGlobal) {
+  const auto diags = CompileDiags(
+      "var x;\n"
+      "array x[4];\n"
+      "func main() { return 0; }\n");
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].code, "lower.semantic");
+  EXPECT_EQ(diags[0].message, "duplicate global 'x'");
+  EXPECT_EQ(diags[0].loc.line, 2);
+}
+
+TEST(DiagGolden, DuplicateFunction) {
+  const auto diags = CompileDiags(
+      "func main() { return 0; }\n"
+      "\n"
+      "func main() { return 1; }\n");
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].code, "lower.semantic");
+  EXPECT_EQ(diags[0].message, "duplicate function 'main'");
+  EXPECT_EQ(diags[0].loc.line, 3);
+}
+
 TEST(DiagGolden, RecoveryReportsEverySyntaxError) {
   // Two independent statement-level syntax errors: recovery must
   // synchronize past the first and still find the second.

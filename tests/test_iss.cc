@@ -205,15 +205,13 @@ TEST(Simulator, InstructionLimitGuard) {
 TEST(Trace, InstructionLimitMessageIsUnchanged) {
   const std::string src = "func main() { while (1) { } return 0; }";
   const std::string message =
-      "simulator fuel exhausted after 1000 instructions (non-terminating workload?) (";
+      "simulator fuel exhausted after 1000 instructions (non-terminating workload?)";
   auto expect_message = [&](const std::function<void()>& run) {
     try {
       run();
       ADD_FAILURE() << "expected the fuel limit";
     } catch (const Error& e) {
-      const std::string what = e.what();
-      EXPECT_EQ(what.substr(0, message.size()), message) << what;
-      EXPECT_NE(what.find("simulator.cc:"), std::string::npos) << what;
+      EXPECT_EQ(e.what(), message);
     }
   };
   Prepared p = Prepare(src);
