@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
@@ -24,7 +23,6 @@
 #include "core/partitioner.h"
 #include "dsl/lower.h"
 #include "runner/journal.h"
-#include "runner/worker_pool.h"
 
 namespace lopass::runner {
 namespace {
@@ -142,26 +140,6 @@ void MaybeKillAfter(std::uint64_t appends) {
   if (kill_after >= 0 && appends >= static_cast<std::uint64_t>(kill_after)) {
     std::raise(SIGKILL);
   }
-}
-
-// Cap on the exponential part of a retry backoff; the jitter in
-// [0, RetryPolicy::base_ms) comes on top.
-constexpr std::int64_t kMaxBackoffMs = 1000;
-
-// Sleeps `ms` in small slices, giving up as soon as the job's token
-// fires. Returns false when the sleep was cut short by cancellation —
-// a retry must not overshoot its job's deadline just because the
-// backoff schedule said so.
-bool SleepWithCancel(const CancelToken* token, std::int64_t ms) {
-  constexpr std::int64_t kSliceMs = 5;
-  std::int64_t remaining = ms;
-  while (remaining > 0) {
-    if (token != nullptr && token->cancelled()) return false;
-    const std::int64_t slice = std::min(kSliceMs, remaining);
-    std::this_thread::sleep_for(std::chrono::milliseconds(slice));
-    remaining -= slice;
-  }
-  return token == nullptr || !token->cancelled();
 }
 
 struct Attempt {
@@ -303,8 +281,8 @@ Completion EvaluateJob(const JobSpec& spec, const ExploreOptions& options, int s
   // fault::ChaosSchedule — so it is identical no matter which worker
   // evaluates the job, or in what order.
   const std::string chaos_spec =
-      options.chaos ? fault::ChaosSchedule(options.chaos_seed, spec.key, kChaosSites)
-                    : std::string();
+      options.chaos_seed ? fault::ChaosSchedule(*options.chaos_seed, spec.key, kChaosSites)
+                         : std::string();
   std::unique_ptr<fault::JobScope> scoped;
   if (!chaos_spec.empty()) {
     scoped = std::make_unique<fault::JobScope>(
@@ -315,8 +293,9 @@ Completion EvaluateJob(const JobSpec& spec, const ExploreOptions& options, int s
   }
   job.fault_spec = fault::CurrentSpec();
 
-  // One deadline for the whole job: every attempt and every backoff
-  // sleep runs under the same token.
+  // One deadline for the whole job: every attempt runs under the same
+  // token, so a deadline that fires between attempts opens the breaker
+  // at the next attempt's first CheckCancel.
   CancelToken token;
   CancelToken* token_ptr = nullptr;
   if (options.deadline_ms > 0) {
@@ -324,8 +303,7 @@ Completion EvaluateJob(const JobSpec& spec, const ExploreOptions& options, int s
     token_ptr = &token;
   }
 
-  Prng backoff_rng(job.seed);
-  const int max_attempts = std::max(1, options.retry.max_attempts);
+  const int max_attempts = std::max(1, options.max_attempts);
   bool recorded = false;
   std::string last_error;
   for (int attempt_no = 1; attempt_no <= max_attempts; ++attempt_no) {
@@ -360,22 +338,6 @@ Completion EvaluateJob(const JobSpec& spec, const ExploreOptions& options, int s
           Severity::kNote, "runner.retry", SourceLoc{},
           "job '" + spec.key + "' attempt " + std::to_string(attempt_no) +
               " hit a transient fault; retrying: " + attempt.error});
-    }
-
-    if (options.retry.base_ms > 0) {
-      const std::int64_t shifted =
-          attempt_no >= 62 ? kMaxBackoffMs : options.retry.base_ms << (attempt_no - 1);
-      const std::int64_t backoff = std::min(kMaxBackoffMs, shifted) +
-                                   static_cast<std::int64_t>(backoff_rng.next_below(
-                                       static_cast<std::uint64_t>(options.retry.base_ms)));
-      if (!SleepWithCancel(token_ptr, backoff)) {
-        last_error = "deadline exceeded during retry backoff";
-        c.notes.push_back(Diagnostic{
-            Severity::kWarning, "runner.breaker", SourceLoc{},
-            "job '" + spec.key +
-                "': deadline exceeded during retry backoff, circuit breaker open"});
-        break;
-      }
     }
   }
 
@@ -504,41 +466,47 @@ ExploreReport RunExplore(const ExploreOptions& options) {
     return EvaluateJob(spec, options, scale, stage);
   };
 
-  // A worker claims one application at a time and runs its jobs in
-  // queue order on that app's own stage, so no two workers ever build
-  // the same baseline. It parks each completion in its job's slot;
-  // this thread waits for slot 0, 1, 2, ... in turn and commits it.
-  // What the workers share — the fault tables and the slots — is
+  // A worker claims one application at a time from `next_app` and runs
+  // its jobs in queue order on that app's own stage, so no two workers
+  // ever build the same baseline. It parks each completion in its job's
+  // slot; this thread waits for slot 0, 1, 2, ... in turn and commits
+  // it. What the workers share — the fault tables and the slots — is
   // synchronized; the report is touched only here. Once a commit
   // throws, workers start no new job and the error propagates after
-  // the in-flight ones finish, so a failed journal append ends the
-  // sweep for every --jobs value.
+  // the in-flight ones finish (a jthread joins on scope exit), so a
+  // failed journal append ends the sweep for every --jobs value.
   std::vector<std::optional<Completion>> slots(queue.size());
   std::vector<ExploreStats> app_stats(apps.size());
   std::mutex mu;
   std::condition_variable filled;
   std::atomic<bool> stop{false};
-  const int workers = std::min(options.jobs, static_cast<int>(apps.size()));
-  WorkerPool pool(workers, apps.size(), [&](std::size_t a) {
-    AppStage stage;
-    for (std::size_t index = first[a]; index < first[a + 1]; ++index) {
-      if (stop.load(std::memory_order_relaxed)) break;
-      Completion done;
-      try {
-        done = resolve(queue[index], stage);
-      } catch (...) {
-        done.error = std::current_exception();
+  std::atomic<std::size_t> next_app{0};
+  const auto work = [&] {
+    for (std::size_t a = next_app++; a < apps.size(); a = next_app++) {
+      AppStage stage;
+      for (std::size_t index = first[a]; index < first[a + 1]; ++index) {
+        if (stop.load(std::memory_order_relaxed)) break;
+        Completion done;
+        try {
+          done = resolve(queue[index], stage);
+        } catch (...) {
+          done.error = std::current_exception();
+        }
+        std::lock_guard<std::mutex> lock(mu);
+        slots[index] = std::move(done);
+        filled.notify_one();
       }
-      std::lock_guard<std::mutex> lock(mu);
-      slots[index] = std::move(done);
-      filled.notify_one();
+      app_stats[a].baselines_built = stage.baselines_built;
+      if (stage.baseline != nullptr) {
+        app_stats[a].resims_run = stage.baseline->resims.runs();
+        app_stats[a].resims_reused = stage.baseline->resims.reused();
+      }
     }
-    app_stats[a].baselines_built = stage.baselines_built;
-    if (stage.baseline != nullptr) {
-      app_stats[a].resims_run = stage.baseline->resims.runs();
-      app_stats[a].resims_reused = stage.baseline->resims.reused();
-    }
-  });
+  };
+  std::vector<std::jthread> workers;
+  const std::size_t worker_count =
+      std::min(static_cast<std::size_t>(std::max(1, options.jobs)), apps.size());
+  for (std::size_t w = 0; w < worker_count; ++w) workers.emplace_back(work);
 
   try {
     for (std::size_t i = 0; i < slots.size(); ++i) {
@@ -552,10 +520,9 @@ ExploreReport RunExplore(const ExploreOptions& options) {
     }
   } catch (...) {
     stop.store(true, std::memory_order_relaxed);
-    pool.Join();
     throw;
   }
-  pool.Join();
+  workers.clear();  // joins, so app_stats is complete
   for (const ExploreStats& stats : app_stats) {
     report.stats.baselines_built += stats.baselines_built;
     report.stats.resims_run += stats.resims_run;

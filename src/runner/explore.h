@@ -11,14 +11,13 @@
 //    objective-function inputs, diagnostics summary — and the journal
 //    is flushed per record, so `--resume` after a SIGKILL replays the
 //    committed prefix and re-runs only the rest, producing a report
-//    byte-identical to an uninterrupted run;
-//  - each job gets one wall-clock deadline spanning every attempt
-//    *and* the backoff sleeps between them, enforced cooperatively via
-//    CancelToken (common/cancel.h), threaded through the partitioner
-//    and the list scheduler — a retry can never overshoot its job's
-//    deadline by sleeping;
+//    and a journal byte-identical to an uninterrupted run's;
+//  - each job gets one wall-clock deadline spanning every attempt,
+//    enforced cooperatively via CancelToken (common/cancel.h), threaded
+//    through the partitioner and the list scheduler;
 //  - failures classified transient by common/fault (injected faults)
-//    are retried with exponential backoff + deterministic jitter; a
+//    are retried at once: a fault site fires by hit count, never by
+//    time, so waiting before a retry could not change its outcome. A
 //    job that keeps failing trips the circuit breaker and is recorded
 //    degraded with whatever result survived (worst case the
 //    all-software fallback) instead of sinking the whole sweep;
@@ -28,8 +27,9 @@
 //    chaos fault is one-shot and transient, the retried sweep must
 //    produce the same report as a clean run.
 //
-// The queue is drained by a pool of --jobs worker threads
-// (runner/worker_pool.h); --jobs 1 is the same path on one worker.
+// The queue is drained by --jobs worker threads that claim application
+// indices from one atomic counter; --jobs 1 is the same path on one
+// worker.
 // The unit of parallel work is the application: a worker claims one
 // app, compiles it, builds its application stage (core::AppBaseline:
 // initial run, decomposition, transfer energy, pre-selection) and runs
@@ -63,21 +63,13 @@
 // resume testable.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/diag.h"
 
 namespace lopass::runner {
-
-struct RetryPolicy {
-  // Attempts per job including the first (1 = no retry).
-  int max_attempts = 3;
-  // Backoff before retry k (1-based) is min(1000 ms, base_ms << (k-1))
-  // plus jitter in [0, base_ms), drawn from the job's own PRNG stream.
-  // base_ms = 0 disables sleeping (tests).
-  std::int64_t base_ms = 0;
-};
 
 struct ExploreOptions {
   // Journal path; empty runs unjournaled (no resume possible).
@@ -93,13 +85,13 @@ struct ExploreOptions {
   // workers than apps are started. Values < 1 mean 1. The report and
   // journal are byte-identical for every value.
   int jobs = 1;
-  // Per-job wall-clock deadline covering all attempts and the backoff
-  // sleeps between them; <= 0 disables.
+  // Per-job wall-clock deadline covering all attempts; <= 0 disables.
   std::int64_t deadline_ms = 0;
-  RetryPolicy retry;
-  // Chaos mode: derive a randomized one-shot fault schedule per job.
-  bool chaos = false;
-  std::uint64_t chaos_seed = 1;
+  // Attempts per job including the first (1 = no retry).
+  int max_attempts = 3;
+  // Chaos mode when set: derive a randomized one-shot fault schedule
+  // per job from this seed.
+  std::optional<std::uint64_t> chaos_seed;
   // Base seed XOR-folded with the job key into each job's PRNG seed.
   std::uint64_t base_seed = 0x9e3779b97f4a7c15ull;
 };

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 
 #include "common/error.h"
@@ -43,6 +44,37 @@ std::size_t FindValue(std::string_view record, std::string_view key) {
   std::size_t pos = at + needle.size();
   while (pos < record.size() && record[pos] == ' ') ++pos;
   return pos;
+}
+
+// Reads the whole file at `path` into `content`; false if it cannot be
+// opened.
+bool ReadFile(const std::string& path, std::string& content) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return false;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) {
+    content.append(buf, n);
+  }
+  std::fclose(file);
+  return true;
+}
+
+// Cuts the journal at `path` back to one byte past its last newline,
+// dropping the torn final line a crash mid-append leaves behind (the
+// reader has already skipped it with a warning), so the next append
+// starts a line of its own instead of continuing the fragment. A file
+// with no newline is emptied; a missing file is left to fopen.
+void CutTornTail(const std::string& path) {
+  std::string content;
+  if (!ReadFile(path, content)) return;
+  const std::size_t keep = content.rfind('\n') + 1;  // npos + 1 == 0
+  if (keep == content.size()) return;
+  std::error_code ec;
+  std::filesystem::resize_file(path, keep, ec);
+  if (ec) {
+    throw Error("cannot cut the torn tail of journal '" + path + "': " + ec.message());
+  }
 }
 
 }  // namespace
@@ -174,6 +206,7 @@ std::string WrapRecord(const std::string& record_json) {
 }
 
 JournalWriter::JournalWriter(const std::string& path, bool truncate) : path_(path) {
+  if (!truncate) CutTornTail(path);
   file_ = std::fopen(path.c_str(), truncate ? "wb" : "ab");
   if (file_ == nullptr) {
     throw Error("cannot open journal '" + path + "': " + std::strerror(errno));
@@ -196,20 +229,11 @@ void JournalWriter::Append(const std::string& record_json) {
 
 JournalLoad LoadJournal(const std::string& path) {
   JournalLoad load;
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return load;  // no journal yet: fresh start
-
   std::string content;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-    content.append(buf, n);
-  }
-  std::fclose(file);
+  if (!ReadFile(path, content)) return load;  // no journal yet: fresh start
 
   std::size_t line_no = 0;
   std::size_t start = 0;
-  std::string_view previous_line;  // previous non-empty line, for duplicate detection
   while (start < content.size()) {
     std::size_t end = content.find('\n', start);
     const bool torn = end == std::string::npos;  // no trailing newline: interrupted append
@@ -224,18 +248,6 @@ JournalLoad LoadJournal(const std::string& path) {
       load.warnings.push_back("journal '" + path + "' line " + std::to_string(line_no) +
                               ": " + why + "; skipping");
     };
-
-    // A line byte-identical to the intact line right before it is the
-    // double-append a crash between the journal flush and the caller's
-    // commit bookkeeping leaves behind: zero information, skip it.
-    if (!previous_line.empty() && line == previous_line) {
-      ++load.duplicates;
-      load.warnings.push_back("journal '" + path + "' line " + std::to_string(line_no) +
-                              ": byte-identical duplicate of the previous record; "
-                              "skipping");
-      continue;
-    }
-    previous_line = line;
 
     // Wrapper shape: {"crc32":"xxxxxxxx","record":<payload>}
     static constexpr std::string_view kPrefix = "{\"crc32\":\"";
@@ -275,10 +287,9 @@ JournalLoad LoadJournal(const std::string& path) {
     }
     load.records.emplace_back(record);
   }
-  if (load.corrupt + load.duplicates > 0) {
+  if (load.corrupt > 0) {
     load.warnings.push_back("journal '" + path + "': skipped " +
-                            std::to_string(load.corrupt) + " corrupt / " +
-                            std::to_string(load.duplicates) + " duplicate records");
+                            std::to_string(load.corrupt) + " corrupt records");
   }
   return load;
 }

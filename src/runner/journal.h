@@ -13,7 +13,9 @@
 // written — and that torn line is detectable. The reader is built for
 // hostile input: a truncated final line, a bit-flipped payload, or any
 // other malformed line is skipped with a warning, never an exception —
-// resume must always be able to salvage every intact record.
+// resume must always be able to salvage every intact record. A writer
+// that resumes a journal first cuts its torn final line off, so its
+// appends never continue the fragment.
 //
 // The journal layer stores opaque record payloads; the schema (job
 // keys, metrics, duplicate detection) belongs to the explorer
@@ -60,7 +62,8 @@ std::optional<std::int64_t> JsonIntField(std::string_view record, std::string_vi
 class JournalWriter {
  public:
   // `truncate` starts a fresh journal; otherwise appends to what is
-  // there (the resume path).
+  // there (the resume path), after cutting the file back to one byte
+  // past its last newline so the first append starts a line.
   JournalWriter(const std::string& path, bool truncate);
   ~JournalWriter();
   JournalWriter(const JournalWriter&) = delete;
@@ -85,22 +88,19 @@ struct JournalLoad {
   // file order.
   std::vector<std::string> records;
   // One human-readable warning per skipped line (truncated tail,
-  // checksum mismatch, malformed wrapper, byte-identical duplicate),
-  // plus — whenever anything was skipped — one final summary line
-  // ("skipped N corrupt / D duplicate records") so a resume reports
-  // its total loss in one place.
+  // checksum mismatch, malformed wrapper), plus — whenever anything
+  // was skipped — one final summary line ("skipped N corrupt records")
+  // so a resume reports its total loss in one place.
   std::vector<std::string> warnings;
-  // Skip counts behind the summary.
+  // Skip count behind the summary.
   std::size_t corrupt = 0;
-  std::size_t duplicates = 0;
 };
 
 // Reads every line of the journal at `path`, verifying wrapper shape
 // and checksum. A missing file yields an empty load (fresh start);
-// corrupt lines are skipped and warned about, never fatal. A line that
-// is byte-identical to the line directly before it (the
-// double-append shape a crash between write and commit bookkeeping can
-// leave behind) is skipped as a duplicate.
+// corrupt lines are skipped and warned about, never fatal. Duplicate
+// records are the explorer's to resolve: it keeps the first record of
+// each job key.
 JournalLoad LoadJournal(const std::string& path);
 
 // Serializes one wrapper line (checksum + record) the writer/reader

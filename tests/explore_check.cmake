@@ -4,8 +4,10 @@
 #   MODE=kill_resume    arm LOPASS_EXPLORE_KILL_AFTER so the process
 #                       SIGKILLs itself after N journal appends, then
 #                       resume from the journal and require the resumed
-#                       report to be byte-identical to an uninterrupted
-#                       run's.
+#                       report and journal to be byte-identical to an
+#                       uninterrupted run's. With TEAR=1, a partial
+#                       record without a newline is appended after the
+#                       kill, as a kill mid-append leaves it.
 #   MODE=chaos          run under a randomized one-shot fault schedule
 #                       (--chaos SEED) and require exit 0 and a report
 #                       byte-identical to the clean run's.
@@ -27,6 +29,7 @@
 #                 kill_resume/chaos with JOBS>1 also prove the parallel
 #                 runs match the sequential report byte-for-byte
 #   KILL_AFTER    (kill_resume) append count before the self-SIGKILL
+#   TEAR          (kill_resume) 1 tears the journal's tail before resuming
 #   CHAOS_SEED    (chaos, chaos_fixture) seed for the fault schedule
 #   FIXTURE_REPORT, FIXTURE_JOURNAL
 #                 (chaos_fixture) expected stdout and journal files
@@ -72,9 +75,11 @@ if(MODE STREQUAL "chaos_fixture")
   return()
 endif()
 
-# The uninterrupted sequential reference sweep.
+# The uninterrupted sequential reference sweep, journaled.
+set(clean_journal "${WORKDIR}/clean.jsonl")
+file(REMOVE "${clean_journal}")
 execute_process(
-  COMMAND ${CLI} explore --apps ${APPS}
+  COMMAND ${CLI} explore --apps ${APPS} --journal ${clean_journal}
   RESULT_VARIABLE clean_rc
   OUTPUT_VARIABLE clean_out
   ERROR_VARIABLE clean_err
@@ -108,6 +113,18 @@ if(MODE STREQUAL "kill_resume")
   if(NOT EXISTS "${journal}")
     message(FATAL_ERROR "no journal survived the kill")
   endif()
+  file(READ "${clean_journal}" clean_journal_bytes)
+  if(TEAR)
+    # Append the first 60 bytes of the next record, no newline: the
+    # torn line a kill in the middle of an append leaves behind.
+    file(READ "${journal}" killed)
+    string(LENGTH "${killed}" killed_size)
+    string(SUBSTRING "${clean_journal_bytes}" ${killed_size} 60 fragment)
+    if(fragment MATCHES "\n")
+      message(FATAL_ERROR "the record after the kill is too short to tear")
+    endif()
+    file(APPEND "${journal}" "${fragment}")
+  endif()
 
   # Resume: replay the committed prefix, run the rest.
   execute_process(
@@ -123,6 +140,12 @@ if(MODE STREQUAL "kill_resume")
     message(FATAL_ERROR
       "resumed report is not byte-identical to the uninterrupted run\n"
       "--- uninterrupted ---\n${clean_out}\n--- resumed ---\n${resume_out}")
+  endif()
+  file(READ "${journal}" resume_journal)
+  if(NOT resume_journal STREQUAL clean_journal_bytes)
+    message(FATAL_ERROR
+      "resumed journal is not byte-identical to the uninterrupted run's\n"
+      "--- uninterrupted ---\n${clean_journal_bytes}\n--- resumed ---\n${resume_journal}")
   endif()
 elseif(MODE STREQUAL "chaos")
   if(NOT DEFINED CHAOS_SEED)

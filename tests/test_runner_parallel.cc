@@ -1,13 +1,13 @@
 // Concurrency suite for the exploration runner, written to run under
-// ThreadSanitizer (the `tsan` preset): the worker pool's exactly-once
-// dispatch, per-job thread-local fault scoping (two concurrent jobs
-// must never observe each other's injected faults), the thread-safe
-// journal writer under concurrent producers, and the headline
-// identities — an N-worker sweep, whose workers fill per-job slots
-// that the caller commits in job-queue order, renders a report and
-// writes a journal byte-identical to a 1-worker run, clean, under
-// chaos, and across a resume — and a failed journal append ends the
-// sweep.
+// ThreadSanitizer (the `tsan` preset): per-job thread-local fault
+// scoping (two concurrent jobs must never observe each other's
+// injected faults), the thread-safe journal writer under concurrent
+// producers, and the headline identities — an N-worker sweep, whose
+// workers claim applications from one atomic counter and fill per-job
+// slots that the caller commits in job-queue order, runs each app's
+// stage once, and renders a report and writes a journal byte-identical
+// to a 1-worker run, clean, under chaos, and across a resume — and a
+// failed journal append ends the sweep.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 #include "common/fault.h"
 #include "runner/explore.h"
 #include "runner/journal.h"
-#include "runner/worker_pool.h"
 
 namespace lopass::runner {
 namespace {
@@ -42,30 +41,6 @@ std::string ReadFile(const std::string& path) {
 void WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << content;
-}
-
-// --- WorkerPool -------------------------------------------------------
-
-TEST(WorkerPoolTest, RunsEveryJobExactlyOnce) {
-  constexpr std::size_t kJobs = 1000;
-  std::vector<std::atomic<int>> runs(kJobs);
-  for (auto& r : runs) r.store(0);
-  {
-    WorkerPool pool(8, kJobs, [&](std::size_t i) {
-      runs[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    pool.Join();
-  }
-  for (std::size_t i = 0; i < kJobs; ++i) {
-    EXPECT_EQ(runs[i].load(), 1) << "job " << i;
-  }
-}
-
-TEST(WorkerPoolTest, MoreWorkersThanJobsIsFine) {
-  std::atomic<int> total{0};
-  WorkerPool pool(16, 3, [&](std::size_t) { total.fetch_add(1); });
-  pool.Join();
-  EXPECT_EQ(total.load(), 3);
 }
 
 // --- per-job fault scoping (satellite: concurrent jobs must never ----
@@ -239,9 +214,8 @@ TEST(ParallelExploreTest, JournalBytesAreIdenticalAcrossWorkerCounts) {
   const std::string par_path = TempPath("parallel_journal_par.jsonl");
   for (const std::uint64_t chaos_seed : {0ull, 7ull, 99ull}) {
     ExploreOptions sequential = FourAppSweep();
-    sequential.chaos = chaos_seed != 0;
-    sequential.chaos_seed = chaos_seed;
-    sequential.retry.max_attempts = 4;
+    if (chaos_seed != 0) sequential.chaos_seed = chaos_seed;
+    sequential.max_attempts = 4;
     sequential.journal_path = seq_path;
     const ExploreReport a = RunExplore(sequential);
     ExploreOptions parallel = sequential;
@@ -294,9 +268,8 @@ TEST(ParallelExploreTest, ChaosUnderParallelismMatchesTheCleanSequentialRun) {
   for (const std::uint64_t chaos_seed : {7ull, 99ull}) {
     ExploreOptions options = FourAppSweep();
     options.jobs = 4;
-    options.chaos = true;
     options.chaos_seed = chaos_seed;
-    options.retry.max_attempts = 4;  // room to absorb two one-shot faults
+    options.max_attempts = 4;  // room to absorb two one-shot faults
     const ExploreReport chaos = RunExplore(options);
     EXPECT_EQ(chaos.Render(), clean.Render()) << "chaos seed " << chaos_seed;
     bool scheduled = false;

@@ -35,9 +35,8 @@
 //                             at a time (default 1; report stays
 //                             byte-identical)
 //     --deadline-ms N         per-job wall-clock deadline covering all
-//                             attempts and backoff sleeps (0 = none)
+//                             attempts (0 = none)
 //     --retries N             attempts per job incl. the first (default 3)
-//     --backoff-ms N          retry backoff base; 0 disables sleeping
 //     --chaos SEED            chaos mode: randomized one-shot fault schedules
 //     --seed S                base PRNG seed folded into each job's seed
 //   Runs the supervised design-space exploration (docs/robustness.md):
@@ -115,7 +114,7 @@ struct ScalarSet {
                "       [-Wno-CODE] [-Werror[=CODE]]\n"
                "   or: lopass_cli explore [--journal PATH | --resume JOURNAL]\n"
                "       [--apps A,B,...] [--scale N] [--jobs N] [--deadline-ms N]\n"
-               "       [--retries N] [--backoff-ms N] [--chaos SEED] [--seed S]\n"
+               "       [--retries N] [--chaos SEED] [--seed S]\n"
                "exit codes: 0 ok, 1 pipeline error, 2 usage error\n");
   std::exit(2);
 }
@@ -285,15 +284,10 @@ int RunExplore(int argc, char** argv) {
       options.deadline_ms = ParseIntArg(next(), "--deadline-ms");
       if (options.deadline_ms < 0) Usage("--deadline-ms wants a non-negative value");
     } else if (a == "--retries") {
-      options.retry.max_attempts = ParseIntArgIn(
+      options.max_attempts = ParseIntArgIn(
           next(), "--retries", 1, kIntMax, "--retries wants an attempt count in [1, 2147483647]");
-    } else if (a == "--backoff-ms") {
-      options.retry.base_ms = ParseIntArg(next(), "--backoff-ms");
-      if (options.retry.base_ms < 0) Usage("--backoff-ms wants a non-negative value");
     } else if (a == "--chaos") {
-      options.chaos = true;
-      options.chaos_seed =
-          static_cast<std::uint64_t>(ParseIntArg(next(), "--chaos"));
+      options.chaos_seed = static_cast<std::uint64_t>(ParseIntArg(next(), "--chaos"));
     } else if (a == "--seed") {
       options.base_seed = static_cast<std::uint64_t>(ParseIntArg(next(), "--seed"));
     } else {
