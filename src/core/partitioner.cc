@@ -1,13 +1,11 @@
 #include "core/partitioner.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <unordered_set>
 
 #include "asic/netlist_check.h"
 #include "common/error.h"
 #include "common/fault.h"
-#include "common/logging.h"
 #include "core/partition_check.h"
 #include "isa/codegen.h"
 #include "isa/peephole.h"
@@ -441,19 +439,6 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
   LOPASS_CHECK(b.module == &module_, "baseline built for another module");
   PartitionResult result;
 
-  // Reproducibility header: the first diagnostic of every run names the
-  // PRNG seed and the live fault-injection spec, so a failure report
-  // carries everything needed to replay it.
-  {
-    char seed_hex[32];
-    std::snprintf(seed_hex, sizeof(seed_hex), "0x%llx",
-                  static_cast<unsigned long long>(options_.prng_seed));
-    const std::string spec = fault::CurrentSpec();
-    result.diagnostics.push_back(Diagnostic{
-        Severity::kNote, "run.context", SourceLoc{},
-        std::string("run context: prng seed ") + seed_hex + ", fault spec '" +
-            spec + "'"});
-  }
   CheckCancel(options_.cancel, "partitioner (startup)");
 
   // The application stage ran masked (see BuildBaseline): its fault
@@ -526,8 +511,6 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
               Severity::kError, "partition.evaluate", SourceLoc{},
               "evaluation of cluster '" + c.label + "' with resource set '" + rs.name +
                   "' failed (candidate skipped): " + e.what()});
-          LOPASS_LOG_WARN << "cluster '" << c.label << "' x '" << rs.name
-                             << "' evaluation failed: " << e.what();
         }
         if (round == 0) result.evaluations.push_back(cand.ev);
         if (!cand.ev.feasible) continue;
@@ -547,8 +530,6 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
     accepted.asic_added += asic::EstimateEnergy(ev.util, lib_);
     accepted.geq += ev.geq;
     current_of = ev.objective;
-    LOPASS_LOG_INFO << "selected cluster '" << ev.cluster_label << "' with "
-                    << ev.resource_set << " (OF=" << ev.objective << ")";
     winners.push_back(std::move(*best));
   }
 
@@ -570,8 +551,6 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
           Severity::kError, "partition.synthesize", SourceLoc{},
           "synthesis of core for cluster '" + w.ev.cluster_label +
               "' failed (cluster stays in software): " + e.what()});
-      LOPASS_LOG_WARN << "synthesis failed for cluster '" << w.ev.cluster_label
-                         << "': " << e.what();
     }
   }
   if (result.selected.empty()) {

@@ -98,12 +98,6 @@ struct PartitionOptions {
   // PartitionResult::diagnostics as errors (-> degraded()), and a
   // schedule that fails validation rejects its candidate.
   bool self_check = true;
-  // Reproducibility header: the PRNG seed the workload/driver used
-  // (defaults to lopass::Prng's default seed). Recorded — together
-  // with the live LOPASS_FAULT_INJECT spec — as the leading note
-  // diagnostic of every PartitionResult, so any failure report is
-  // reproducible from its own text.
-  std::uint64_t prng_seed = 0x9e3779b97f4a7c15ull;
   // Cooperative cancellation / per-job deadline (see common/cancel.h).
   // Polled between stages, before every candidate evaluation, and
   // inside the schedulers. A fired token aborts Run() with
@@ -213,7 +207,7 @@ struct PreselectedCluster {
 //
 // A baseline fits any Partitioner over the same module, regions,
 // library, µP model, workload and PartitionOptions, except that
-// resource_sets, prng_seed and cancel may differ. It is immutable once
+// resource_sets and cancel may differ. It is immutable once
 // built except for its internally locked re-simulation memo, so threads
 // may share one: the DFGs are only read after the build.
 struct AppBaseline {

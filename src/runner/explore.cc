@@ -167,11 +167,10 @@ struct AppStage {
 };
 
 Attempt RunAttempt(const apps::Application& app, const sched::ResourceSet& rs,
-                   std::uint64_t seed, CancelToken* token, int scale, AppStage& stage) {
+                   CancelToken* token, int scale, AppStage& stage) {
   Attempt attempt;
   core::PartitionOptions options = app.options;
   options.resource_sets = {rs};
-  options.prng_seed = seed;
   options.cancel = token;
   try {
     core::Partitioner partitioner(stage.program->module, stage.program->regions, options);
@@ -308,7 +307,7 @@ Completion EvaluateJob(const JobSpec& spec, const ExploreOptions& options, int s
   std::string last_error;
   for (int attempt_no = 1; attempt_no <= max_attempts; ++attempt_no) {
     job.attempts = attempt_no;
-    Attempt attempt = RunAttempt(*spec.app, *spec.rs, job.seed, token_ptr, scale, stage);
+    Attempt attempt = RunAttempt(*spec.app, *spec.rs, token_ptr, scale, stage);
 
     if (!attempt.threw) {
       if (DegradedOnlyTransiently(attempt.result) && attempt_no < max_attempts) {

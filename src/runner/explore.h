@@ -7,7 +7,7 @@
 // restricted to one designer resource set, under supervision:
 //
 //  - every completed evaluation is appended to a checksummed JSONL
-//    journal (runner/journal.h) — PRNG seed, fault spec, attempt count,
+//    journal (runner/journal.h) — job seed, fault spec, attempt count,
 //    objective-function inputs, diagnostics summary — and the journal
 //    is flushed per record, so `--resume` after a SIGKILL replays the
 //    committed prefix and re-runs only the rest, producing a report
@@ -42,7 +42,7 @@
 // throws leaves no baseline behind, so attempt counts and the journal
 // do not depend on which job built it.
 //
-// Each job keeps its own PRNG seed, CancelToken deadline,
+// Each job keeps its own CancelToken deadline,
 // retry/breaker state and (under chaos) thread-local fault::JobScope,
 // so concurrent jobs can never observe each other's injected faults.
 // A worker parks each completion in its job's slot, and the calling
@@ -58,9 +58,8 @@
 // under parallelism, which is inherently nondeterministic — per-job
 // chaos schedules do not have this problem.
 //
-// All evaluations are deterministic (fixed per-job PRNG seeds, no
-// wall-clock in any recorded field), which is what makes byte-identical
-// resume testable.
+// All evaluations are deterministic (no wall-clock in any recorded
+// field), which is what makes byte-identical resume testable.
 
 #include <cstdint>
 #include <optional>
@@ -92,7 +91,8 @@ struct ExploreOptions {
   // Chaos mode when set: derive a randomized one-shot fault schedule
   // per job from this seed.
   std::optional<std::uint64_t> chaos_seed;
-  // Base seed XOR-folded with the job key into each job's PRNG seed.
+  // Base seed XOR-folded with the job key into each job's recorded
+  // seed, which is journaled only: nothing draws from it.
   std::uint64_t base_seed = 0x9e3779b97f4a7c15ull;
 };
 

@@ -47,8 +47,15 @@ std::size_t FindValue(std::string_view record, std::string_view key) {
 }
 
 // Reads the whole file at `path` into `content`; false if it cannot be
-// opened.
+// opened. A path that exists but is not a regular file (a device, a
+// pipe, a directory) throws: reading /dev/zero to its end would never
+// finish.
 bool ReadFile(const std::string& path, std::string& content) {
+  std::error_code ec;
+  const auto status = std::filesystem::status(path, ec);
+  if (std::filesystem::exists(status) && !std::filesystem::is_regular_file(status)) {
+    throw Error("journal '" + path + "' is not a regular file");
+  }
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) return false;
   char buf[4096];

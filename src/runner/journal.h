@@ -97,8 +97,9 @@ struct JournalLoad {
 };
 
 // Reads every line of the journal at `path`, verifying wrapper shape
-// and checksum. A missing file yields an empty load (fresh start);
-// corrupt lines are skipped and warned about, never fatal. Duplicate
+// and checksum. A missing file yields an empty load (fresh start), and
+// a path that is not a regular file throws Error; corrupt lines are
+// skipped and warned about, never fatal. Duplicate
 // records are the explorer's to resolve: it keeps the first record of
 // each job key.
 JournalLoad LoadJournal(const std::string& path);

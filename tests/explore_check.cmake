@@ -10,7 +10,9 @@
 #                       kill, as a kill mid-append leaves it.
 #   MODE=chaos          run under a randomized one-shot fault schedule
 #                       (--chaos SEED) and require exit 0 and a report
-#                       byte-identical to the clean run's.
+#                       byte-identical to the clean run's. With JOBS>1,
+#                       the stderr must also equal a --jobs 1 chaos
+#                       run's byte for byte.
 #   MODE=jobs_identity  run the sweep with --jobs 1 and --jobs ${JOBS},
 #                       both journaled, and require stdout AND journal
 #                       bytes to be identical — the parallel runner's
@@ -165,6 +167,22 @@ elseif(MODE STREQUAL "chaos")
     message(FATAL_ERROR
       "chaos report is not byte-identical to the clean run (seed ${CHAOS_SEED})\n"
       "--- clean ---\n${clean_out}\n--- chaos ---\n${chaos_out}")
+  endif()
+  if(NOT JOBS STREQUAL "1")
+    execute_process(
+      COMMAND ${CLI} explore --apps ${APPS} --chaos ${CHAOS_SEED} --retries 4 --jobs 1
+      RESULT_VARIABLE seq_rc
+      OUTPUT_VARIABLE seq_out
+      ERROR_VARIABLE seq_err
+    )
+    if(NOT seq_rc STREQUAL "0")
+      message(FATAL_ERROR "--jobs 1 chaos explore run failed (rc=${seq_rc})\n${seq_err}")
+    endif()
+    if(NOT chaos_err STREQUAL seq_err)
+      message(FATAL_ERROR
+        "--jobs ${JOBS} chaos stderr is not byte-identical to --jobs 1 (seed ${CHAOS_SEED})\n"
+        "--- jobs 1 ---\n${seq_err}\n--- jobs ${JOBS} ---\n${chaos_err}")
+    endif()
   endif()
 elseif(MODE STREQUAL "jobs_identity")
   set(journal_seq "${WORKDIR}/identity_seq.jsonl")

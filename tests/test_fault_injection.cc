@@ -77,14 +77,8 @@ TEST_F(FaultInjectionTest, BaselinePartitionsAndIsClean) {
   const PartitionResult r = part.Run(workload_);
   EXPECT_TRUE(r.partitioned());
   EXPECT_FALSE(r.degraded());
-  // A clean run carries exactly the reproducibility header and nothing
-  // else: the note naming the PRNG seed and the (empty) fault spec.
-  ASSERT_EQ(r.diagnostics.size(), 1u);
-  EXPECT_EQ(r.diagnostics[0].severity, Severity::kNote);
-  EXPECT_EQ(r.diagnostics[0].code, "run.context");
-  EXPECT_NE(r.diagnostics[0].message.find("prng seed 0x9e3779b97f4a7c15"),
-            std::string::npos);
-  EXPECT_NE(r.diagnostics[0].message.find("fault spec ''"), std::string::npos);
+  // A clean run carries no diagnostic at all.
+  EXPECT_EQ(r.diagnostics.size(), 0u);
   EXPECT_EQ(r.partitioned_run.return_value, r.initial_run.return_value);
 }
 
@@ -105,8 +99,8 @@ TEST_F(FaultInjectionTest, ClusterDecompositionFaultFallsBackToAllSoftware) {
   const Diagnostic* err = FirstError(r);
   ASSERT_NE(err, nullptr);
   EXPECT_EQ(err->code, "partition.cluster");
-  // The header must name the spec that produced this failure.
-  EXPECT_NE(r.diagnostics[0].message.find("fault spec 'alloc'"), std::string::npos);
+  // The error names the fault that produced it.
+  EXPECT_NE(err->message.find("injected fault at site 'alloc'"), std::string::npos);
   EXPECT_EQ(r.partitioned_run.return_value, r.initial_run.return_value);
 }
 

@@ -74,12 +74,8 @@ TEST_P(PartitionFuzz, InjectedFaultsNeverCorruptResults) {
     const PartitionResult r = part.Run(w);
     EXPECT_EQ(r.initial_run.return_value, expected);
     EXPECT_EQ(r.partitioned_run.return_value, expected);
-    // Beyond the always-present run-context note, any recorded
-    // diagnostic must be a degradation.
-    if (r.diagnostics.size() > 1) {
-      EXPECT_TRUE(r.degraded());
-    }
-    EXPECT_EQ(r.diagnostics[0].code, "run.context");
+    // Any recorded diagnostic must be a degradation.
+    EXPECT_TRUE(r.diagnostics.empty() || r.degraded());
   } catch (const InjectedFault&) {
     // Fail-fast before a usable baseline exists is the other legal
     // outcome (profiling or the initial simulation was hit).

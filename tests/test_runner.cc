@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "common/error.h"
 #include "common/fault.h"
 #include "common/prng.h"
 #include "runner/explore.h"
@@ -67,6 +69,16 @@ TEST(JournalTest, MissingFileIsFreshStart) {
   const JournalLoad load = LoadJournal(TempPath("journal_does_not_exist.jsonl"));
   EXPECT_TRUE(load.records.empty());
   EXPECT_TRUE(load.warnings.empty());
+}
+
+TEST(JournalTest, APathThatIsNotARegularFileIsRefused) {
+  // A directory stands for every non-regular path, a device such as
+  // /dev/zero included, whose read would never reach an end.
+  const std::string path = TempPath("journal_dir");
+  std::filesystem::create_directories(path);
+  EXPECT_THROW((void)LoadJournal(path), Error);
+  EXPECT_THROW(JournalWriter(path, /*truncate=*/false), Error);
+  std::filesystem::remove(path);
 }
 
 TEST(JournalTest, TruncatedFinalLineIsSkippedWithWarning) {
