@@ -1,10 +1,12 @@
 #include "common/fault.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/prng.h"
@@ -168,10 +170,22 @@ std::string ChaosSchedule(std::uint64_t seed, std::string_view job_key,
   // invariance the contract in the header promises.
   Prng rng(seed ^ Fnv1a(job_key));
   const int arms = 1 + static_cast<int>(rng.next_below(2));
-  std::string spec;
+  // A site drawn twice keeps its later arm, the one InstallInto keeps:
+  // the spec names only arms that can fire.
+  std::vector<std::pair<std::string_view, std::uint64_t>> drawn;
   for (int i = 0; i < arms; ++i) {
     const std::string_view site = sites[rng.next_below(sites.size())];
     const std::uint64_t hit = 1 + rng.next_below(3);
+    auto same = std::find_if(drawn.begin(), drawn.end(),
+                             [&](const auto& arm) { return arm.first == site; });
+    if (same != drawn.end()) {
+      same->second = hit;
+    } else {
+      drawn.emplace_back(site, hit);
+    }
+  }
+  std::string spec;
+  for (const auto& [site, hit] : drawn) {
     if (!spec.empty()) spec += ",";
     spec += std::string(site) + ":" + std::to_string(hit);
   }

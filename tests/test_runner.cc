@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -629,6 +630,34 @@ TEST(ChaosScheduleTest, IsAPureFunctionOfSeedAndKey) {
   }
   EXPECT_GE(count, 1);
   EXPECT_LE(count, 2);
+}
+
+// A schedule names each site at most once: InstallInto keeps one arm
+// per site, so a second arm for the same site would be journaled but
+// could never fire. Over the sweep's 24 job keys and the sites the
+// runner arms (kChaosSites in explore.cc).
+TEST(ChaosScheduleTest, NamesEachSiteOnce) {
+  const std::vector<std::string_view> sites = {"alloc", "profile", "sim",
+                                               "schedule", "synth", "estimate"};
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    for (const char* app : {"3d", "MPG", "ckey", "digs", "engine", "trick"}) {
+      for (const char* rs : {"rs-tiny", "rs-small", "rs-medium", "rs-large"}) {
+        const std::string key = std::string(app) + "/" + rs;
+        const std::string spec = fault::ChaosSchedule(seed, key, sites);
+        std::stringstream arms(spec);
+        std::string arm;
+        std::vector<std::string> named;
+        while (std::getline(arms, arm, ',')) {
+          const std::string site = arm.substr(0, arm.find(':'));
+          ASSERT_EQ(std::count(named.begin(), named.end(), site), 0)
+              << "seed " << seed << ", job " << key << ": " << spec;
+          named.push_back(site);
+        }
+      }
+    }
+  }
+  // The draw that once armed sim twice keeps its later, firing arm.
+  EXPECT_EQ(fault::ChaosSchedule(7, "engine/rs-large", sites), "sim:1");
 }
 
 }  // namespace
