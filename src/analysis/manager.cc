@@ -1,27 +1,18 @@
 #include "analysis/manager.h"
 
 #include <algorithm>
-#include <deque>
-#include <sstream>
 #include <tuple>
 
 #include "analysis/dataflow_lint.h"
-#include "asic/datapath.h"
-#include "asic/netlist_check.h"
-#include "asic/synthesis.h"
-#include "asic/utilization.h"
-#include "asic/verilog.h"
 #include "common/error.h"
 #include "core/cluster.h"
 #include "core/dataflow.h"
 #include "core/partition_check.h"
+#include "core/partitioner.h"
 #include "dsl/lower.h"
 #include "iss/simulator.h"
 #include "power/tech_library.h"
-#include "sched/dfg.h"
-#include "sched/list_scheduler.h"
 #include "sched/resource_set.h"
-#include "sched/validate.h"
 
 namespace lopass::analysis {
 
@@ -59,10 +50,10 @@ std::vector<Diagnostic> AnalysisManager::Apply(std::vector<Diagnostic> diags) co
 
 namespace {
 
-// Statically drives decomposition, scheduling and synthesis over every
-// hardware-candidate cluster and runs the L3xx-L5xx validators on the
-// artifacts. Mirrors the partitioner's evaluation loop, minus anything
-// needing a workload (the validators check structure, not energy).
+// Drives the flow's candidate stage (core/partitioner.h) statically,
+// with the L3xx validators around it, under lint's own policy: every
+// hardware candidate, every designer set, unit block weights, default
+// scheduler options and no energy gate.
 void DrivePartitionChecks(const dsl::LoweredProgram& prog, const std::string& entry,
                           DiagnosticSink& sink) {
   const ir::Module& module = prog.module;
@@ -81,55 +72,25 @@ void DrivePartitionChecks(const dsl::LoweredProgram& prog, const std::string& en
   const core::BusTrafficAnalyzer traffic(module, chain, lib, iss::SystemConfig{}.memory_bytes);
   core::ValidateGenUse(module, chain, traffic, sink);
 
-  const std::vector<sched::ResourceSet> sets = sched::DefaultDesignerSets();
-
   for (const core::Cluster& c : chain.clusters) {
     if (!c.hw_candidate) continue;
-    std::ostringstream cl;
-    cl << "cluster " << c.id << " ('" << c.label << "')";
-    const std::string cluster_str = cl.str();
+    const std::string cluster_str = "cluster " + std::to_string(c.id) + " ('" + c.label + "')";
 
     core::ValidateTransfers(module, c, traffic.Compute(c, {}), sink);
     core::ValidateHwSelection(chain, {c.id}, sink);
 
-    // Stable storage for the DFGs/schedules ScheduledBlock points into.
-    std::deque<sched::BlockDfg> dfgs;
-    for (const auto& [fn, bid] : c.blocks) {
-      dfgs.push_back(sched::BuildBlockDfg(module.function(fn).block(bid)));
-    }
-
-    for (const sched::ResourceSet& rs : sets) {
-      std::deque<sched::BlockSchedule> schedules;
-      std::vector<asic::ScheduledBlock> blocks;
-      bool feasible = true;
-      for (std::size_t i = 0; i < dfgs.size(); ++i) {
-        try {
-          schedules.push_back(sched::ListSchedule(dfgs[i], rs, lib));
-        } catch (const Error& e) {
-          // An op with no resource in this set: the partitioner treats
-          // the candidate as infeasible under this set, not as an error.
-          sink.AddNote("analysis.pipeline", cluster_str + " infeasible under set '" +
-                                                rs.name + "': " + e.what());
-          feasible = false;
-          break;
-        }
-        sched::ValidateSchedule(dfgs[i], schedules.back(), rs, lib, sink,
-                                /*chaining_enabled=*/false,
-                                cluster_str + ", block " + std::to_string(i) +
-                                    ", set '" + rs.name + "'");
-        blocks.push_back(asic::ScheduledBlock{&dfgs[i], &schedules.back(), 1});
-      }
-      if (!feasible || blocks.empty()) continue;
-
+    const std::vector<sched::BlockDfg> dfgs = core::BuildClusterDfgs(module, c);
+    for (const sched::ResourceSet& rs : sched::DefaultDesignerSets()) {
       try {
-        const asic::UtilizationResult util = asic::ComputeUtilization(blocks, rs, lib);
-        const asic::Datapath dp = asic::BuildDatapath(blocks, util);
-        asic::ValidateDatapath(blocks, util, dp, sink,
-                               cluster_str + ", set '" + rs.name + "'");
-        const asic::AsicCore core =
-            asic::Synthesize(c.label, rs.name, util, lib, 8, &dp);
-        const std::string verilog = asic::EmitVerilog(core, dp);
-        asic::ValidateVerilog(verilog, dp, sink, cluster_str + ", set '" + rs.name + "'");
+        const core::ScheduledCandidate sc =
+            core::ScheduleCandidate(c, dfgs, nullptr, rs, lib, {}, &sink, cluster_str);
+        if (!sc.infeasible.empty()) {
+          sink.AddNote("analysis.pipeline", cluster_str + " infeasible under set '" + rs.name +
+                                                "': " + sc.infeasible);
+        } else if (sc.util && !sc.blocks.empty()) {
+          core::SynthesizeCandidate(module, traffic, c, rs.name, *sc.util, &sc.blocks, lib,
+                                    &sink, cluster_str);
+        }
       } catch (const Error& e) {
         sink.AddError("analysis.pipeline",
                       cluster_str + ": synthesis drive failed: " + e.what());

@@ -4,14 +4,15 @@
 // static-analysis stack — plus LintProgram, the whole-pipeline driver
 // behind `lopass lint`.
 //
-// LintProgram exercises every stage the partitioner would run, purely
-// statically (no workload, no simulation): frontend + IR verification
-// (L1xx), dataflow lints (L2xx), cluster decomposition + partition
-// invariants (L3xx), list scheduling of every hardware candidate
-// across the designer resource sets + schedule validation
-// (L4xx), and utilization/datapath/Verilog synthesis + netlist lints
-// (L5xx). A defect anywhere in the pipeline comes back as one
-// diagnostic with a stable L-code in a single pass.
+// LintProgram runs the pipeline statically (no workload, no
+// simulation): frontend + IR verification (L1xx), dataflow lints
+// (L2xx), cluster decomposition + partition invariants (L3xx), and the
+// flow's own candidate stage (core::ScheduleCandidate with the L4xx
+// schedule checks, core::SynthesizeCandidate with the L5xx datapath and
+// Verilog checks). Unlike the flow it drives every hardware candidate,
+// not only the pre-selected ones, under every designer set, with unit
+// block weights, default scheduler options and no energy gate. A
+// defect anywhere comes back as one diagnostic with a stable L-code.
 
 #include <string>
 #include <string_view>

@@ -1,12 +1,10 @@
 #include "common/fault.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/prng.h"
@@ -170,25 +168,17 @@ std::string ChaosSchedule(std::uint64_t seed, std::string_view job_key,
   // invariance the contract in the header promises.
   Prng rng(seed ^ Fnv1a(job_key));
   const int arms = 1 + static_cast<int>(rng.next_below(2));
-  // A site drawn twice keeps its later arm, the one InstallInto keeps:
-  // the spec names only arms that can fire.
-  std::vector<std::pair<std::string_view, std::uint64_t>> drawn;
+  std::vector<std::string> drawn;
   for (int i = 0; i < arms; ++i) {
-    const std::string_view site = sites[rng.next_below(sites.size())];
+    const std::string site(sites[rng.next_below(sites.size())]);
     const std::uint64_t hit = 1 + rng.next_below(3);
-    auto same = std::find_if(drawn.begin(), drawn.end(),
-                             [&](const auto& arm) { return arm.first == site; });
-    if (same != drawn.end()) {
-      same->second = hit;
-    } else {
-      drawn.emplace_back(site, hit);
-    }
+    // A site drawn twice keeps only its later arm, the one InstallInto
+    // keeps: the spec names no arm that cannot fire.
+    std::erase_if(drawn, [&](const std::string& arm) { return arm.starts_with(site + ":"); });
+    drawn.push_back(site + ":" + std::to_string(hit));
   }
   std::string spec;
-  for (const auto& [site, hit] : drawn) {
-    if (!spec.empty()) spec += ",";
-    spec += std::string(site) + ":" + std::to_string(hit);
-  }
+  for (const std::string& arm : drawn) spec += (spec.empty() ? "" : ",") + arm;
   return spec;
 }
 

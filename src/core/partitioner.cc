@@ -4,16 +4,91 @@
 #include <unordered_set>
 
 #include "asic/netlist_check.h"
+#include "asic/verilog.h"
 #include "common/error.h"
 #include "common/fault.h"
 #include "core/partition_check.h"
 #include "isa/codegen.h"
 #include "isa/peephole.h"
-#include "sched/dfg.h"
 #include "sched/list_scheduler.h"
 #include "sched/validate.h"
 
 namespace lopass::core {
+
+std::vector<sched::BlockDfg> BuildClusterDfgs(const ir::Module& module, const Cluster& c) {
+  std::vector<sched::BlockDfg> dfgs;
+  dfgs.reserve(c.blocks.size());
+  for (const auto& [fn, block] : c.blocks) {
+    dfgs.push_back(sched::BuildBlockDfg(module.function(fn).block(block)));
+  }
+  return dfgs;
+}
+
+ScheduledCandidate ScheduleCandidate(const Cluster& c, const std::vector<sched::BlockDfg>& dfgs,
+                                     const iss::SimResult* profile, const sched::ResourceSet& rs,
+                                     const power::TechLibrary& lib,
+                                     const sched::SchedulerOptions& options,
+                                     DiagnosticSink* checks, const std::string& where) {
+  ScheduledCandidate sc;
+  sc.schedules.reserve(dfgs.size());
+  try {
+    for (const sched::BlockDfg& dfg : dfgs) {
+      sc.schedules.push_back(sched::ListSchedule(dfg, rs, lib, options));
+    }
+  } catch (const Error& e) {
+    // An injected fault or a cancellation fails the stage; any other
+    // scheduler error means the set cannot implement some operation.
+    if (fault::IsTransient(e) || dynamic_cast<const CancelledError*>(&e) != nullptr) throw;
+    sc.infeasible = e.what();
+    return sc;
+  }
+  const std::size_t errors_before = checks != nullptr ? checks->error_count() : 0;
+  for (std::size_t i = 0; i < dfgs.size(); ++i) {
+    if (checks != nullptr) {
+      sched::ValidateSchedule(dfgs[i], sc.schedules[i], rs, lib, *checks,
+                              options.enable_chaining,
+                              where + ", block " + std::to_string(i) + ", set '" + rs.name + "'");
+    }
+    const auto& [fn, block] = c.blocks[i];
+    sc.blocks.push_back(asic::ScheduledBlock{
+        &dfgs[i], &sc.schedules[i], profile ? profile->block_cost(fn, block).entries : 1});
+  }
+  // A schedule that fails its check is never priced.
+  if (checks != nullptr && checks->error_count() > errors_before) return sc;
+  sc.util = asic::ComputeUtilization(sc.blocks, rs, lib);
+  return sc;
+}
+
+PartitionDecision SynthesizeCandidate(const ir::Module& module,
+                                      const BusTrafficAnalyzer& traffic, const Cluster& c,
+                                      const std::string& resource_set,
+                                      const asic::UtilizationResult& util,
+                                      const std::vector<asic::ScheduledBlock>* datapath_blocks,
+                                      const power::TechLibrary& lib, DiagnosticSink* checks,
+                                      const std::string& where) {
+  PartitionDecision d;
+  d.cluster_id = c.id;
+  d.cluster_label = c.label;
+  const GenUse& gu = traffic.cluster_gen_use(c.id);
+  std::unordered_set<ir::SymbolId> scalars;
+  for (const auto* symbols : {&gu.gen, &gu.use}) {
+    for (ir::SymbolId s : *symbols) {
+      if (module.symbol(s).kind == ir::SymbolKind::kScalar) scalars.insert(s);
+    }
+  }
+  const int regs = 2 + static_cast<int>(scalars.size());
+  const std::string at = where + ", set '" + resource_set + "'";
+  if (datapath_blocks != nullptr) {
+    d.datapath = asic::BuildDatapath(*datapath_blocks, util);
+    if (checks != nullptr) asic::ValidateDatapath(*datapath_blocks, util, *d.datapath, *checks, at);
+  }
+  d.core = asic::Synthesize(c.label, resource_set, util, lib, regs,
+                            d.datapath ? &*d.datapath : nullptr);
+  if (d.datapath && checks != nullptr) {
+    asic::ValidateVerilog(asic::EmitVerilog(d.core, *d.datapath), *d.datapath, *checks, at);
+  }
+  return d;
+}
 
 namespace {
 
@@ -31,8 +106,7 @@ double WeightedUtilization(const asic::UtilizationResult& util,
   return den > 0.0 ? num / den : 0.0;
 }
 
-// The inputs of one Run that every candidate evaluation and every
-// synthesis reads.
+// The inputs of one Run that every candidate evaluation reads.
 struct FlowInputs {
   const ir::Module& module;
   const PartitionOptions& options;
@@ -51,50 +125,13 @@ struct Accepted {
   double geq = 0.0;
 };
 
-// A pre-selected cluster's blocks list-scheduled under one resource set
-// (Fig. 1 line 8). The DFGs are the baseline's; only the schedules
-// belong to this pairing. Under include_interconnect the winner's copy
-// is what its datapath is built from (line 14), so no block is
-// scheduled twice.
-struct ClusterSchedule {
-  const std::vector<sched::BlockDfg>* dfgs = nullptr;
-  std::vector<sched::BlockSchedule> schedules;
-
-  // The scheduled blocks weighted by their #ex_times, the entries the
-  // initial run profiled. The pointers are valid while the baseline and
-  // this ClusterSchedule live.
-  std::vector<asic::ScheduledBlock> Blocks(const Cluster& c,
-                                           const iss::SimResult& initial_run) const {
-    std::vector<asic::ScheduledBlock> blocks;
-    blocks.reserve(schedules.size());
-    for (std::size_t i = 0; i < schedules.size(); ++i) {
-      blocks.push_back(asic::ScheduledBlock{
-          &(*dfgs)[i], &schedules[i],
-          initial_run.block_cost(c.blocks[i].first, c.blocks[i].second).entries});
-    }
-    return blocks;
-  }
-};
-
-// Throws Error when the set cannot implement some operation of the
-// cluster (e.g. no multiplier for a mul-heavy block).
-ClusterSchedule ScheduleCluster(const FlowInputs& in, const PreselectedCluster& p,
-                                const sched::ResourceSet& rs) {
-  ClusterSchedule cs;
-  cs.dfgs = &p.dfgs;
-  cs.schedules.reserve(p.dfgs.size());
-  for (const sched::BlockDfg& dfg : p.dfgs) {
-    cs.schedules.push_back(sched::ListSchedule(dfg, rs, in.lib, in.sched_opts));
-  }
-  return cs;
-}
-
 // One evaluated cluster × resource set pairing. The caller keeps the
 // schedule only while the candidate is the round's best and synthesis
-// will read it.
+// will read it: under include_interconnect the winner's datapath is
+// built from it (line 14), so no block is scheduled twice.
 struct Candidate {
   ClusterEvaluation ev;
-  ClusterSchedule schedule;
+  ScheduledCandidate schedule;
 };
 
 // Fig. 1 lines 8-13 for one pairing. Self-check findings go to
@@ -114,31 +151,19 @@ Candidate EvaluateCandidate(const FlowInputs& in, const PreselectedCluster& p,
                                                            : std::unordered_set<int>{});
   ev.e_trans = ev.transfers.energy;
 
-  // A resource set that cannot implement some operation makes this
-  // pairing infeasible.
-  try {
-    cand.schedule = ScheduleCluster(in, p, rs);
-  } catch (const InjectedFault&) {
-    throw;  // injected faults must reach the per-cluster isolation layer
-  } catch (const CancelledError&) {
-    throw;  // deadlines abort the whole run
-  } catch (const Error& e) {
-    ev.feasible = false;
-    ev.reject_reason = e.what();
-    return cand;
-  }
-  const ClusterSchedule& cs = cand.schedule;
   // Self-check: prove each schedule respects precedence and resource
   // limits, and the transfer estimate its bounds, before any energy
   // math uses them. A failing candidate is rejected, not synthesized.
+  DiagnosticSink sc;
+  cand.schedule = ScheduleCandidate(c, p.dfgs, &initial, rs, in.lib, in.sched_opts,
+                                    options.self_check ? &sc : nullptr,
+                                    "cluster '" + c.label + "'");
+  if (!cand.schedule.infeasible.empty()) {
+    ev.feasible = false;
+    ev.reject_reason = cand.schedule.infeasible;
+    return cand;
+  }
   if (options.self_check) {
-    DiagnosticSink sc;
-    for (std::size_t i = 0; i < c.blocks.size(); ++i) {
-      sched::ValidateSchedule((*cs.dfgs)[i], cs.schedules[i], rs, in.lib, sc,
-                              options.scheduler.enable_chaining,
-                              "cluster '" + c.label + "', block " +
-                                  std::to_string(i) + ", set '" + rs.name + "'");
-    }
     ValidateTransfers(in.module, c, ev.transfers, sc);
     const bool bad = sc.has_errors();
     for (Diagnostic& d : sc.Take()) diagnostics.push_back(std::move(d));
@@ -148,7 +173,7 @@ Candidate EvaluateCandidate(const FlowInputs& in, const PreselectedCluster& p,
       return cand;
     }
   }
-  ev.util = asic::ComputeUtilization(cs.Blocks(c, in.initial_run), rs, in.lib);
+  ev.util = std::move(*cand.schedule.util);
   ev.u_asic = options.weighted_utilization ? WeightedUtilization(ev.util, in.lib)
                                            : ev.util.u_core;
   ev.u_up = initial.UtilizationOfBlocks(c.blocks);
@@ -209,41 +234,6 @@ Candidate EvaluateCandidate(const FlowInputs& in, const PreselectedCluster& p,
       Objective(total_est, initial.energy.total(), ev.geq + accepted.geq, options.objective);
   ev.feasible = true;
   return cand;
-}
-
-// Fig. 1 line 14: synthesizes a winner's core from the schedules its
-// evaluation built. The decision's transfers are left for the caller,
-// which knows which neighbours synthesized too.
-PartitionDecision SynthesizeWinner(const FlowInputs& in, const Cluster& c,
-                                   const Candidate& w, std::vector<Diagnostic>& diagnostics) {
-  const ClusterEvaluation& ev = w.ev;
-  PartitionDecision d;
-  d.cluster_id = ev.cluster_id;
-  d.cluster_label = ev.cluster_label;
-  // Register file: one register per scalar the cluster touches, plus
-  // pipeline temporaries.
-  const GenUse& gu = in.traffic.cluster_gen_use(ev.cluster_id);
-  std::unordered_set<ir::SymbolId> scalars;
-  for (ir::SymbolId s : gu.gen) {
-    if (in.module.symbol(s).kind == ir::SymbolKind::kScalar) scalars.insert(s);
-  }
-  for (ir::SymbolId s : gu.use) {
-    if (in.module.symbol(s).kind == ir::SymbolKind::kScalar) scalars.insert(s);
-  }
-  const int regs = 2 + static_cast<int>(scalars.size());
-  if (in.options.include_interconnect) {
-    const std::vector<asic::ScheduledBlock> blocks = w.schedule.Blocks(c, in.initial_run);
-    d.datapath = asic::BuildDatapath(blocks, ev.util);
-    if (in.options.self_check) {
-      DiagnosticSink sc;
-      asic::ValidateDatapath(blocks, ev.util, *d.datapath, sc,
-                             "cluster '" + ev.cluster_label + "', set '" + ev.resource_set + "'");
-      for (Diagnostic& diag : sc.Take()) diagnostics.push_back(std::move(diag));
-    }
-  }
-  d.core = asic::Synthesize(ev.cluster_label, ev.resource_set, ev.util, in.lib, regs,
-                            d.datapath ? &*d.datapath : nullptr);
-  return d;
 }
 
 // The all-software baseline: nothing mapped, no ASIC core.
@@ -421,12 +411,7 @@ std::shared_ptr<AppBaseline> Partitioner::BuildBaseline(const Workload& workload
   // The DFGs every resource set schedules. A build failure throws: a
   // baseline never holds one.
   for (const Ranked& r : ranked) {
-    PreselectedCluster& p = b->ranked.emplace_back();
-    p.cluster = r.cluster;
-    p.dfgs.reserve(r.cluster->blocks.size());
-    for (const auto& [fn, block] : r.cluster->blocks) {
-      p.dfgs.push_back(sched::BuildBlockDfg(module_.function(fn).block(block)));
-    }
+    b->ranked.push_back(PreselectedCluster{r.cluster, BuildClusterDfgs(module_, *r.cluster)});
   }
   return b;
 }
@@ -537,8 +522,12 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
   for (const Candidate& w : winners) {
     CheckCancel(options_.cancel, "partitioner (synthesis)");
     const Cluster& c = chain.clusters[static_cast<std::size_t>(w.ev.cluster_id)];
+    DiagnosticSink sc;
     try {
-      PartitionDecision d = SynthesizeWinner(in, c, w, result.diagnostics);
+      PartitionDecision d = SynthesizeCandidate(
+          module_, traffic, c, w.ev.resource_set, w.ev.util,
+          options_.include_interconnect ? &w.schedule.blocks : nullptr, lib_,
+          options_.self_check ? &sc : nullptr, "cluster '" + c.label + "'");
       result.asic_cycles += d.core.cycles;
       result.asic_energy += d.core.refined_energy;
       result.selected.push_back(std::move(d));
@@ -547,11 +536,11 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
     } catch (const Error& e) {
       // Isolation: a core that fails to synthesize is dropped — its
       // cluster simply stays in software.
-      result.diagnostics.push_back(Diagnostic{
-          Severity::kError, "partition.synthesize", SourceLoc{},
-          "synthesis of core for cluster '" + w.ev.cluster_label +
-              "' failed (cluster stays in software): " + e.what()});
+      sc.AddError("partition.synthesize", "synthesis of core for cluster '" + c.label +
+                                              "' failed (cluster stays in software): " +
+                                              e.what());
     }
+    for (Diagnostic& d : sc.Take()) result.diagnostics.push_back(std::move(d));
   }
   if (result.selected.empty()) {
     FallBackToSoftware(result, initial);

@@ -93,10 +93,10 @@ struct PartitionOptions {
   // workload.
   std::uint64_t max_sim_instrs = 2'000'000'000;
   // Run the static validators (L3xx partition invariants, L4xx schedule
-  // checks, L5xx datapath checks under include_interconnect) on every
-  // intermediate artifact. Cheap next to simulation; findings land in
-  // PartitionResult::diagnostics as errors (-> degraded()), and a
-  // schedule that fails validation rejects its candidate.
+  // checks, L5xx datapath and Verilog checks under include_interconnect)
+  // on every intermediate artifact. Cheap next to simulation; findings
+  // land in PartitionResult::diagnostics as errors (-> degraded()), and
+  // a schedule that fails validation rejects its candidate.
   bool self_check = true;
   // Cooperative cancellation / per-job deadline (see common/cancel.h).
   // Polled between stages, before every candidate evaluation, and
@@ -189,9 +189,7 @@ class ResimMemo {
   mutable int reused_ = 0;
 };
 
-// A pre-selected cluster (Fig. 1 line 5) with the DFGs of its blocks,
-// in `cluster->blocks` order. A block DFG depends on the block alone,
-// so every resource set schedules these same graphs.
+// A pre-selected cluster (Fig. 1 line 5) with its block DFGs (BuildClusterDfgs).
 struct PreselectedCluster {
   const Cluster* cluster = nullptr;  // points into AppBaseline::chain
   std::vector<sched::BlockDfg> dfgs;
@@ -231,6 +229,50 @@ struct AppBaseline {
   std::vector<PreselectedCluster> ranked;
   mutable ResimMemo resims;
 };
+
+// The candidate stage of Fig. 1: one cluster under one resource set.
+// Partitioner::BuildBaseline and Run and `lopass lint` call it, each
+// with its own profile, scheduler options and prefix for its findings.
+//
+// The DFGs of the cluster's blocks, in `c.blocks` order. A block DFG
+// depends on the block alone, so every resource set schedules these.
+std::vector<sched::BlockDfg> BuildClusterDfgs(const ir::Module& module, const Cluster& c);
+
+// A cluster's blocks scheduled under one set. Move-only: `blocks`
+// points into `schedules` (whose storage a move keeps) and the DFGs.
+struct ScheduledCandidate {
+  ScheduledCandidate() = default;
+  ScheduledCandidate(ScheduledCandidate&&) = default;
+  ScheduledCandidate& operator=(ScheduledCandidate&&) = default;
+
+  std::string infeasible;  // why the set cannot implement the cluster
+  std::vector<sched::BlockSchedule> schedules;
+  std::vector<asic::ScheduledBlock> blocks;
+  std::optional<asic::UtilizationResult> util;  // unset when an L4xx check fails
+};
+
+// Lines 8-9: list-schedules the DFGs of `c` under `rs`, runs the L4xx
+// checks into `checks` (none when null) and computes utilization with
+// each block weighted by its #ex_times in `profile` (1 when null). A
+// set lacking a resource for some operation makes the candidate
+// infeasible; any other Error (an injected fault, a cancellation) throws.
+ScheduledCandidate ScheduleCandidate(const Cluster& c, const std::vector<sched::BlockDfg>& dfgs,
+                                     const iss::SimResult* profile, const sched::ResourceSet& rs,
+                                     const power::TechLibrary& lib,
+                                     const sched::SchedulerOptions& options,
+                                     DiagnosticSink* checks, const std::string& where);
+
+// Line 14: synthesizes the core of `c`, with one register per gen/use
+// scalar plus two temporaries. With `datapath_blocks` it builds the
+// datapath from them and runs the L5xx checks, Verilog included, into
+// `checks` (none when null). Leaves the transfers to the caller.
+PartitionDecision SynthesizeCandidate(const ir::Module& module,
+                                      const BusTrafficAnalyzer& traffic, const Cluster& c,
+                                      const std::string& resource_set,
+                                      const asic::UtilizationResult& util,
+                                      const std::vector<asic::ScheduledBlock>* datapath_blocks,
+                                      const power::TechLibrary& lib, DiagnosticSink* checks,
+                                      const std::string& where);
 
 class Partitioner {
  public:

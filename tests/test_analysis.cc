@@ -10,13 +10,16 @@
 
 #include <algorithm>
 #include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/codes.h"
 #include "analysis/dataflow_lint.h"
+#include "apps/app.h"
 #include "asic/datapath.h"
 #include "asic/netlist_check.h"
 #include "asic/synthesis.h"
@@ -26,6 +29,7 @@
 #include "common/prng.h"
 #include "core/cluster.h"
 #include "core/dataflow.h"
+#include "core/partitioner.h"
 #include "core/partition_check.h"
 #include "dsl/lower.h"
 #include "fingerprint.h"
@@ -321,6 +325,51 @@ TEST(LintDrive, GeneratedBigBlockLintsClean) {
       EXPECT_EQ(d.message.find("force-directed"), std::string::npos) << d.message;
     }
   }
+}
+
+// Lint and the flow share one candidate stage, so they agree on which
+// cluster × set pairings are infeasible: every round-0 evaluation the
+// flow rejects because its set lacks a resource is a lint note naming
+// the same cluster, set and reason, and every lint infeasibility note
+// on a pre-selected cluster is such a flow rejection.
+TEST(LintDrive, AgreesWithTheFlowOnInfeasibility) {
+  const std::regex note(R"(^cluster (\d+) \('.*'\) infeasible under set '([^']*)': (.*)$)");
+  std::size_t matched = 0;
+  for (const apps::Application& app : apps::AllApplications()) {
+    analysis::LintOptions options;
+    options.entry = app.options.entry;
+    using Pairing = std::tuple<int, std::string, std::string>;  // cluster, set, reason
+    std::set<Pairing> lint_infeasible;
+    for (const Diagnostic& d : analysis::LintProgram(app.dsl_source, {}, options).diagnostics) {
+      std::smatch m;
+      if (d.code != "analysis.pipeline" || !std::regex_match(d.message, m, note)) continue;
+      EXPECT_EQ(d.severity, Severity::kNote) << d.message;
+      lint_infeasible.emplace(std::stoi(m[1].str()), m[2].str(), m[3].str());
+    }
+
+    const core::PartitionResult flow = apps::RunApplication(app, 1);
+    std::set<int> preselected;
+    std::set<Pairing> flow_infeasible;
+    for (const core::ClusterEvaluation& ev : flow.evaluations) {
+      preselected.insert(ev.cluster_id);
+      if (!ev.feasible && ev.reject_reason.find("provides no resource for") != std::string::npos) {
+        flow_infeasible.emplace(ev.cluster_id, ev.resource_set, ev.reject_reason);
+      }
+    }
+    for (const Pairing& p : flow_infeasible) {
+      EXPECT_EQ(lint_infeasible.count(p), 1u)
+          << app.name << ": the flow rejects cluster " << std::get<0>(p) << " under set '"
+          << std::get<1>(p) << "' (" << std::get<2>(p) << "), lint does not";
+      ++matched;
+    }
+    for (const Pairing& p : lint_infeasible) {
+      if (preselected.count(std::get<0>(p)) == 0) continue;
+      EXPECT_EQ(flow_infeasible.count(p), 1u)
+          << app.name << ": lint finds cluster " << std::get<0>(p) << " infeasible under set '"
+          << std::get<1>(p) << "' (" << std::get<2>(p) << "), the flow does not";
+    }
+  }
+  EXPECT_GT(matched, 0u);
 }
 
 // ---------------------------------------------------------------------

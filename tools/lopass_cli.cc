@@ -38,7 +38,7 @@
 //                             attempts (0 = none)
 //     --retries N             attempts per job incl. the first (default 3)
 //     --chaos SEED            chaos mode: randomized one-shot fault schedules
-//     --seed S                base PRNG seed folded into each job's seed
+//     --seed S                base job seed, journaled only (seeds nothing)
 //   Runs the supervised design-space exploration (docs/robustness.md):
 //   every completed evaluation is journaled and flushed, so a killed
 //   sweep resumed with --resume reprints a byte-identical report. Exit
