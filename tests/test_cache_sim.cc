@@ -165,24 +165,32 @@ void ExpectSameStats(const CacheStats& a, const CacheStats& b) {
 }
 
 TEST(CacheSim, MatchesANaiveLruReferenceAfterEveryAccess) {
-  for (const std::uint32_t assoc : {1u, 2u, 4u}) {
+  // 256 B caches: 1 to 8 ways of 16-byte lines, a single set (fully
+  // associative: no index bits), and 32- and 64-byte lines.
+  const CacheGeometry geometries[] = {
+      {256, 16, 1, 32}, {256, 16, 2, 32}, {256, 16, 4, 32}, {256, 16, 8, 32},
+      {256, 16, 16, 32}, {256, 32, 1, 32}, {256, 32, 2, 32}, {256, 32, 8, 32},
+      {256, 64, 1, 32}, {256, 64, 2, 32}, {256, 64, 4, 32},
+  };
+  for (const CacheGeometry& g : geometries) {
     for (const WritePolicy policy :
          {WritePolicy::kWriteBackAllocate, WritePolicy::kWriteThroughNoAllocate}) {
       for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-        SCOPED_TRACE("assoc " + std::to_string(assoc) + ", policy " +
+        SCOPED_TRACE(std::to_string(g.associativity) + " ways of " +
+                     std::to_string(g.line_bytes) + " B, policy " +
                      std::to_string(static_cast<int>(policy)) + ", seed " +
                      std::to_string(seed));
-        const CacheGeometry g{256, 16, assoc, 32};
         CacheSim sim(g, policy);
         ReferenceLru ref(g, policy);
-        Prng rng(seed * 7919 + assoc);
+        Prng rng(seed * 7919 + g.associativity * 64 + g.line_bytes);
         for (int i = 0; i < 4000;) {
           // A run of 1-6 accesses to one line (within 4x the capacity,
           // so sets conflict), each a read or a write.
-          const std::uint32_t line = static_cast<std::uint32_t>(rng.next_below(64));
+          const std::uint32_t line = static_cast<std::uint32_t>(rng.next_below(4 * g.num_lines()));
           const int run = 1 + static_cast<int>(rng.next_below(6));
           for (int k = 0; k < run; ++k, ++i) {
-            const std::uint32_t addr = line * 16 + 4 * static_cast<std::uint32_t>(rng.next_below(4));
+            const std::uint32_t addr =
+                line * g.line_bytes + 4 * static_cast<std::uint32_t>(rng.next_below(g.line_bytes / 4));
             const bool is_write = rng.next_below(3) == 0;
             ASSERT_EQ(sim.Access(addr, is_write), ref.Access(addr, is_write)) << "access " << i;
             ExpectSameStats(sim.stats(), ref.stats);
