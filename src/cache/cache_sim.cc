@@ -26,48 +26,30 @@ CacheSim::CacheSim(power::CacheGeometry geometry, WritePolicy policy)
   set_mask_ = (1u << index_bits_) - 1u;
 }
 
-bool CacheSim::AccessSlow(std::uint32_t address, bool is_write) {
-  ++tick_;
-  const std::uint32_t line = address >> offset_bits_;
-  const std::uint32_t tag = line >> index_bits_;
-  const std::size_t base = static_cast<std::size_t>(line & set_mask_) * associativity_;
-  const bool write_back = policy_ == WritePolicy::kWriteBackAllocate;
-
-  // Lookup. On the way, pick the victim for a miss: the first line with
-  // the oldest stamp, i.e. an invalid line (stamp 0) first, else the
-  // least recently used one.
-  std::size_t victim = base;
-  for (std::size_t s = base; s < base + associativity_; ++s) {
-    Line& l = lines_[s];
-    if (l.stamp != 0 && l.tag == tag) {
-      l.stamp = tick_;
-      if (is_write) {
-        ++stats_.write_hits;
-        if (write_back) l.dirty = true;
-      } else {
-        ++stats_.read_hits;
-      }
-      last_line_ = line;
-      last_slot_ = s;
-      return true;
-    }
-    if (l.stamp < lines_[victim].stamp) victim = s;
-  }
-
-  // Miss.
+bool CacheSim::Miss(std::uint32_t line, bool is_write) {
   if (is_write) {
     ++stats_.write_misses;
   } else {
     ++stats_.read_misses;
   }
+  const bool write_back = policy_ == WritePolicy::kWriteBackAllocate;
   if (is_write && !write_back) {
     last_line_ = kNoLine;
     return false;  // no allocation
   }
+  // The victim is the first line with the oldest stamp: an invalid line
+  // (stamp 0) first, else the least recently used one. The choice is
+  // branch-free, since a set's stamps follow no predictable order.
+  const std::size_t base = static_cast<std::size_t>(line & set_mask_) * associativity_;
+  std::size_t victim = base;
+  for (std::size_t s = base + 1; s < base + associativity_; ++s) {
+    const std::size_t older = lines_[s].stamp < lines_[victim].stamp;
+    victim ^= (victim ^ s) & (0 - older);
+  }
   Line& v = lines_[victim];
   if (v.stamp != 0 && v.dirty) ++stats_.writebacks;
   v.stamp = tick_;
-  v.tag = tag;
+  v.tag = line >> index_bits_;
   v.dirty = is_write;
   ++stats_.line_fills;
   last_line_ = line;
