@@ -1,6 +1,7 @@
 #include "analysis/manager.h"
 
 #include <algorithm>
+#include <limits>
 #include <tuple>
 
 #include "analysis/dataflow_lint.h"
@@ -103,7 +104,9 @@ void DrivePartitionChecks(const dsl::LoweredProgram& prog, const std::string& en
 
 LintReport LintProgram(std::string_view source, const AnalysisManager& manager,
                        const LintOptions& options) {
-  DiagnosticSink sink;
+  // Uncapped: the policy and the counts see every finding, and only the
+  // report's list is cut to kMaxLintDiagnostics.
+  DiagnosticSink sink(std::numeric_limits<std::size_t>::max());
 
   auto finish = [&]() {
     LintReport report;
@@ -111,6 +114,11 @@ LintReport LintProgram(std::string_view source, const AnalysisManager& manager,
     for (const Diagnostic& d : report.diagnostics) {
       if (d.severity == Severity::kError) ++report.errors;
       if (d.severity == Severity::kWarning) ++report.warnings;
+    }
+    if (report.diagnostics.size() > kMaxLintDiagnostics) {
+      report.omitted = report.diagnostics.size() - kMaxLintDiagnostics;
+      report.diagnostics.erase(report.diagnostics.begin() + kMaxLintDiagnostics,
+                               report.diagnostics.end());
     }
     return report;
   };

@@ -55,10 +55,17 @@ struct LintOptions {
   bool partition_checks = true;
 };
 
+// A lint report lists at most this many findings.
+inline constexpr std::size_t kMaxLintDiagnostics = 64;
+
 struct LintReport {
-  std::vector<Diagnostic> diagnostics;  // after policy
+  // After policy, in source order: the first kMaxLintDiagnostics.
+  std::vector<Diagnostic> diagnostics;
+  // Every finding after policy, listed or not.
   std::size_t errors = 0;
   std::size_t warnings = 0;
+  // Findings past the list's cap.
+  std::size_t omitted = 0;
 
   bool clean() const { return errors == 0; }
 };

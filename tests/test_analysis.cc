@@ -180,6 +180,30 @@ TEST(LintPolicy, PromoteOneCodeLeavesTheRestWarnings) {
   EXPECT_EQ(r.warnings, 5u);
 }
 
+// The counts cover every finding after policy, also past the listed
+// cap: 70 L207 warnings and the loop's "infeasible" note.
+TEST(LintPolicy, CountsFindingsPastTheListedCap) {
+  const analysis::LintReport r = Lint(ReadData("findings_past_the_cap.lp"));
+  EXPECT_EQ(r.warnings, 70u);
+  EXPECT_EQ(r.errors, 0u);
+  EXPECT_EQ(r.diagnostics.size(), analysis::kMaxLintDiagnostics);
+  EXPECT_EQ(r.omitted, 71u - analysis::kMaxLintDiagnostics);
+
+  analysis::AnalysisManager werror;
+  werror.PromoteAllWarnings();
+  const analysis::LintReport promoted = Lint(ReadData("findings_past_the_cap.lp"), werror);
+  EXPECT_EQ(promoted.errors, 70u);
+  EXPECT_FALSE(promoted.clean());
+
+  // Suppressed findings take no place in the list.
+  analysis::AnalysisManager quiet;
+  quiet.Disable("L207");
+  const analysis::LintReport rest = Lint(ReadData("findings_past_the_cap.lp"), quiet);
+  EXPECT_EQ(rest.warnings, 0u);
+  EXPECT_EQ(rest.diagnostics.size(), 1u);
+  EXPECT_EQ(rest.omitted, 0u);
+}
+
 TEST(LintPolicy, CodeRegistryCoversEveryFamily) {
   for (const char* code : {"L100", "L200", "L300", "L400", "L500"}) {
     EXPECT_NE(analysis::FindCode(code), nullptr) << code;

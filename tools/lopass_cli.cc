@@ -243,8 +243,10 @@ int RunLint(int argc, char** argv) {
   try {
     const analysis::LintReport report = analysis::LintProgram(source, manager, options);
     for (const Diagnostic& d : report.diagnostics) PrintDiagnostic(display, d);
-    std::fprintf(stderr, "%s: %zu error(s), %zu warning(s)\n", display.c_str(),
-                 report.errors, report.warnings);
+    std::fprintf(stderr, "%s: %zu error(s), %zu warning(s)", display.c_str(), report.errors,
+                 report.warnings);
+    if (report.omitted > 0) std::fprintf(stderr, "; %zu more not printed", report.omitted);
+    std::fputc('\n', stderr);
     return report.clean() ? 0 : 1;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "internal error: %s\n", e.what());
