@@ -315,7 +315,6 @@ iss::Trace Execute(const AppBaseline& b, const iss::SystemConfig& config,
 }  // namespace
 
 bool ResimMemo::Find(const iss::HwPartition& partition, iss::SimResult& out) const {
-  std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [key, run] : entries_) {
     if (key == partition) {
       out = run;
@@ -327,22 +326,8 @@ bool ResimMemo::Find(const iss::HwPartition& partition, iss::SimResult& out) con
 }
 
 void ResimMemo::Publish(const iss::HwPartition& partition, const iss::SimResult& run) {
-  std::lock_guard<std::mutex> lock(mu_);
   ++runs_;
-  for (const auto& entry : entries_) {
-    if (entry.first == partition) return;  // a concurrent duplicate: first wins
-  }
   entries_.emplace_back(partition, run);
-}
-
-int ResimMemo::runs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return runs_;
-}
-
-int ResimMemo::reused() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reused_;
 }
 
 std::shared_ptr<AppBaseline> Partitioner::BuildBaseline(const Workload& workload) const {

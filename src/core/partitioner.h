@@ -22,7 +22,6 @@
 // application can share.
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -171,19 +170,18 @@ struct PartitionResult {
 
 // Line-15 re-simulations (accounting passes over the baseline's trace)
 // already run on one AppBaseline, keyed on the full HwPartition (block ->
-// cluster map and each cluster's I/O words). Thread-safe: a miss prices
-// its partition outside the lock, and the first result published for a
-// key wins.
+// cluster map and each cluster's I/O words). Not locked: one thread at
+// a time runs Partitioner::Run on a baseline (AppBaseline).
 class ResimMemo {
  public:
   // Copies the stored run for `partition` into `out`; false on a miss.
   bool Find(const iss::HwPartition& partition, iss::SimResult& out) const;
+  // Stores the run of a partition that Find missed.
   void Publish(const iss::HwPartition& partition, const iss::SimResult& run);
-  int runs() const;    // simulations published or discarded as duplicates
-  int reused() const;  // Find hits
+  int runs() const { return runs_; }      // simulations published
+  int reused() const { return reused_; }  // Find hits
 
  private:
-  mutable std::mutex mu_;
   std::vector<std::pair<iss::HwPartition, iss::SimResult>> entries_;
   int runs_ = 0;
   mutable int reused_ = 0;
@@ -205,9 +203,11 @@ struct PreselectedCluster {
 //
 // A baseline fits any Partitioner over the same module, regions,
 // library, µP model, workload and PartitionOptions, except that
-// resource_sets and cancel may differ. It is immutable once
-// built except for its internally locked re-simulation memo, so threads
-// may share one: the DFGs are only read after the build.
+// resource_sets and cancel may differ. It is immutable once built
+// except for its re-simulation memo, which Run fills unlocked: one
+// thread at a time may run Run on a baseline. (The sweep's worker that
+// builds an application's baseline runs all of that application's
+// jobs, and reads the memo's counts itself.)
 struct AppBaseline {
   const ir::Module* module = nullptr;
   Workload workload;
@@ -287,9 +287,10 @@ class Partitioner {
   // is isolated into the result's diagnostics.
   PartitionResult Run(const Workload& workload) const;
 
-  // Lines 6-15 on a baseline that may be shared with other runs; the
-  // only path for them, so the result equals Run(baseline.workload).
-  // The line-15 re-simulation is memoized in the baseline. The result
+  // Lines 6-15 on a baseline that may be shared with other runs, one
+  // at a time; the only path for them, so the result equals
+  // Run(baseline.workload). The line-15 re-simulation is memoized in
+  // the baseline. The result
   // gets its own copy of the initial run and the chain.
   PartitionResult Run(const AppBaseline& baseline) const;
 
