@@ -38,13 +38,11 @@ bool CacheSim::Miss(std::uint32_t line, bool is_write) {
     return false;  // no allocation
   }
   // The victim is the first line with the oldest stamp: an invalid line
-  // (stamp 0) first, else the least recently used one. The choice is
-  // branch-free, since a set's stamps follow no predictable order.
+  // (stamp 0) first, else the least recently used one.
   const std::size_t base = static_cast<std::size_t>(line & set_mask_) * associativity_;
   std::size_t victim = base;
   for (std::size_t s = base + 1; s < base + associativity_; ++s) {
-    const std::size_t older = lines_[s].stamp < lines_[victim].stamp;
-    victim ^= (victim ^ s) & (0 - older);
+    if (lines_[s].stamp < lines_[victim].stamp) victim = s;
   }
   Line& v = lines_[victim];
   if (v.stamp != 0 && v.dirty) ++stats_.writebacks;
