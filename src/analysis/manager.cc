@@ -1,7 +1,6 @@
 #include "analysis/manager.h"
 
 #include <algorithm>
-#include <limits>
 #include <tuple>
 
 #include "analysis/dataflow_lint.h"
@@ -104,21 +103,25 @@ void DrivePartitionChecks(const dsl::LoweredProgram& prog, const std::string& en
 
 LintReport LintProgram(std::string_view source, const AnalysisManager& manager,
                        const LintOptions& options) {
-  // Uncapped: the policy and the counts see every finding, and only the
-  // report's list is cut to kMaxLintDiagnostics.
-  DiagnosticSink sink(std::numeric_limits<std::size_t>::max());
+  // Every finding up to kMaxLintFindings is kept, before policy: a
+  // bound on what a pathological input can make lint hold. Past it the
+  // counts are incomplete, so the report carries an error that says so.
+  DiagnosticSink sink(kMaxLintFindings);
 
   auto finish = [&]() {
+    const std::size_t dropped = sink.dropped();
     LintReport report;
     report.diagnostics = manager.Apply(sink.Take());
+    if (dropped > 0) {
+      report.diagnostics.insert(
+          report.diagnostics.begin(),
+          Diagnostic{Severity::kError, "analysis.pipeline", SourceLoc{},
+                     std::to_string(dropped) + " finding(s) past the first " +
+                         std::to_string(kMaxLintFindings) + " were not kept or counted"});
+    }
     for (const Diagnostic& d : report.diagnostics) {
       if (d.severity == Severity::kError) ++report.errors;
       if (d.severity == Severity::kWarning) ++report.warnings;
-    }
-    if (report.diagnostics.size() > kMaxLintDiagnostics) {
-      report.omitted = report.diagnostics.size() - kMaxLintDiagnostics;
-      report.diagnostics.erase(report.diagnostics.begin() + kMaxLintDiagnostics,
-                               report.diagnostics.end());
     }
     return report;
   };

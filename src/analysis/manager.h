@@ -55,17 +55,15 @@ struct LintOptions {
   bool partition_checks = true;
 };
 
-// A lint report lists at most this many findings.
-inline constexpr std::size_t kMaxLintDiagnostics = 64;
+// Lint keeps at most this many findings (before -Wno/-Werror).
+inline constexpr std::size_t kMaxLintFindings = std::size_t{1} << 14;
 
 struct LintReport {
-  // After policy, in source order: the first kMaxLintDiagnostics.
+  // Every finding after policy, in source order; past kMaxLintFindings
+  // an analysis.pipeline error, first, says how many were not kept.
   std::vector<Diagnostic> diagnostics;
-  // Every finding after policy, listed or not.
   std::size_t errors = 0;
   std::size_t warnings = 0;
-  // Findings past the list's cap.
-  std::size_t omitted = 0;
 
   bool clean() const { return errors == 0; }
 };

@@ -180,28 +180,59 @@ TEST(LintPolicy, PromoteOneCodeLeavesTheRestWarnings) {
   EXPECT_EQ(r.warnings, 5u);
 }
 
-// The counts cover every finding after policy, also past the listed
-// cap: 70 L207 warnings and the loop's "infeasible" note.
+// The report holds and counts every finding after policy, also past
+// the 64 that lopass_cli prints: 70 L207 warnings, the loop's
+// "infeasible" note and the L206 warning of a function never called.
 TEST(LintPolicy, CountsFindingsPastTheListedCap) {
   const analysis::LintReport r = Lint(ReadData("findings_past_the_cap.lp"));
-  EXPECT_EQ(r.warnings, 70u);
+  EXPECT_EQ(r.warnings, 71u);
   EXPECT_EQ(r.errors, 0u);
-  EXPECT_EQ(r.diagnostics.size(), analysis::kMaxLintDiagnostics);
-  EXPECT_EQ(r.omitted, 71u - analysis::kMaxLintDiagnostics);
+  EXPECT_EQ(r.diagnostics.size(), 72u);
 
   analysis::AnalysisManager werror;
   werror.PromoteAllWarnings();
   const analysis::LintReport promoted = Lint(ReadData("findings_past_the_cap.lp"), werror);
-  EXPECT_EQ(promoted.errors, 70u);
+  EXPECT_EQ(promoted.errors, 71u);
   EXPECT_FALSE(promoted.clean());
 
-  // Suppressed findings take no place in the list.
+  // An error whose source position follows 64 and more warnings.
+  analysis::AnalysisManager late_error;
+  late_error.Promote("L206");
+  const analysis::LintReport late = Lint(ReadData("findings_past_the_cap.lp"), late_error);
+  EXPECT_EQ(late.errors, 1u);
+  EXPECT_EQ(late.warnings, 70u);
+  ASSERT_EQ(late.diagnostics.size(), 72u);
+  EXPECT_EQ(late.diagnostics.back().code, "L206");
+  EXPECT_EQ(late.diagnostics.back().severity, Severity::kError);
+
+  // Suppressed findings are neither held nor counted.
   analysis::AnalysisManager quiet;
-  quiet.Disable("L207");
+  quiet.Disable("L2xx");
   const analysis::LintReport rest = Lint(ReadData("findings_past_the_cap.lp"), quiet);
   EXPECT_EQ(rest.warnings, 0u);
   EXPECT_EQ(rest.diagnostics.size(), 1u);
-  EXPECT_EQ(rest.omitted, 0u);
+}
+
+// Lint holds at most kMaxLintFindings findings; past the bound the
+// report says how many it dropped, as an error, since its counts are
+// then incomplete.
+TEST(LintPolicy, BoundsTheFindingsItHolds) {
+  const std::size_t stores = analysis::kMaxLintFindings + 10;
+  std::string source = "array s[1];\nfunc main() {\n";
+  for (std::size_t i = 1; i <= stores; ++i) {
+    source += "  s[" + std::to_string(i) + "] = 0;\n";
+  }
+  source += "  return 0;\n}\n";
+  analysis::LintOptions options;
+  options.partition_checks = false;
+  const analysis::LintReport r = analysis::LintProgram(source, {}, options);
+  EXPECT_EQ(r.warnings, analysis::kMaxLintFindings);
+  EXPECT_EQ(r.errors, 1u);
+  ASSERT_EQ(r.diagnostics.size(), analysis::kMaxLintFindings + 1);
+  EXPECT_EQ(r.diagnostics.front().code, "analysis.pipeline");
+  EXPECT_EQ(r.diagnostics.front().message,
+            "10 finding(s) past the first " + std::to_string(analysis::kMaxLintFindings) +
+                " were not kept or counted");
 }
 
 TEST(LintPolicy, CodeRegistryCoversEveryFamily) {

@@ -166,6 +166,9 @@ void PrintDiagnostic(const std::string& path, const Diagnostic& d) {
   }
 }
 
+// `lint` prints at most this many findings; its summary counts them all.
+constexpr std::size_t kMaxLintPrinted = 64;
+
 // `lopass_cli lint` — the whole-pipeline static analysis driver.
 // argv is shifted so argv[0] is the verb itself.
 int RunLint(int argc, char** argv) {
@@ -242,10 +245,21 @@ int RunLint(int argc, char** argv) {
 
   try {
     const analysis::LintReport report = analysis::LintProgram(source, manager, options);
-    for (const Diagnostic& d : report.diagnostics) PrintDiagnostic(display, d);
+    // At most kMaxLintPrinted findings, in source order. Errors take
+    // their places first, so an exit 1 always prints an error.
+    std::size_t error_room = std::min(report.errors, kMaxLintPrinted);
+    std::size_t other_room = kMaxLintPrinted - error_room;
+    for (const Diagnostic& d : report.diagnostics) {
+      std::size_t& room = d.severity == Severity::kError ? error_room : other_room;
+      if (room == 0) continue;
+      --room;
+      PrintDiagnostic(display, d);
+    }
     std::fprintf(stderr, "%s: %zu error(s), %zu warning(s)", display.c_str(), report.errors,
                  report.warnings);
-    if (report.omitted > 0) std::fprintf(stderr, "; %zu more not printed", report.omitted);
+    if (report.diagnostics.size() > kMaxLintPrinted) {
+      std::fprintf(stderr, "; %zu more not printed", report.diagnostics.size() - kMaxLintPrinted);
+    }
     std::fputc('\n', stderr);
     return report.clean() ? 0 : 1;
   } catch (const std::exception& e) {
