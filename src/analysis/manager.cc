@@ -35,15 +35,19 @@ std::vector<Diagnostic> AnalysisManager::Apply(std::vector<Diagnostic> diags) co
   std::vector<Diagnostic> out;
   out.reserve(diags.size());
   for (Diagnostic& d : diags) {
-    if (IsDisabled(d.code)) continue;
+    // A sink's overflow error is no finding: no policy drops it.
+    if (d.code != kOverflowCode && IsDisabled(d.code)) continue;
     if (d.severity == Severity::kWarning && IsPromoted(d.code)) {
       d.severity = Severity::kError;
     }
     out.push_back(std::move(d));
   }
+  // It leads: the counts after it are incomplete.
   std::stable_sort(out.begin(), out.end(), [](const Diagnostic& a, const Diagnostic& b) {
-    return std::tie(a.loc.line, a.loc.col, a.code) <
-           std::tie(b.loc.line, b.loc.col, b.code);
+    const bool a_rest = a.code != kOverflowCode;
+    const bool b_rest = b.code != kOverflowCode;
+    return std::tie(a_rest, a.loc.line, a.loc.col, a.code) <
+           std::tie(b_rest, b.loc.line, b.loc.col, b.code);
   });
   return out;
 }
@@ -103,22 +107,10 @@ void DrivePartitionChecks(const dsl::LoweredProgram& prog, const std::string& en
 
 LintReport LintProgram(std::string_view source, const AnalysisManager& manager,
                        const LintOptions& options) {
-  // Every finding up to kMaxLintFindings is kept, before policy: a
-  // bound on what a pathological input can make lint hold. Past it the
-  // counts are incomplete, so the report carries an error that says so.
-  DiagnosticSink sink(kMaxLintFindings);
-
+  DiagnosticSink sink;
   auto finish = [&]() {
-    const std::size_t dropped = sink.dropped();
     LintReport report;
     report.diagnostics = manager.Apply(sink.Take());
-    if (dropped > 0) {
-      report.diagnostics.insert(
-          report.diagnostics.begin(),
-          Diagnostic{Severity::kError, "analysis.pipeline", SourceLoc{},
-                     std::to_string(dropped) + " finding(s) past the first " +
-                         std::to_string(kMaxLintFindings) + " were not kept or counted"});
-    }
     for (const Diagnostic& d : report.diagnostics) {
       if (d.severity == Severity::kError) ++report.errors;
       if (d.severity == Severity::kWarning) ++report.warnings;

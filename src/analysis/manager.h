@@ -38,7 +38,7 @@ class AnalysisManager {
 
   // Applies the policy: drops disabled codes, promotes warnings, and
   // sorts by (line, col, code) so reports are deterministic and follow
-  // the source.
+  // the source. A sink's overflow error is never dropped and leads.
   std::vector<Diagnostic> Apply(std::vector<Diagnostic> diags) const;
 
  private:
@@ -55,12 +55,9 @@ struct LintOptions {
   bool partition_checks = true;
 };
 
-// Lint keeps at most this many findings (before -Wno/-Werror).
-inline constexpr std::size_t kMaxLintFindings = std::size_t{1} << 14;
-
 struct LintReport {
-  // Every finding after policy, in source order; past kMaxLintFindings
-  // an analysis.pipeline error, first, says how many were not kept.
+  // Every finding after policy, in source order; past kMaxDiagnostics
+  // a diag.overflow error, first, says how many were dropped.
   std::vector<Diagnostic> diagnostics;
   std::size_t errors = 0;
   std::size_t warnings = 0;

@@ -26,7 +26,7 @@ std::string Diagnostic::ToString() const {
 
 void DiagnosticSink::Add(Diagnostic d) {
   if (d.severity == Severity::kError) ++error_count_;
-  if (diagnostics_.size() >= max_diagnostics_) {
+  if (diagnostics_.size() >= kMaxDiagnostics) {
     ++dropped_;
     return;
   }
@@ -45,28 +45,18 @@ void DiagnosticSink::AddNote(std::string code, std::string message, SourceLoc lo
   Add(Diagnostic{Severity::kNote, std::move(code), loc, std::move(message)});
 }
 
-void DiagnosticSink::clear() {
-  diagnostics_.clear();
-  error_count_ = 0;
-  dropped_ = 0;
-}
-
 std::string DiagnosticSink::ToString() const {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < diagnostics_.size(); ++i) {
-    if (i) os << '\n';
-    os << diagnostics_[i].ToString();
-  }
-  if (dropped_ > 0) {
-    if (!diagnostics_.empty()) os << '\n';
-    os << "note: " << dropped_ << " further diagnostic(s) suppressed";
-  }
-  return os.str();
+  return diagnostics_.empty() ? "" : JoinDiagnostics(DiagnosticSink(*this).Take());
 }
 
 std::vector<Diagnostic> DiagnosticSink::Take() {
   std::vector<Diagnostic> out = std::move(diagnostics_);
-  clear();
+  if (dropped_ > 0) {
+    out.push_back(Diagnostic{Severity::kError, std::string(kOverflowCode), SourceLoc{},
+                             std::to_string(dropped_) + " finding(s) past the first " +
+                                 std::to_string(kMaxDiagnostics) + " were dropped"});
+  }
+  *this = DiagnosticSink{};
   return out;
 }
 

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,31 +44,29 @@ struct Diagnostic {
   std::string ToString() const;
 };
 
-// Collects the diagnostics of one run. Bounded: after `max_diagnostics`
-// entries further ones are dropped (and counted) so a pathological
-// input cannot flood memory; errors are always counted even when the
-// entry itself is dropped.
+// Every DiagnosticSink keeps at most this many diagnostics: a bound on
+// the memory a pathological input can take.
+inline constexpr std::size_t kMaxDiagnostics = std::size_t{1} << 14;
+inline constexpr std::string_view kOverflowCode = "diag.overflow";
+
+// Collects the diagnostics of one run. Past kMaxDiagnostics entries
+// further ones are dropped but still counted (errors too), and Take()
+// and ToString() end with one kOverflowCode error that says how many
+// were dropped.
 class DiagnosticSink {
  public:
-  explicit DiagnosticSink(std::size_t max_diagnostics = 64)
-      : max_diagnostics_(max_diagnostics) {}
-
   void Add(Diagnostic d);
   void AddError(std::string code, std::string message, SourceLoc loc = {});
   void AddWarning(std::string code, std::string message, SourceLoc loc = {});
   void AddNote(std::string code, std::string message, SourceLoc loc = {});
 
   bool has_errors() const { return error_count_ > 0; }
+  // Errors added, kept or dropped.
   std::size_t error_count() const { return error_count_; }
-  // Number of diagnostics dropped after the cap was reached.
-  std::size_t dropped() const { return dropped_; }
-  bool overflowed() const { return dropped_ > 0; }
 
   const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }
-  void clear();
 
-  // All collected diagnostics, newline-joined (with a trailing summary
-  // line when some were dropped).
+  // What Take() would return, newline-joined ("" when empty).
   std::string ToString() const;
 
   // Moves the collected diagnostics out, leaving the sink empty.
@@ -75,7 +74,6 @@ class DiagnosticSink {
 
  private:
   std::vector<Diagnostic> diagnostics_;
-  std::size_t max_diagnostics_;
   std::size_t error_count_ = 0;
   std::size_t dropped_ = 0;
 };

@@ -53,9 +53,6 @@ struct Power {
   constexpr explicit Power(double w) : watts(w) {}
 
   static constexpr Power from_milliwatts(double mw) { return Power{mw * 1e-3}; }
-  static constexpr Power from_microwatts(double uw) { return Power{uw * 1e-6}; }
-
-  constexpr double milliwatts() const { return watts * 1e3; }
 
   friend constexpr Power operator+(Power a, Power b) { return Power{a.watts + b.watts}; }
   friend constexpr Power operator*(Power a, double k) { return Power{a.watts * k}; }

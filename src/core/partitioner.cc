@@ -135,10 +135,10 @@ struct Candidate {
 };
 
 // Fig. 1 lines 8-13 for one pairing. Self-check findings go to
-// `diagnostics`; an injected fault or a cancellation propagates.
+// `sink`; an injected fault or a cancellation propagates.
 Candidate EvaluateCandidate(const FlowInputs& in, const PreselectedCluster& p,
                             const sched::ResourceSet& rs, const Accepted& accepted,
-                            std::vector<Diagnostic>& diagnostics) {
+                            DiagnosticSink& sink) {
   const Cluster& c = *p.cluster;
   const PartitionOptions& options = in.options;
   const iss::SimResult& initial = in.initial_run;
@@ -154,9 +154,9 @@ Candidate EvaluateCandidate(const FlowInputs& in, const PreselectedCluster& p,
   // Self-check: prove each schedule respects precedence and resource
   // limits, and the transfer estimate its bounds, before any energy
   // math uses them. A failing candidate is rejected, not synthesized.
-  DiagnosticSink sc;
+  const std::size_t errors_before = sink.error_count();
   cand.schedule = ScheduleCandidate(c, p.dfgs, &initial, rs, in.lib, in.sched_opts,
-                                    options.self_check ? &sc : nullptr,
+                                    options.self_check ? &sink : nullptr,
                                     "cluster '" + c.label + "'");
   if (!cand.schedule.infeasible.empty()) {
     ev.feasible = false;
@@ -164,10 +164,8 @@ Candidate EvaluateCandidate(const FlowInputs& in, const PreselectedCluster& p,
     return cand;
   }
   if (options.self_check) {
-    ValidateTransfers(in.module, c, ev.transfers, sc);
-    const bool bad = sc.has_errors();
-    for (Diagnostic& d : sc.Take()) diagnostics.push_back(std::move(d));
-    if (bad) {
+    ValidateTransfers(in.module, c, ev.transfers, sink);
+    if (sink.error_count() > errors_before) {
       ev.feasible = false;
       ev.reject_reason = "self-check: schedule/transfer validation failed";
       return cand;
@@ -408,6 +406,8 @@ PartitionResult Partitioner::Run(const Workload& workload) const {
 PartitionResult Partitioner::Run(const AppBaseline& b) const {
   LOPASS_CHECK(b.module == &module_, "baseline built for another module");
   PartitionResult result;
+  // Every finding of this run, in Fig. 1 order.
+  DiagnosticSink sink;
 
   CheckCancel(options_.cancel, "partitioner (startup)");
 
@@ -428,18 +428,16 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
     decomposition_error = e.what();
   }
   if (!decomposition_error.empty()) {
-    result.diagnostics.push_back(
-        Diagnostic{Severity::kError, "partition.cluster", SourceLoc{},
-                   "cluster decomposition failed (all-software fallback): " +
-                       decomposition_error});
+    sink.AddError("partition.cluster",
+                  "cluster decomposition failed (all-software fallback): " + decomposition_error);
     FallBackToSoftware(result, initial);
+    result.diagnostics = sink.Take();
     return result;
   }
   const ClusterChain& chain = b.chain;
   result.chain = chain;
   const BusTrafficAnalyzer& traffic = *b.traffic;
-  result.diagnostics.insert(result.diagnostics.end(), b.chain_findings.begin(),
-                            b.chain_findings.end());
+  for (const Diagnostic& d : b.chain_findings) sink.Add(d);
 
   // Scheduler options with the run's cancel token threaded through, so
   // a deadline also interrupts a long list schedule mid-cluster.
@@ -466,7 +464,7 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
         // and, worst case, falls back to the all-software baseline.
         CheckCancel(options_.cancel, "partitioner (candidate evaluation)");
         try {
-          cand = EvaluateCandidate(in, p, rs, accepted, result.diagnostics);
+          cand = EvaluateCandidate(in, p, rs, accepted, sink);
         } catch (const CancelledError&) {
           throw;  // a fired deadline would cancel every remaining
                   // candidate too — abort instead of flooding diagnostics
@@ -477,10 +475,9 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
           ev.resource_set = rs.name;
           ev.feasible = false;
           ev.reject_reason = e.what();
-          result.diagnostics.push_back(Diagnostic{
-              Severity::kError, "partition.evaluate", SourceLoc{},
-              "evaluation of cluster '" + c.label + "' with resource set '" + rs.name +
-                  "' failed (candidate skipped): " + e.what()});
+          sink.AddError("partition.evaluate", "evaluation of cluster '" + c.label +
+                                                  "' with resource set '" + rs.name +
+                                                  "' failed (candidate skipped): " + e.what());
         }
         if (round == 0) result.evaluations.push_back(cand.ev);
         if (!cand.ev.feasible) continue;
@@ -507,12 +504,11 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
   for (const Candidate& w : winners) {
     CheckCancel(options_.cancel, "partitioner (synthesis)");
     const Cluster& c = chain.clusters[static_cast<std::size_t>(w.ev.cluster_id)];
-    DiagnosticSink sc;
     try {
       PartitionDecision d = SynthesizeCandidate(
           module_, traffic, c, w.ev.resource_set, w.ev.util,
           options_.include_interconnect ? &w.schedule.blocks : nullptr, lib_,
-          options_.self_check ? &sc : nullptr, "cluster '" + c.label + "'");
+          options_.self_check ? &sink : nullptr, "cluster '" + c.label + "'");
       result.asic_cycles += d.core.cycles;
       result.asic_energy += d.core.refined_energy;
       result.selected.push_back(std::move(d));
@@ -521,14 +517,14 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
     } catch (const Error& e) {
       // Isolation: a core that fails to synthesize is dropped — its
       // cluster simply stays in software.
-      sc.AddError("partition.synthesize", "synthesis of core for cluster '" + c.label +
-                                              "' failed (cluster stays in software): " +
-                                              e.what());
+      sink.AddError("partition.synthesize", "synthesis of core for cluster '" + c.label +
+                                                "' failed (cluster stays in software): " +
+                                                e.what());
     }
-    for (Diagnostic& d : sc.Take()) result.diagnostics.push_back(std::move(d));
   }
   if (result.selected.empty()) {
     FallBackToSoftware(result, initial);
+    result.diagnostics = sink.Take();
     return result;
   }
 
@@ -544,11 +540,7 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
   // Self-check: the greedy selection must never map one chain position
   // twice (a function cluster and the leaf hosting its call site
   // shadow each other) and only real hardware candidates.
-  if (options_.self_check) {
-    DiagnosticSink sc;
-    ValidateHwSelection(chain, hw_ids, sc);
-    for (Diagnostic& d : sc.Take()) result.diagnostics.push_back(std::move(d));
-  }
+  if (options_.self_check) ValidateHwSelection(chain, hw_ids, sink);
 
   // --- Fig. 1 line 15: whole-system partitioned re-estimation ----------
   iss::HwPartition partition;
@@ -586,12 +578,12 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
   } catch (const Error& e) {
     // Isolation: if the partitioned re-simulation fails, fall back to
     // the (already validated) all-software result rather than crash.
-    result.diagnostics.push_back(Diagnostic{
-        Severity::kError, "partition.resim", SourceLoc{},
-        std::string("partitioned re-simulation failed (all-software fallback): ") +
-            e.what()});
+    sink.AddError("partition.resim",
+                  std::string("partitioned re-simulation failed (all-software fallback): ") +
+                      e.what());
     FallBackToSoftware(result, initial);
   }
+  result.diagnostics = sink.Take();
   return result;
 }
 

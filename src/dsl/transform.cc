@@ -3,6 +3,7 @@
 #include "common/error.h"
 
 namespace lopass::dsl {
+namespace {
 
 ExprPtr CloneExpr(const Expr& e) {
   auto out = std::make_unique<Expr>();
@@ -16,6 +17,8 @@ ExprPtr CloneExpr(const Expr& e) {
   for (const ExprPtr& a : e.args) out->args.push_back(CloneExpr(*a));
   return out;
 }
+
+}  // namespace
 
 StmtPtr CloneStmt(const Stmt& s) {
   auto out = std::make_unique<Stmt>();

@@ -28,8 +28,7 @@
 
 namespace lopass::dsl {
 
-// Deep copies (used by the transforms and available for tooling).
-ExprPtr CloneExpr(const Expr& e);
+// Deep copy (used by the transforms and available for tooling).
 StmtPtr CloneStmt(const Stmt& s);
 
 // Unrolls every eligible `for` loop in the program by `factor`

@@ -156,7 +156,6 @@ class FunctionBuilder {
   // Source line stamped onto subsequently emitted instructions (0 =
   // unknown). The DSL lowerer keeps this in sync with the AST.
   void SetLine(int line) { line_ = line; }
-  int current_line() const { return line_; }
 
   VregId NewVreg();
 

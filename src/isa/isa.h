@@ -104,7 +104,6 @@ struct SlProgram {
   std::uint32_t code_base = 0x0001'0000;
 
   const FuncInfo& function(ir::FunctionId fn) const;
-  std::uint32_t FetchAddress(std::uint32_t index) const { return code_base + 4 * index; }
 };
 
 std::string ToString(const SlProgram& p);

@@ -443,14 +443,7 @@ SimResult Accounting::Account(const Trace& trace, const HwPartition& partition,
   r.mem_reads = mem_reads;
   r.mem_writes = mem_writes + wb_words;
 
-  if (r.up_cycles > 0) {
-    double sum = 0.0;
-    for (int res = 0; res < kNumAveragedUpResources; ++res) {
-      sum += static_cast<double>(r.active_cycles[static_cast<std::size_t>(res)]) /
-             static_cast<double>(r.up_cycles);
-    }
-    r.up_utilization = sum / kNumAveragedUpResources;
-  }
+  r.up_utilization = AverageUtilization(r.active_cycles, r.up_cycles);
   CheckEnergySane(r.energy.total(), "simulated system energy");
   return r;
 }

@@ -29,14 +29,13 @@ BlockCost SimResult::CostOfBlocks(
   return sum;
 }
 
-double SimResult::UtilizationOfBlocks(
-    const std::vector<std::pair<ir::FunctionId, ir::BlockId>>& blocks) const {
-  const BlockCost cost = CostOfBlocks(blocks);
-  if (cost.cycles == 0) return 0.0;
+double AverageUtilization(const std::array<std::uint64_t, kNumUpResources>& active_cycles,
+                          Cycles cycles) {
+  if (cycles == 0) return 0.0;
   double sum = 0.0;
   for (int r = 0; r < kNumAveragedUpResources; ++r) {
-    sum += static_cast<double>(cost.active_cycles[static_cast<std::size_t>(r)]) /
-           static_cast<double>(cost.cycles);
+    sum += static_cast<double>(active_cycles[static_cast<std::size_t>(r)]) /
+           static_cast<double>(cycles);
   }
   return sum / kNumAveragedUpResources;
 }

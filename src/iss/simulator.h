@@ -67,10 +67,6 @@ struct HwPartition {
   bool operator==(const HwPartition&) const = default;
 
   bool empty() const { return clusters.empty(); }
-  int ClusterOf(ir::FunctionId fn, ir::BlockId b) const {
-    if (block_cluster.empty()) return -1;
-    return block_cluster[static_cast<std::size_t>(fn)][static_cast<std::size_t>(b)];
-  }
 };
 
 // Energy of each core in the system (one Table 1 row-half).
@@ -96,6 +92,11 @@ struct BlockCost {
   // the #ex_times of Fig. 4 (footnote 14), profiled by this run.
   std::uint64_t entries = 0;
 };
+
+// Eq. 4 on the µP: the mean over the averaged resources of their active
+// cycles over `cycles`; 0 when `cycles` is 0.
+double AverageUtilization(const std::array<std::uint64_t, kNumUpResources>& active_cycles,
+                          Cycles cycles);
 
 struct SimResult {
   std::int64_t return_value = 0;
@@ -128,7 +129,10 @@ struct SimResult {
   // Average µP utilization restricted to a set of blocks (the paper's
   // U_µP^core for a candidate cluster).
   double UtilizationOfBlocks(
-      const std::vector<std::pair<ir::FunctionId, ir::BlockId>>& blocks) const;
+      const std::vector<std::pair<ir::FunctionId, ir::BlockId>>& blocks) const {
+    const BlockCost cost = CostOfBlocks(blocks);
+    return AverageUtilization(cost.active_cycles, cost.cycles);
+  }
 };
 
 // One execution of a program, compactly: the path as one bit per

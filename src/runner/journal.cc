@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/file.h"
 
 namespace lopass::runner {
 namespace {
@@ -46,27 +47,6 @@ std::size_t FindValue(std::string_view record, std::string_view key) {
   return pos;
 }
 
-// Reads the whole file at `path` into `content`; false if it cannot be
-// opened. A path that exists but is not a regular file (a device, a
-// pipe, a directory) throws: reading /dev/zero to its end would never
-// finish.
-bool ReadFile(const std::string& path, std::string& content) {
-  std::error_code ec;
-  const auto status = std::filesystem::status(path, ec);
-  if (std::filesystem::exists(status) && !std::filesystem::is_regular_file(status)) {
-    throw Error("journal '" + path + "' is not a regular file");
-  }
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return false;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), file)) > 0) {
-    content.append(buf, n);
-  }
-  std::fclose(file);
-  return true;
-}
-
 // Cuts the journal at `path` back to one byte past its last newline,
 // dropping the torn final line a crash mid-append leaves behind (the
 // reader has already skipped it with a warning), so the next append
@@ -74,7 +54,7 @@ bool ReadFile(const std::string& path, std::string& content) {
 // with no newline is emptied; a missing file is left to fopen.
 void CutTornTail(const std::string& path) {
   std::string content;
-  if (!ReadFile(path, content)) return;
+  if (!ReadFile(path, content, "journal")) return;
   const std::size_t keep = content.rfind('\n') + 1;  // npos + 1 == 0
   if (keep == content.size()) return;
   std::error_code ec;
@@ -237,7 +217,7 @@ void JournalWriter::Append(const std::string& record_json) {
 JournalLoad LoadJournal(const std::string& path) {
   JournalLoad load;
   std::string content;
-  if (!ReadFile(path, content)) return load;  // no journal yet: fresh start
+  if (!ReadFile(path, content, "journal")) return load;  // no journal yet: fresh start
 
   std::size_t line_no = 0;
   std::size_t start = 0;

@@ -121,8 +121,7 @@ TEST(LintCorpus, EdgeOperandsFoldToTheRuntimeValues) {
   }
   ASSERT_EQ(checks.size(), 1136u);  // 18 DSL operators x 64 pairs, less 16 zero divisors
 
-  // One finding per check: more than LintProgram's default sink keeps.
-  DiagnosticSink sink(checks.size() + 1);
+  DiagnosticSink sink;
   analysis::RunDataflowLints(dsl::Compile(src).module, "main", sink);
   std::set<int> reported;
   for (const Diagnostic& d : sink.diagnostics()) {
@@ -213,11 +212,11 @@ TEST(LintPolicy, CountsFindingsPastTheListedCap) {
   EXPECT_EQ(rest.diagnostics.size(), 1u);
 }
 
-// Lint holds at most kMaxLintFindings findings; past the bound the
+// Lint holds at most kMaxDiagnostics findings; past the bound the
 // report says how many it dropped, as an error, since its counts are
 // then incomplete.
 TEST(LintPolicy, BoundsTheFindingsItHolds) {
-  const std::size_t stores = analysis::kMaxLintFindings + 10;
+  const std::size_t stores = kMaxDiagnostics + 10;
   std::string source = "array s[1];\nfunc main() {\n";
   for (std::size_t i = 1; i <= stores; ++i) {
     source += "  s[" + std::to_string(i) + "] = 0;\n";
@@ -226,13 +225,30 @@ TEST(LintPolicy, BoundsTheFindingsItHolds) {
   analysis::LintOptions options;
   options.partition_checks = false;
   const analysis::LintReport r = analysis::LintProgram(source, {}, options);
-  EXPECT_EQ(r.warnings, analysis::kMaxLintFindings);
+  EXPECT_EQ(r.warnings, kMaxDiagnostics);
   EXPECT_EQ(r.errors, 1u);
-  ASSERT_EQ(r.diagnostics.size(), analysis::kMaxLintFindings + 1);
-  EXPECT_EQ(r.diagnostics.front().code, "analysis.pipeline");
+  ASSERT_EQ(r.diagnostics.size(), kMaxDiagnostics + 1);
+  EXPECT_EQ(r.diagnostics.front().code, "diag.overflow");
   EXPECT_EQ(r.diagnostics.front().message,
-            "10 finding(s) past the first " + std::to_string(analysis::kMaxLintFindings) +
-                " were not kept or counted");
+            "10 finding(s) past the first " + std::to_string(kMaxDiagnostics) +
+                " were dropped");
+}
+
+// No -Wno drops a sink's overflow error, and it leads whatever the
+// other findings' locations, so an overflowing lint always exits 1.
+TEST(LintPolicy, TheOverflowErrorOutlivesPolicy) {
+  DiagnosticSink sink;
+  sink.AddWarning("L300", "unlocated");
+  for (std::size_t i = 0; i < kMaxDiagnostics; ++i) {
+    sink.AddWarning("L207", "located", SourceLoc{static_cast<int>(i) + 1, 1});
+  }
+  analysis::AnalysisManager m;
+  m.Disable(std::string(kOverflowCode));
+  const std::vector<Diagnostic> out = m.Apply(sink.Take());
+  ASSERT_EQ(out.size(), kMaxDiagnostics + 1);
+  EXPECT_EQ(out[0].code, kOverflowCode);
+  EXPECT_EQ(out[0].severity, Severity::kError);
+  EXPECT_EQ(out[1].code, "L300");
 }
 
 TEST(LintPolicy, CodeRegistryCoversEveryFamily) {

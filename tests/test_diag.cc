@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/diag.h"
+#include "common/file.h"
 #include "core/workload.h"
 #include "dsl/lexer.h"
 #include "dsl/lower.h"
@@ -39,17 +40,28 @@ TEST(Diag, SinkCountsAndSeverities) {
 }
 
 TEST(Diag, SinkIsBoundedButKeepsCounting) {
-  DiagnosticSink sink(/*max_diagnostics=*/2);
-  for (int i = 0; i < 5; ++i) {
+  DiagnosticSink sink;
+  for (std::size_t i = 0; i < kMaxDiagnostics + 3; ++i) {
     std::string message = "e";
     message += std::to_string(i);
     sink.AddError("x.y", message);
   }
-  EXPECT_EQ(sink.diagnostics().size(), 2u);
-  EXPECT_EQ(sink.error_count(), 5u);
-  EXPECT_EQ(sink.dropped(), 3u);
-  EXPECT_TRUE(sink.overflowed());
-  EXPECT_NE(sink.ToString().find("3 further diagnostic"), std::string::npos);
+  EXPECT_EQ(sink.diagnostics().size(), kMaxDiagnostics);
+  EXPECT_EQ(sink.error_count(), kMaxDiagnostics + 3);
+  const std::string overflow = "error[diag.overflow]: 3 finding(s) past the first " +
+                               std::to_string(kMaxDiagnostics) + " were dropped";
+  const std::string text = sink.ToString();
+  EXPECT_EQ(text.substr(text.rfind('\n') + 1), overflow);
+
+  // Take() ends with the same error, once, and empties the sink.
+  const std::vector<Diagnostic> taken = sink.Take();
+  ASSERT_EQ(taken.size(), kMaxDiagnostics + 1);
+  std::string last_kept = "e";
+  last_kept += std::to_string(kMaxDiagnostics - 1);
+  EXPECT_EQ(taken[kMaxDiagnostics - 1].message, last_kept);
+  EXPECT_EQ(taken.back().ToString(), overflow);
+  EXPECT_EQ(sink.error_count(), 0u);
+  EXPECT_TRUE(sink.Take().empty());
 }
 
 TEST(Diag, ResultValueAndFailure) {
@@ -153,6 +165,18 @@ TEST(DiagGolden, RecoveryReportsEverySyntaxError) {
   }
   EXPECT_EQ(diags[0].loc.line, 3);
   EXPECT_EQ(diags[1].loc.line, 5);
+}
+
+TEST(DiagGolden, RecoveryKeepsEveryErrorPastSixtyFour) {
+  std::string src;
+  ASSERT_TRUE(ReadFile(std::string(LOPASS_TEST_DATA_DIR) + "/eighty_syntax_errors.lp", src,
+                       "input"));
+  const auto diags = CompileDiags(src);
+  ASSERT_EQ(diags.size(), 80u);
+  for (std::size_t i = 0; i < diags.size(); ++i) {
+    EXPECT_EQ(diags[i].code, "parse.syntax");
+    EXPECT_EQ(diags[i].loc.line, static_cast<int>(i) + 6);
+  }
 }
 
 TEST(DiagGolden, RecoveryNeverLoopsOnGarbage) {

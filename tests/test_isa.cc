@@ -33,13 +33,6 @@ TEST(Isa, BaseCycles) {
   EXPECT_EQ(BaseCycles(SlOp::kCall), 2u);
 }
 
-TEST(Isa, FetchAddresses) {
-  SlProgram p;
-  p.code.resize(4);
-  EXPECT_EQ(p.FetchAddress(0), p.code_base);
-  EXPECT_EQ(p.FetchAddress(3), p.code_base + 12);
-}
-
 TEST(Codegen, ProducesLinkedProgram) {
   const dsl::LoweredProgram lp = dsl::Compile(R"(
     var g;

@@ -83,6 +83,7 @@
 #include "apps/app.h"
 #include "asic/verilog.h"
 #include "common/diag.h"
+#include "common/file.h"
 #include "core/hotspots.h"
 #include "core/partitioner.h"
 #include "core/report.h"
@@ -166,8 +167,36 @@ void PrintDiagnostic(const std::string& path, const Diagnostic& d) {
   }
 }
 
-// `lint` prints at most this many findings; its summary counts them all.
-constexpr std::size_t kMaxLintPrinted = 64;
+// Prints at most 64 of `diags`, in order. Errors take their places
+// first, so an exit 1 always prints an error. Returns how many were not
+// printed.
+std::size_t PrintFindings(const std::string& path, const std::vector<Diagnostic>& diags) {
+  constexpr std::size_t kMaxPrinted = 64;
+  std::size_t errors = 0;
+  for (const Diagnostic& d : diags) {
+    if (d.severity == Severity::kError) ++errors;
+  }
+  std::size_t error_room = std::min(errors, kMaxPrinted);
+  std::size_t other_room = kMaxPrinted - error_room;
+  for (const Diagnostic& d : diags) {
+    std::size_t& room = d.severity == Severity::kError ? error_room : other_room;
+    if (room == 0) continue;
+    --room;
+    PrintDiagnostic(path, d);
+  }
+  return diags.size() - std::min(diags.size(), kMaxPrinted);
+}
+
+// Reads the DSL source at `path`; false, with the error printed, if it cannot.
+bool ReadSource(const std::string& path, std::string& source) {
+  try {
+    if (ReadFile(path, source, "input")) return true;
+    std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+  }
+  return false;
+}
 
 // `lopass_cli lint` — the whole-pipeline static analysis driver.
 // argv is shifted so argv[0] is the verb itself.
@@ -232,34 +261,17 @@ int RunLint(int argc, char** argv) {
     } catch (const Error& e) {
       Usage(e.what());
     }
-  } else {
-    std::ifstream in(path);
-    if (!in) {
-      std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    source = buf.str();
+  } else if (!ReadSource(path, source)) {
+    return 1;
   }
 
   try {
     const analysis::LintReport report = analysis::LintProgram(source, manager, options);
-    // At most kMaxLintPrinted findings, in source order. Errors take
-    // their places first, so an exit 1 always prints an error.
-    std::size_t error_room = std::min(report.errors, kMaxLintPrinted);
-    std::size_t other_room = kMaxLintPrinted - error_room;
-    for (const Diagnostic& d : report.diagnostics) {
-      std::size_t& room = d.severity == Severity::kError ? error_room : other_room;
-      if (room == 0) continue;
-      --room;
-      PrintDiagnostic(display, d);
-    }
+    // The summary counts every finding, printed or not.
+    const std::size_t unprinted = PrintFindings(display, report.diagnostics);
     std::fprintf(stderr, "%s: %zu error(s), %zu warning(s)", display.c_str(), report.errors,
                  report.warnings);
-    if (report.diagnostics.size() > kMaxLintPrinted) {
-      std::fprintf(stderr, "; %zu more not printed", report.diagnostics.size() - kMaxLintPrinted);
-    }
+    if (unprinted > 0) std::fprintf(stderr, "; %zu more not printed", unprinted);
     std::fputc('\n', stderr);
     return report.clean() ? 0 : 1;
   } catch (const std::exception& e) {
@@ -453,17 +465,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s\n", path.c_str());
-    return 1;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
+  std::string source;
+  if (!ReadSource(path, source)) return 1;
+  auto print_findings = [&path](const std::vector<Diagnostic>& diags) {
+    const std::size_t unprinted = PrintFindings(path, diags);
+    if (unprinted > 0) std::fprintf(stderr, "%s: %zu more not printed\n", path.c_str(), unprinted);
+  };
 
   try {
-    Result<dsl::LoweredProgram> compiled = dsl::CompileToResult(buf.str(), unroll);
-    for (const Diagnostic& d : compiled.diagnostics()) PrintDiagnostic(path, d);
+    Result<dsl::LoweredProgram> compiled = dsl::CompileToResult(source, unroll);
+    print_findings(compiled.diagnostics());
     if (!compiled.ok()) return 1;
     dsl::LoweredProgram& program = compiled.value();
 
@@ -491,7 +502,7 @@ int main(int argc, char** argv) {
     // Isolated per-cluster failures: the report below is still valid
     // (worst case the all-software baseline), but the flow is degraded
     // and the exit code must say so.
-    for (const Diagnostic& d : result.diagnostics) PrintDiagnostic(path, d);
+    print_findings(result.diagnostics);
     const int exit_code = result.degraded() ? 1 : 0;
 
     if (csv) {
