@@ -6,10 +6,10 @@
 // to a long-running pipeline stage: the owner arms it with Cancel() or
 // a deadline, and the stage polls Check() at its loop heads — the list
 // scheduler per control step, the partitioner between stages and
-// candidates. An expired token throws CancelledError, which derives
-// from Error so it rides the existing per-cluster isolation and CLI
-// error paths; drivers that must distinguish "took too long" from
-// "went wrong" catch the subclass.
+// candidates. An expired token throws CancelledError, which is not a
+// lopass::Error: no `catch (const Error&)` isolation layer can absorb
+// it, so a deadline aborts the whole run and reaches the driver that
+// armed the token (the runner's circuit breaker).
 //
 // Polling is cheap (one relaxed atomic load; a steady_clock read only
 // when a deadline is set), so a stage may check every iteration without
@@ -20,19 +20,19 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
-
-#include "common/error.h"
 
 namespace lopass {
 
 // Thrown by CancelToken::Check once the token is cancelled or its
-// deadline has passed. Deliberately *not* a transient fault: the same
-// job would hit the same deadline again, so retrying is wasted work —
-// the runner's circuit breaker degrades the job instead.
-class CancelledError : public Error {
+// deadline has passed. Not an Error, so it passes every isolation
+// layer; and not a transient fault: the same job would hit the same
+// deadline again, so the runner opens its circuit breaker instead of
+// retrying.
+class CancelledError : public std::runtime_error {
  public:
-  explicit CancelledError(const std::string& what) : Error(what) {}
+  explicit CancelledError(const std::string& what) : std::runtime_error(what) {}
 };
 
 class CancelToken {

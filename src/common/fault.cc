@@ -105,22 +105,12 @@ namespace {
 thread_local JobScope::State* t_scope = nullptr;
 }  // namespace
 
-bool Enabled() {
-  if (const JobScope::State* sc = t_scope) return !sc->table.arms.empty();
-  EnsureEnvLoaded();
-  return g_enabled.load(std::memory_order_acquire);
-}
-
 std::string CurrentSpec() {
   if (const JobScope::State* sc = t_scope) return sc->table.spec;
   EnsureEnvLoaded();
   GlobalState& st = GetState();
   std::lock_guard<std::mutex> lock(st.mu);
   return st.table.spec;
-}
-
-bool IsTransient(const std::exception& e) {
-  return dynamic_cast<const InjectedFault*>(&e) != nullptr;
 }
 
 bool IsTransientMessage(const std::string& message) {
@@ -139,6 +129,9 @@ void MaybeInject(const char* site) {
   InjectFrom(st.table, site);
 }
 
+namespace {
+
+// Installs `spec` in the global table; empty disarms every site.
 void SetSpec(const std::string& spec) {
   // Read the env spec now: left for the first MaybeInject, it would be
   // installed over this one.
@@ -148,6 +141,8 @@ void SetSpec(const std::string& spec) {
   InstallInto(st.table, spec);
   g_enabled.store(!st.table.arms.empty(), std::memory_order_release);
 }
+
+}  // namespace
 
 std::uint64_t HitCount(const char* site) {
   if (const JobScope::State* sc = t_scope) {

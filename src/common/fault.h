@@ -5,7 +5,7 @@
 // The pipeline is instrumented with named sites (parse, alloc, profile,
 // sim, schedule, synth, estimate); each calls fault::MaybeInject(site)
 // on entry. When the LOPASS_FAULT_INJECT environment variable — or a
-// programmatic spec installed with SetSpec()/ScopedSpec — arms a site,
+// programmatic spec installed with ScopedSpec — arms a site,
 // the call throws InjectedFault, which travels the same error paths a
 // real failure would. Tests and the CLI fault-check harness use this to
 // prove every stage degrades gracefully (diagnostic + fallback or a
@@ -20,7 +20,7 @@
 //
 // With no spec installed MaybeInject is a single relaxed atomic load.
 //
-// Concurrency: the global spec (SetSpec / LOPASS_FAULT_INJECT) and its
+// Concurrency: the global spec (ScopedSpec / LOPASS_FAULT_INJECT) and its
 // hit counters are shared, mutex-protected state — safe to hit from
 // any thread, but one-shot `site:N` arms are then consumed in whatever
 // order threads reach them. Parallel drivers that need per-job
@@ -29,7 +29,6 @@
 // concurrent jobs can never observe (or consume) each other's faults.
 
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -39,10 +38,10 @@
 
 namespace lopass {
 
-// Thrown by an armed fault site. Derives from Error so existing
-// recovery paths treat it like any other failure, but stays
-// distinguishable so the partitioner can report it at error severity
-// instead of folding it into routine infeasibility.
+// Thrown by an armed fault site. Derives from Error so every isolation
+// layer treats it like a real failure; its type is what marks it
+// transient, so the candidate stage rethrows it instead of folding it
+// into routine infeasibility, and the sweep runner retries it.
 class InjectedFault : public Error {
  public:
   explicit InjectedFault(const std::string& what) : Error(what) {}
@@ -50,22 +49,15 @@ class InjectedFault : public Error {
 
 namespace fault {
 
-// True if any site is armed (cheap; callers need not pre-check).
-bool Enabled();
-
 // The currently installed spec ("" when nothing is armed). Drivers
 // record it next to their results so any failure report names the
 // exact injection schedule that produced it.
 std::string CurrentSpec();
 
-// Transient-fault classification for retry policies. An InjectedFault
-// models the transient class (a glitch that may not recur on retry);
-// a CancelledError (deadline) or any other Error is permanent — the
-// same input would fail the same way, so retrying wastes the budget.
-bool IsTransient(const std::exception& e);
-
-// Message-level variant for failures that were already flattened into
-// a Diagnostic by an isolation layer (the partitioner stringifies the
+// True when `message` came from an InjectedFault, the one transient
+// failure class (a glitch that may not recur on retry). A thrown fault
+// is told apart by its type; this serves failures an isolation layer
+// already flattened into a Diagnostic (the partitioner stringifies the
 // exception it caught). Matches the stable "injected fault at site"
 // marker MaybeInject puts into every InjectedFault message.
 bool IsTransientMessage(const std::string& message);
@@ -74,11 +66,7 @@ bool IsTransientMessage(const std::string& message);
 // increments the site's hit counter, armed or not.
 void MaybeInject(const char* site);
 
-// Installs a spec (see grammar above); empty string disarms everything
-// and resets hit counters.
-void SetSpec(const std::string& spec);
-
-// Hits recorded for `site` since the last SetSpec (or since
+// Hits recorded for `site` since the last spec was installed (or since
 // LOPASS_FAULT_INJECT was read on first use).
 std::uint64_t HitCount(const char* site);
 
@@ -95,8 +83,9 @@ std::uint64_t HitCount(const char* site);
 std::string ChaosSchedule(std::uint64_t seed, std::string_view job_key,
                           const std::vector<std::string_view>& sites);
 
-// RAII spec installation for tests; restores the previous spec.
-// Global: every thread sees it, and counters are shared.
+// RAII spec installation for tests; restores the previous spec. An
+// empty spec disarms everything. Installing a spec resets the hit
+// counters. Global: every thread sees it, and counters are shared.
 class ScopedSpec {
  public:
   explicit ScopedSpec(const std::string& spec);
@@ -109,14 +98,14 @@ class ScopedSpec {
 };
 
 // RAII thread-local fault scope for one parallel job. While alive,
-// MaybeInject / CurrentSpec / Enabled / HitCount on the constructing
+// MaybeInject / CurrentSpec / HitCount on the constructing
 // thread use this scope's own arm table and hit counters exclusively;
 // the global spec and every other thread are untouched. One-shot
 // `site:N` arms therefore fire per job, never across jobs — the
 // property the parallel exploration runner's chaos mode depends on.
 // Scopes nest (the destructor restores the previous scope) and must be
-// created and destroyed on the same thread. SetSpec keeps addressing
-// the global table even while a scope is active.
+// created and destroyed on the same thread. A ScopedSpec keeps
+// addressing the global table even while a scope is active.
 class JobScope {
  public:
   explicit JobScope(const std::string& spec);

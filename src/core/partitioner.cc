@@ -35,10 +35,11 @@ ScheduledCandidate ScheduleCandidate(const Cluster& c, const std::vector<sched::
     for (const sched::BlockDfg& dfg : dfgs) {
       sc.schedules.push_back(sched::ListSchedule(dfg, rs, lib, options));
     }
+  } catch (const InjectedFault&) {
+    throw;  // an injected fault fails the stage
   } catch (const Error& e) {
-    // An injected fault or a cancellation fails the stage; any other
-    // scheduler error means the set cannot implement some operation.
-    if (fault::IsTransient(e) || dynamic_cast<const CancelledError*>(&e) != nullptr) throw;
+    // Any other scheduler error means the set cannot implement some
+    // operation.
     sc.infeasible = e.what();
     return sc;
   }
@@ -253,19 +254,11 @@ double PartitionResult::total_cells() const {
 AppRow PartitionResult::ToRow(const std::string& app_name) const {
   AppRow row;
   row.app = app_name;
-  row.initial.icache = initial_run.energy.icache;
-  row.initial.dcache = initial_run.energy.dcache;
-  row.initial.mem = initial_run.energy.mem;
-  row.initial.bus = initial_run.energy.bus;
-  row.initial.up_core = initial_run.energy.up_core;
+  row.initial = initial_run.energy;
   row.initial_time.up_cycles = initial_run.up_cycles;
 
   const iss::SimResult& part = partitioned() ? partitioned_run : initial_run;
-  row.partitioned.icache = part.energy.icache;
-  row.partitioned.dcache = part.energy.dcache;
-  row.partitioned.mem = part.energy.mem;
-  row.partitioned.bus = part.energy.bus;
-  row.partitioned.up_core = part.energy.up_core;
+  row.partitioned = part.energy;
   row.partitioned.asic_core = asic_energy;
   row.partitioned_time.up_cycles = part.up_cycles;
   row.partitioned_time.asic_cycles = asic_cycles;
@@ -354,8 +347,6 @@ std::shared_ptr<AppBaseline> Partitioner::BuildBaseline(const Workload& workload
   // returns it.
   try {
     b->chain = DecomposeIntoClusters(module_, regions_, options_.entry);
-  } catch (const CancelledError&) {
-    throw;  // deadlines abort the whole run, not one stage
   } catch (const Error& e) {
     b->decomposition_error = e.what();
     return b;
@@ -465,9 +456,6 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
         CheckCancel(options_.cancel, "partitioner (candidate evaluation)");
         try {
           cand = EvaluateCandidate(in, p, rs, accepted, sink);
-        } catch (const CancelledError&) {
-          throw;  // a fired deadline would cancel every remaining
-                  // candidate too — abort instead of flooding diagnostics
         } catch (const Error& e) {
           ClusterEvaluation& ev = cand.ev;
           ev.cluster_id = c.id;
@@ -512,8 +500,6 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
       result.asic_cycles += d.core.cycles;
       result.asic_energy += d.core.refined_energy;
       result.selected.push_back(std::move(d));
-    } catch (const CancelledError&) {
-      throw;
     } catch (const Error& e) {
       // Isolation: a core that fails to synthesize is dropped — its
       // cluster simply stays in software.
@@ -573,8 +559,6 @@ PartitionResult Partitioner::Run(const AppBaseline& b) const {
       result.partitioned_run = b.accounting->Account(b.trace, partition, config);
       b.resims.Publish(partition, result.partitioned_run);
     }
-  } catch (const CancelledError&) {
-    throw;
   } catch (const Error& e) {
     // Isolation: if the partitioned re-simulation fails, fall back to
     // the (already validated) all-software result rather than crash.

@@ -99,11 +99,11 @@ struct PartitionOptions {
   bool self_check = true;
   // Cooperative cancellation / per-job deadline (see common/cancel.h).
   // Polled between stages, before every candidate evaluation, and
-  // inside the schedulers. A fired token aborts Run() with
-  // CancelledError — deliberately NOT absorbed by the per-cluster
-  // isolation layers, since a deadline hit mid-candidate would
-  // otherwise cancel every remaining candidate one diagnostic at a
-  // time. Null = not cancellable.
+  // inside the list scheduler. A fired token aborts Run() with
+  // CancelledError, which is not an Error, so no per-cluster isolation
+  // layer absorbs it: a deadline hit mid-candidate would otherwise
+  // cancel every remaining candidate one diagnostic at a time.
+  // Null = not cancellable.
   const CancelToken* cancel = nullptr;
 };
 

@@ -8,23 +8,9 @@
 
 #include "common/table.h"
 #include "common/units.h"
+#include "iss/simulator.h"
 
 namespace lopass::core {
-
-// Energy of every core in the system for one implementation (one half
-// of a Table 1 application row). The paper's table folds the bus into
-// the "mem" column; `bus` is kept separate here and folded at print
-// time.
-struct EnergyBreakdown {
-  Energy icache;
-  Energy dcache;
-  Energy mem;
-  Energy bus;
-  Energy up_core;
-  Energy asic_core;
-
-  Energy total() const { return icache + dcache + mem + bus + up_core + asic_core; }
-};
 
 struct ExecTime {
   Cycles up_cycles = 0;
@@ -32,11 +18,13 @@ struct ExecTime {
   Cycles total() const { return up_cycles + asic_cycles; }
 };
 
-// One application row of Table 1 (initial "I" + partitioned "P").
+// One application row of Table 1 (initial "I" + partitioned "P"). The
+// paper's table folds the bus into the "mem" column; `bus` is kept
+// separate in each half and folded at print time.
 struct AppRow {
   std::string app;
-  EnergyBreakdown initial;
-  EnergyBreakdown partitioned;
+  iss::CoreEnergies initial;
+  iss::CoreEnergies partitioned;
   ExecTime initial_time;
   ExecTime partitioned_time;
   double asic_cells = 0.0;       // hardware overhead of the ASIC core

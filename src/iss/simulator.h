@@ -76,9 +76,11 @@ struct CoreEnergies {
   Energy dcache;
   Energy mem;
   Energy bus;
-  Energy asic_core;  // filled in by the partition evaluator
+  Energy asic_core;  // no run sets it; core::PartitionResult::ToRow sets the row's
 
-  Energy total() const { return up_core + icache + dcache + mem + bus + asic_core; }
+  // Summed in the order of the report's columns, which the journal's
+  // energies and saving depend on bit for bit.
+  Energy total() const { return icache + dcache + mem + bus + up_core + asic_core; }
 };
 
 // Per-block attribution of software cost, used by the partitioner to

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -131,24 +133,21 @@ namespace {
 // cleanup, no flush beyond the journal's own per-record flush) right
 // after the N-th journal append of this run. An honest crash, not a
 // simulated one — it fires on the committing thread with workers still
-// evaluating in flight.
+// evaluating in flight. A value that is not wholly a non-negative
+// integer (the empty string included) leaves the switch off.
 void MaybeKillAfter(std::uint64_t appends) {
   static const std::int64_t kill_after = [] {
-    const char* env = std::getenv("LOPASS_EXPLORE_KILL_AFTER");
-    return env == nullptr ? std::int64_t{-1} : std::atoll(env);
+    std::int64_t n = -1;
+    if (const char* env = std::getenv("LOPASS_EXPLORE_KILL_AFTER")) {
+      const char* end = env + std::strlen(env);
+      if (std::from_chars(env, end, n).ptr != end) n = -1;
+    }
+    return n;
   }();
   if (kill_after >= 0 && appends >= static_cast<std::uint64_t>(kill_after)) {
     std::raise(SIGKILL);
   }
 }
-
-struct Attempt {
-  bool threw = false;
-  bool transient = false;  // retry-worthy (injected fault)
-  bool cancelled = false;  // deadline — permanent by design
-  std::string error;
-  core::PartitionResult result;
-};
 
 // One application's share of the sweep, owned by the worker that
 // claimed the app and freed when it is done with the app. The compile
@@ -165,31 +164,6 @@ struct AppStage {
   std::shared_ptr<const core::AppBaseline> baseline;
   int baselines_built = 0;
 };
-
-Attempt RunAttempt(const apps::Application& app, const sched::ResourceSet& rs,
-                   CancelToken* token, int scale, AppStage& stage) {
-  Attempt attempt;
-  core::PartitionOptions options = app.options;
-  options.resource_sets = {rs};
-  options.cancel = token;
-  try {
-    core::Partitioner partitioner(stage.program->module, stage.program->regions, options);
-    if (stage.baseline == nullptr) {
-      stage.baseline = partitioner.BuildBaseline(app.workload(scale));
-      ++stage.baselines_built;
-    }
-    attempt.result = partitioner.Run(*stage.baseline);
-  } catch (const CancelledError& e) {
-    attempt.threw = true;
-    attempt.cancelled = true;
-    attempt.error = e.what();
-  } catch (const Error& e) {
-    attempt.threw = true;
-    attempt.transient = fault::IsTransient(e);
-    attempt.error = e.what();
-  }
-  return attempt;
-}
 
 // True when every error-severity diagnostic stems from an injected
 // fault — the degradation would not recur on retry.
@@ -232,8 +206,8 @@ struct JobSpec {
 struct Completion {
   JobResult job;
   std::vector<Diagnostic> notes;
-  // Anything but a lopass::Error escaping the job; rethrown when the
-  // job's turn to commit comes, as a sequential loop would have.
+  // Anything the attempt loop does not catch escaping the job; rethrown
+  // when the job's turn to commit comes, as a sequential loop would have.
   std::exception_ptr error;
 };
 
@@ -294,60 +268,60 @@ Completion EvaluateJob(const JobSpec& spec, const ExploreOptions& options, int s
 
   // One deadline for the whole job: every attempt runs under the same
   // token, so a deadline that fires between attempts opens the breaker
-  // at the next attempt's first CheckCancel.
+  // at the next attempt's first CheckCancel. A deadline <= 0 leaves the
+  // token disarmed.
   CancelToken token;
-  CancelToken* token_ptr = nullptr;
-  if (options.deadline_ms > 0) {
-    token.SetDeadlineAfterMs(options.deadline_ms);
-    token_ptr = &token;
-  }
+  token.SetDeadlineAfterMs(options.deadline_ms);
+  core::PartitionOptions run_options = spec.app->options;
+  run_options.resource_sets = {*spec.rs};
+  run_options.cancel = &token;
+  const core::Partitioner partitioner(stage.program->module, stage.program->regions,
+                                      run_options);
 
+  // Each failure kind is routed by its type: an injected fault is
+  // transient and retried; a deadline or a real error would fail the
+  // same way again, so it opens the circuit breaker.
   const int max_attempts = std::max(1, options.max_attempts);
-  bool recorded = false;
-  std::string last_error;
-  for (int attempt_no = 1; attempt_no <= max_attempts; ++attempt_no) {
-    job.attempts = attempt_no;
-    Attempt attempt = RunAttempt(*spec.app, *spec.rs, token_ptr, scale, stage);
-
-    if (!attempt.threw) {
-      if (DegradedOnlyTransiently(attempt.result) && attempt_no < max_attempts) {
-        c.notes.push_back(Diagnostic{
-            Severity::kNote, "runner.retry", SourceLoc{},
-            "job '" + spec.key + "' attempt " + std::to_string(attempt_no) +
-                " degraded by a transient fault; retrying"});
-      } else {
-        FillFromResult(job, attempt.result, spec.app->name);
-        recorded = true;
-        break;
+  std::string error;
+  for (job.attempts = 1;; ++job.attempts) {
+    const std::string attempt =
+        "job '" + spec.key + "' attempt " + std::to_string(job.attempts);
+    try {
+      if (stage.baseline == nullptr) {
+        stage.baseline = partitioner.BuildBaseline(spec.app->workload(scale));
+        ++stage.baselines_built;
       }
-    } else {
-      last_error = attempt.error;
-      if (attempt.cancelled || !attempt.transient) {
-        // Circuit breaker: permanent failure (deadline or a real
-        // error) — retrying would burn the budget on a rerun that
-        // fails identically.
-        c.notes.push_back(Diagnostic{
-            Severity::kWarning, "runner.breaker", SourceLoc{},
-            "job '" + spec.key + "': permanent failure, circuit breaker open: " +
-                attempt.error});
-        break;
+      const core::PartitionResult result = partitioner.Run(*stage.baseline);
+      if (job.attempts == max_attempts || !DegradedOnlyTransiently(result)) {
+        FillFromResult(job, result, spec.app->name);
+        return c;
       }
-      if (attempt_no == max_attempts) break;  // retries exhausted
-      c.notes.push_back(Diagnostic{
-          Severity::kNote, "runner.retry", SourceLoc{},
-          "job '" + spec.key + "' attempt " + std::to_string(attempt_no) +
-              " hit a transient fault; retrying: " + attempt.error});
+      c.notes.push_back(Diagnostic{Severity::kNote, "runner.retry", SourceLoc{},
+                                   attempt + " degraded by a transient fault; retrying"});
+      continue;
+    } catch (const InjectedFault& e) {
+      error = e.what();
+      if (job.attempts == max_attempts) break;  // retries exhausted
+      c.notes.push_back(Diagnostic{Severity::kNote, "runner.retry", SourceLoc{},
+                                   attempt + " hit a transient fault; retrying: " + error});
+      continue;
+    } catch (const CancelledError& e) {
+      error = e.what();
+    } catch (const Error& e) {
+      error = e.what();
     }
+    c.notes.push_back(Diagnostic{
+        Severity::kWarning, "runner.breaker", SourceLoc{},
+        "job '" + spec.key + "': permanent failure, circuit breaker open: " + error});
+    break;
   }
 
-  if (!recorded) {
-    // The job threw on every permitted attempt: degrade to the
-    // all-software answer space — there is no result to report, so
-    // it is recorded failed with the last error for the operator.
-    job.status = JobStatus::kFailed;
-    job.errors = 1;
-    job.detail = last_error;
-  }
+  // The job threw on every permitted attempt: degrade to the
+  // all-software answer space — there is no result to report, so it is
+  // recorded failed with the last error for the operator.
+  job.status = JobStatus::kFailed;
+  job.errors = 1;
+  job.detail = error;
   return c;
 }
 

@@ -15,12 +15,14 @@
 //  - each job gets one wall-clock deadline spanning every attempt,
 //    enforced cooperatively via CancelToken (common/cancel.h), threaded
 //    through the partitioner and the list scheduler;
-//  - failures classified transient by common/fault (injected faults)
-//    are retried at once: a fault site fires by hit count, never by
-//    time, so waiting before a retry could not change its outcome. A
-//    job that keeps failing trips the circuit breaker and is recorded
-//    degraded with whatever result survived (worst case the
-//    all-software fallback) instead of sinking the whole sweep;
+//  - failures route by their type: an InjectedFault (common/fault.h)
+//    is transient and retried at once — a fault site fires by hit
+//    count, never by time, so waiting before a retry could not change
+//    its outcome. A CancelledError (deadline) or any other Error is
+//    permanent and trips the circuit breaker at once. A job whose last
+//    attempt threw is recorded failed with the error text, one whose
+//    last attempt degraded keeps whatever result survived (worst case
+//    the all-software fallback); neither sinks the whole sweep;
 //  - chaos mode (--chaos SEED) composes a randomized schedule of
 //    one-shot fault injections with any live LOPASS_FAULT_INJECT spec
 //    and asserts the supervised run still converges — because every
@@ -54,7 +56,7 @@
 // new job, and RunExplore rethrows once the in-flight ones finish.
 //
 // The one semantic caveat: a *global* fault spec (LOPASS_FAULT_INJECT /
-// SetSpec) with one-shot site:N arms is consumed in completion order
+// fault::ScopedSpec) with one-shot site:N arms is consumed in completion order
 // under parallelism, which is inherently nondeterministic — per-job
 // chaos schedules do not have this problem.
 //

@@ -20,10 +20,14 @@
 #   MODE=chaos_fixture  run `--chaos SEED --retries 4` journaled with
 #                       --jobs ${JOBS} and require stdout and journal
 #                       bytes to equal pinned fixture files.
+#   MODE=kill_off       run the sweep journaled under the caller's
+#                       LOPASS_EXPLORE_KILL_AFTER and require exit 0
+#                       and EXPECT_LINES journal records: the value must
+#                       leave the kill switch off.
 #
 # Arguments (via -D):
 #   CLI           path to the lopass_cli binary
-#   MODE          kill_resume | chaos | jobs_identity
+#   MODE          kill_resume | chaos | jobs_identity | chaos_fixture | kill_off
 #   WORKDIR       scratch directory for journals and captured reports
 #   APPS          --apps value for the sweep
 #   JOBS          worker count for the non-reference runs (default 1);
@@ -35,6 +39,7 @@
 #   CHAOS_SEED    (chaos, chaos_fixture) seed for the fault schedule
 #   FIXTURE_REPORT, FIXTURE_JOURNAL
 #                 (chaos_fixture) expected stdout and journal files
+#   EXPECT_LINES  (kill_off) journal records the sweep must write
 
 if(NOT DEFINED CLI OR NOT DEFINED MODE OR NOT DEFINED WORKDIR OR NOT DEFINED APPS)
   message(FATAL_ERROR "explore_check.cmake needs -DCLI, -DMODE, -DWORKDIR, -DAPPS")
@@ -73,6 +78,27 @@ if(MODE STREQUAL "chaos_fixture")
   if(NOT got_journal STREQUAL want_journal)
     message(FATAL_ERROR
       "chaos journal differs from ${FIXTURE_JOURNAL}\n--- got ---\n${got_journal}")
+  endif()
+  return()
+endif()
+
+if(MODE STREQUAL "kill_off")
+  set(journal "${WORKDIR}/kill_off.jsonl")
+  file(REMOVE "${journal}")
+  execute_process(
+    COMMAND ${CLI} explore --apps ${APPS} --journal ${journal} --jobs ${JOBS}
+    RESULT_VARIABLE off_rc
+    OUTPUT_QUIET
+    ERROR_VARIABLE off_err
+  )
+  if(NOT off_rc STREQUAL "0")
+    message(FATAL_ERROR "LOPASS_EXPLORE_KILL_AFTER='$ENV{LOPASS_EXPLORE_KILL_AFTER}' "
+                        "ended the sweep (rc=${off_rc})\n${off_err}")
+  endif()
+  file(STRINGS "${journal}" records)
+  list(LENGTH records record_count)
+  if(NOT record_count EQUAL EXPECT_LINES)
+    message(FATAL_ERROR "journal holds ${record_count} records, want ${EXPECT_LINES}")
   endif()
   return()
 endif()

@@ -23,7 +23,7 @@
 
 namespace {
 
-void PrintEnergy(const char* label, const lopass::core::EnergyBreakdown& e) {
+void PrintEnergy(const char* label, const lopass::iss::CoreEnergies& e) {
   const auto uj = [](lopass::Energy v) { return v.joules * 1e6; };
   std::printf("%s.icache_uJ: %.6f\n", label, uj(e.icache));
   std::printf("%s.dcache_uJ: %.6f\n", label, uj(e.dcache));

@@ -72,7 +72,7 @@ class FaultInjectionTest : public ::testing::Test {
 };
 
 TEST_F(FaultInjectionTest, BaselinePartitionsAndIsClean) {
-  ASSERT_FALSE(fault::Enabled());
+  ASSERT_EQ(fault::CurrentSpec(), "");
   Partitioner part(program_.module, program_.regions);
   const PartitionResult r = part.Run(workload_);
   EXPECT_TRUE(r.partitioned());
@@ -179,10 +179,10 @@ TEST_F(FaultInjectionTest, InjectionIsDeterministic) {
 }
 
 TEST_F(FaultInjectionTest, ScopedSpecRestoresAndCounts) {
-  EXPECT_FALSE(fault::Enabled());
+  EXPECT_EQ(fault::CurrentSpec(), "");
   {
     fault::ScopedSpec spec("schedule:3");
-    EXPECT_TRUE(fault::Enabled());
+    EXPECT_EQ(fault::CurrentSpec(), "schedule:3");
     EXPECT_EQ(fault::HitCount("schedule"), 0u);
     fault::MaybeInject("schedule");  // hit 1: armed for hit 3 only
     fault::MaybeInject("schedule");  // hit 2
@@ -190,7 +190,7 @@ TEST_F(FaultInjectionTest, ScopedSpecRestoresAndCounts) {
     fault::MaybeInject("schedule");  // hit 4: disarmed after firing
     EXPECT_EQ(fault::HitCount("schedule"), 4u);
   }
-  EXPECT_FALSE(fault::Enabled());
+  EXPECT_EQ(fault::CurrentSpec(), "");
   fault::MaybeInject("schedule");  // disarmed: must be a no-op
 }
 

@@ -9,6 +9,7 @@
 #include "apps/app.h"
 #include "asic/netlist_check.h"
 #include "asic/verilog.h"
+#include "common/cancel.h"
 #include "common/fault.h"
 #include "core/hotspots.h"
 #include "dsl/lower.h"
@@ -493,7 +494,7 @@ void ExpectSameSim(const iss::SimResult& a, const iss::SimResult& b) {
   EXPECT_EQ(a.mem_writes, b.mem_writes);
 }
 
-void ExpectSameBreakdown(const EnergyBreakdown& a, const EnergyBreakdown& b) {
+void ExpectSameBreakdown(const iss::CoreEnergies& a, const iss::CoreEnergies& b) {
   ExpectSameEnergy(a.icache, b.icache, "row icache");
   ExpectSameEnergy(a.dcache, b.dcache, "row dcache");
   ExpectSameEnergy(a.mem, b.mem, "row mem");
@@ -716,7 +717,7 @@ TEST(SharedBaseline, AppStageFaultsKeepTheirColdEffect) {
     (void)failing.BuildBaseline(w);
     ADD_FAILURE() << "the build should throw";
   } catch (const Error& e) {
-    EXPECT_FALSE(fault::IsTransient(e));
+    EXPECT_EQ(dynamic_cast<const InjectedFault*>(&e), nullptr);
     EXPECT_EQ(std::string(e.what()), cold_error);
   }
 }
@@ -777,6 +778,30 @@ TEST(SharedBaseline, AFailedReSimulationIsNotMemoized) {
   (void)part.Run(*shared);
   EXPECT_EQ(shared->resims.runs(), 1);
   EXPECT_EQ(shared->resims.reused(), 1);
+}
+
+// A deadline inside the list scheduler aborts the whole run: no
+// isolation layer (candidate stage, per-candidate evaluation) may fold
+// it into an infeasible or failed candidate. Run's own token is null,
+// so only the scheduler's polls can fire.
+TEST(Cancellation, AFiredTokenInTheSchedulerAbortsTheRun) {
+  const dsl::LoweredProgram p = dsl::Compile(kHotCold);
+  CancelToken fired;
+  fired.Cancel();
+  PartitionOptions opts;
+  opts.scheduler.cancel = &fired;
+  const Partitioner part(p.module, p.regions, opts);
+  const std::shared_ptr<const AppBaseline> b = part.BuildBaseline(HotColdWorkload());
+  ASSERT_FALSE(b->ranked.empty());
+  EXPECT_THROW((void)part.Run(*b), CancelledError);
+
+  const PreselectedCluster& first = b->ranked.front();
+  ScheduledCandidate sc;
+  EXPECT_THROW(sc = ScheduleCandidate(*first.cluster, first.dfgs, &b->initial_run,
+                                      opts.resource_sets.front(), power::TechLibrary::Cmos6(),
+                                      opts.scheduler, nullptr, "cluster"),
+               CancelledError);
+  EXPECT_EQ(sc.infeasible, "");
 }
 
 TEST(Partitioner, ObjectiveFunctionHelpers) {

@@ -50,7 +50,6 @@ TEST(JobScopeTest, ShadowsTheGlobalSpecOnThisThreadOnly) {
   ASSERT_EQ(fault::CurrentSpec(), "");
   fault::JobScope scope("sim:1");
   EXPECT_EQ(fault::CurrentSpec(), "sim:1");
-  EXPECT_TRUE(fault::Enabled());
   std::string other_thread_spec = "unset";
   std::thread([&] { other_thread_spec = fault::CurrentSpec(); }).join();
   EXPECT_EQ(other_thread_spec, "") << "a JobScope must not leak across threads";
