@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdint>
+#include <iterator>
 #include <limits>
-
+#include <string>
 
 namespace lopass::dsl {
 namespace {
@@ -129,6 +131,82 @@ TEST(Lexer, Punctuation) {
       TokKind::kLBracket, TokKind::kRBracket, TokKind::kComma, TokKind::kSemi,
       TokKind::kEof};
   EXPECT_EQ(k, want);
+}
+
+// Every fixed spelling of the language, written out here rather than
+// read from the lexer, with the kind it must lex to and the text
+// TokKindName gives that kind in diagnostics.
+struct Spelling {
+  const char* text;
+  TokKind kind;
+  const char* name;
+};
+constexpr Spelling kSpellings[] = {
+    {"func", TokKind::kFunc, "'func'"},
+    {"var", TokKind::kVar, "'var'"},
+    {"array", TokKind::kArray, "'array'"},
+    {"if", TokKind::kIf, "'if'"},
+    {"else", TokKind::kElse, "'else'"},
+    {"while", TokKind::kWhile, "'while'"},
+    {"for", TokKind::kFor, "'for'"},
+    {"return", TokKind::kReturn, "'return'"},
+    {"break", TokKind::kBreak, "'break'"},
+    {"continue", TokKind::kContinue, "'continue'"},
+    {"(", TokKind::kLParen, "'('"},
+    {")", TokKind::kRParen, "')'"},
+    {"{", TokKind::kLBrace, "'{'"},
+    {"}", TokKind::kRBrace, "'}'"},
+    {"[", TokKind::kLBracket, "'['"},
+    {"]", TokKind::kRBracket, "']'"},
+    {",", TokKind::kComma, "','"},
+    {";", TokKind::kSemi, "';'"},
+    {"=", TokKind::kAssign, "'='"},
+    {"+", TokKind::kPlus, "'+'"},
+    {"-", TokKind::kMinus, "'-'"},
+    {"*", TokKind::kStar, "'*'"},
+    {"/", TokKind::kSlash, "'/'"},
+    {"%", TokKind::kPercent, "'%'"},
+    {"&", TokKind::kAmp, "'&'"},
+    {"|", TokKind::kPipe, "'|'"},
+    {"^", TokKind::kCaret, "'^'"},
+    {"~", TokKind::kTilde, "'~'"},
+    {"!", TokKind::kBang, "'!'"},
+    {"&&", TokKind::kAmpAmp, "'&&'"},
+    {"||", TokKind::kPipePipe, "'||'"},
+    {"<<", TokKind::kShl, "'<<'"},
+    {">>", TokKind::kShr, "'>>'"},
+    {"==", TokKind::kEq, "'=='"},
+    {"!=", TokKind::kNe, "'!='"},
+    {"<", TokKind::kLt, "'<'"},
+    {"<=", TokKind::kLe, "'<='"},
+    {">", TokKind::kGt, "'>'"},
+    {">=", TokKind::kGe, "'>='"},
+};
+
+TEST(Lexer, EverySpellingLexesToItsKind) {
+  for (const Spelling& s : kSpellings) {
+    // Alone, and glued to identifiers on both sides where that keeps
+    // the spelling a token of its own.
+    EXPECT_EQ(KindsOf(s.text), (std::vector<TokKind>{s.kind, TokKind::kEof})) << s.text;
+    const bool word = std::isalpha(static_cast<unsigned char>(s.text[0])) != 0;
+    const std::string glued = word ? std::string("a ") + s.text + " b"
+                                   : std::string("a") + s.text + "b";
+    EXPECT_EQ(KindsOf(glued), (std::vector<TokKind>{TokKind::kIdent, s.kind,
+                                                    TokKind::kIdent, TokKind::kEof}))
+        << glued;
+  }
+  // A keyword is a whole word: a longer identifier is not split.
+  EXPECT_EQ(KindsOf("format iffy"),
+            (std::vector<TokKind>{TokKind::kIdent, TokKind::kIdent, TokKind::kEof}));
+}
+
+TEST(Lexer, TokKindNameGivesTheExactTextOfEveryKind) {
+  EXPECT_STREQ(TokKindName(TokKind::kEof), "<eof>");
+  EXPECT_STREQ(TokKindName(TokKind::kIdent), "identifier");
+  EXPECT_STREQ(TokKindName(TokKind::kInt), "integer");
+  for (const Spelling& s : kSpellings) EXPECT_STREQ(TokKindName(s.kind), s.name);
+  // Three fixed names plus one per spelling cover every kind once.
+  EXPECT_EQ(3 + std::size(kSpellings), static_cast<std::size_t>(TokKind::kGe) + 1);
 }
 
 }  // namespace

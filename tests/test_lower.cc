@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.h"
 #include "ir/print.h"
 #include "ir/verify.h"
@@ -137,6 +140,48 @@ TEST(Lower, LogicalOpsAreArithmetic) {
   EXPECT_NE(text.find("cmpne"), std::string::npos);
   EXPECT_NE(text.find("and"), std::string::npos);
   EXPECT_NE(text.find("or"), std::string::npos);
+}
+
+// The opcodes `main`'s entry block computes, reads and the return
+// left out.
+std::vector<ir::Opcode> ComputedOps(const LoweredProgram& p) {
+  std::vector<ir::Opcode> ops;
+  const ir::Function& fn = p.module.function(0);
+  for (const ir::Instr& in : fn.block(fn.entry).instrs) {
+    if (in.op != ir::Opcode::kReadVar && in.op != ir::Opcode::kRet) ops.push_back(in.op);
+  }
+  return ops;
+}
+
+TEST(Lower, EveryOperatorLowersToItsOpcode) {
+  using ir::Opcode;
+  const struct {
+    const char* text;
+    std::vector<Opcode> ops;
+  } kBinary[] = {
+      {"+", {Opcode::kAdd}},      {"-", {Opcode::kSub}},
+      {"*", {Opcode::kMul}},      {"/", {Opcode::kDiv}},
+      {"%", {Opcode::kMod}},      {"&", {Opcode::kAnd}},
+      {"|", {Opcode::kOr}},       {"^", {Opcode::kXor}},
+      {"<<", {Opcode::kShl}},     {">>", {Opcode::kSar}},
+      {"==", {Opcode::kCmpEq}},   {"!=", {Opcode::kCmpNe}},
+      {"<", {Opcode::kCmpLt}},    {"<=", {Opcode::kCmpLe}},
+      {">", {Opcode::kCmpGt}},    {">=", {Opcode::kCmpGe}},
+      {"&&", {Opcode::kCmpNe, Opcode::kCmpNe, Opcode::kAnd}},
+      {"||", {Opcode::kCmpNe, Opcode::kCmpNe, Opcode::kOr}},
+  };
+  for (const auto& op : kBinary) {
+    const std::string src = std::string("func main(a, b) { return a ") + op.text + " b; }";
+    EXPECT_EQ(ComputedOps(Compile(src)), op.ops) << src;
+  }
+  const struct {
+    const char* text;
+    Opcode op;
+  } kUnary[] = {{"-", Opcode::kNeg}, {"~", Opcode::kNot}, {"!", Opcode::kCmpEq}};
+  for (const auto& op : kUnary) {
+    const std::string src = std::string("func main(a) { return ") + op.text + "a; }";
+    EXPECT_EQ(ComputedOps(Compile(src)), std::vector<Opcode>{op.op}) << src;
+  }
 }
 
 TEST(Lower, AbsBecomesNegMax) {

@@ -58,6 +58,65 @@ TEST(Parser, ParenthesesOverridePrecedence) {
   EXPECT_EQ(e.args[0]->bin_op, BinOp::kAdd);
 }
 
+// The eighteen binary operators with their C precedence level (higher
+// binds tighter), written out here rather than read from the parser.
+struct BinarySpelling {
+  const char* text;
+  BinOp op;
+  int level;
+};
+constexpr BinarySpelling kBinaryOps[] = {
+    {"*", BinOp::kMul, 10},        {"/", BinOp::kDiv, 10},
+    {"%", BinOp::kMod, 10},        {"+", BinOp::kAdd, 9},
+    {"-", BinOp::kSub, 9},         {"<<", BinOp::kShl, 8},
+    {">>", BinOp::kShr, 8},        {"<", BinOp::kLt, 7},
+    {"<=", BinOp::kLe, 7},         {">", BinOp::kGt, 7},
+    {">=", BinOp::kGe, 7},         {"==", BinOp::kEq, 6},
+    {"!=", BinOp::kNe, 6},         {"&", BinOp::kAnd, 5},
+    {"^", BinOp::kXor, 4},         {"|", BinOp::kOr, 3},
+    {"&&", BinOp::kLogicalAnd, 2}, {"||", BinOp::kLogicalOr, 1},
+};
+
+void ExpectVar(const Expr& e, const char* name) {
+  EXPECT_EQ(e.kind, Expr::Kind::kVar);
+  EXPECT_EQ(e.name, name);
+}
+
+// `a OP1 b OP2 c` for every ordered pair: the looser operator is the
+// root, and at equal precedence the left one nests (left associativity).
+TEST(Parser, EveryOperatorPairNestsByPrecedenceAndAssociativity) {
+  for (const BinarySpelling& first : kBinaryOps) {
+    for (const BinarySpelling& second : kBinaryOps) {
+      const std::string src = std::string("func f(a, b, c) { return a ") + first.text +
+                              " b " + second.text + " c; }";
+      SCOPED_TRACE(src);
+      const Program p = ParseOk(src);
+      const Expr& root = *p.functions[0].body[0]->value;
+      ASSERT_EQ(root.kind, Expr::Kind::kBinary);
+      ASSERT_EQ(root.args.size(), 2u);
+      if (first.level >= second.level) {
+        // (a OP1 b) OP2 c
+        EXPECT_EQ(root.bin_op, second.op);
+        const Expr& left = *root.args[0];
+        ASSERT_EQ(left.kind, Expr::Kind::kBinary);
+        EXPECT_EQ(left.bin_op, first.op);
+        ExpectVar(*left.args[0], "a");
+        ExpectVar(*left.args[1], "b");
+        ExpectVar(*root.args[1], "c");
+      } else {
+        // a OP1 (b OP2 c)
+        EXPECT_EQ(root.bin_op, first.op);
+        ExpectVar(*root.args[0], "a");
+        const Expr& right = *root.args[1];
+        ASSERT_EQ(right.kind, Expr::Kind::kBinary);
+        EXPECT_EQ(right.bin_op, second.op);
+        ExpectVar(*right.args[0], "b");
+        ExpectVar(*right.args[1], "c");
+      }
+    }
+  }
+}
+
 TEST(Parser, UnaryOperators) {
   const Program p = ParseOk("func f() { var x; x = -1; x = ~x; x = !x; x = +5; }");
   EXPECT_EQ(p.functions[0].body[1]->value->un_op, UnOp::kNeg);
