@@ -14,10 +14,11 @@
 #include <cstdio>
 
 #include "apps/app.h"
+#include "common/error.h"
 #include "common/table.h"
 #include "dsl/lower.h"
 
-int main() {
+int main() try {
   using namespace lopass;
   using power::ResourceType;
 
@@ -69,4 +70,7 @@ int main() {
       "hardware weight G in the objective function pushes the choice back\n"
       "toward the leaner datapath.\n");
   return 0;
+} catch (const lopass::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

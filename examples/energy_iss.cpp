@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "common/error.h"
 #include "dsl/lower.h"
 #include "isa/codegen.h"
 #include "iss/simulator.h"
@@ -36,7 +37,7 @@ func main() {
 
 }  // namespace
 
-int main() {
+int main() try {
   using namespace lopass;
 
   dsl::LoweredProgram program = dsl::Compile(kKernel);
@@ -79,4 +80,7 @@ int main() {
       "cycles, more bus/memory energy — the whole-system effect the paper's\n"
       "partitioner re-estimates for every candidate partition.\n");
   return 0;
+} catch (const lopass::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 
+#include "common/error.h"
 #include "common/prng.h"
 #include "core/partitioner.h"
 #include "core/report.h"
@@ -89,7 +90,7 @@ func main() {
 
 }  // namespace
 
-int main() {
+int main() try {
   using namespace lopass;
 
   dsl::LoweredProgram program = dsl::Compile(kPipeline);
@@ -140,4 +141,7 @@ int main() {
               FormatPercent(rows[0].saving_percent()).c_str(),
               FormatPercent(rows[0].time_change_percent()).c_str());
   return 0;
+} catch (const lopass::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

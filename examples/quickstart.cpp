@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "common/error.h"
 #include "core/partitioner.h"
 #include "dsl/lower.h"
 
@@ -47,7 +48,7 @@ func main() {
 
 }  // namespace
 
-int main() {
+int main() try {
   using namespace lopass;
 
   // 1-2. Compile the behavioral description to the IR + region tree.
@@ -94,4 +95,7 @@ int main() {
               FormatPercent(row.saving_percent()).c_str(),
               FormatPercent(row.time_change_percent()).c_str());
   return 0;
+} catch (const lopass::Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

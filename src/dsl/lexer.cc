@@ -1,74 +1,65 @@
 #include "dsl/lexer.h"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdint>
+#include <iterator>
 #include <limits>
-#include <unordered_map>
+#include <span>
 
 namespace lopass::dsl {
 
+namespace {
+
+// Every keyword and punctuation spelling of the language, each once:
+// the ten words, then the punctuation, whose two-character spellings
+// come before their one-character prefixes so that the first entry a
+// punctuation run starts with is its longest match.
+struct Spelling {
+  std::string_view text;
+  TokKind kind;
+};
+constexpr Spelling kSpellings[] = {
+    {"func", TokKind::kFunc},   {"var", TokKind::kVar},
+    {"array", TokKind::kArray}, {"if", TokKind::kIf},
+    {"else", TokKind::kElse},   {"while", TokKind::kWhile},
+    {"for", TokKind::kFor},     {"return", TokKind::kReturn},
+    {"break", TokKind::kBreak}, {"continue", TokKind::kContinue},
+    {"&&", TokKind::kAmpAmp},   {"||", TokKind::kPipePipe},
+    {"<<", TokKind::kShl},      {">>", TokKind::kShr},
+    {"==", TokKind::kEq},       {"!=", TokKind::kNe},
+    {"<=", TokKind::kLe},       {">=", TokKind::kGe},
+    {"(", TokKind::kLParen},    {")", TokKind::kRParen},
+    {"{", TokKind::kLBrace},    {"}", TokKind::kRBrace},
+    {"[", TokKind::kLBracket},  {"]", TokKind::kRBracket},
+    {",", TokKind::kComma},     {";", TokKind::kSemi},
+    {"=", TokKind::kAssign},    {"+", TokKind::kPlus},
+    {"-", TokKind::kMinus},     {"*", TokKind::kStar},
+    {"/", TokKind::kSlash},     {"%", TokKind::kPercent},
+    {"&", TokKind::kAmp},       {"|", TokKind::kPipe},
+    {"^", TokKind::kCaret},     {"~", TokKind::kTilde},
+    {"!", TokKind::kBang},      {"<", TokKind::kLt},
+    {">", TokKind::kGt},
+};
+constexpr auto kWords = std::span(kSpellings).first(10);
+constexpr auto kPunctuation = std::span(kSpellings).subspan(10);
+
+}  // namespace
+
 const char* TokKindName(TokKind k) {
+  static const auto quoted = [] {
+    std::array<std::string, std::size(kSpellings)> q;
+    for (std::size_t i = 0; i < q.size(); ++i) q[i] = "'" + std::string(kSpellings[i].text) + "'";
+    return q;
+  }();
   switch (k) {
     case TokKind::kEof: return "<eof>";
     case TokKind::kIdent: return "identifier";
     case TokKind::kInt: return "integer";
-    case TokKind::kFunc: return "'func'";
-    case TokKind::kVar: return "'var'";
-    case TokKind::kArray: return "'array'";
-    case TokKind::kIf: return "'if'";
-    case TokKind::kElse: return "'else'";
-    case TokKind::kWhile: return "'while'";
-    case TokKind::kFor: return "'for'";
-    case TokKind::kReturn: return "'return'";
-    case TokKind::kBreak: return "'break'";
-    case TokKind::kContinue: return "'continue'";
-    case TokKind::kLParen: return "'('";
-    case TokKind::kRParen: return "')'";
-    case TokKind::kLBrace: return "'{'";
-    case TokKind::kRBrace: return "'}'";
-    case TokKind::kLBracket: return "'['";
-    case TokKind::kRBracket: return "']'";
-    case TokKind::kComma: return "','";
-    case TokKind::kSemi: return "';'";
-    case TokKind::kAssign: return "'='";
-    case TokKind::kPlus: return "'+'";
-    case TokKind::kMinus: return "'-'";
-    case TokKind::kStar: return "'*'";
-    case TokKind::kSlash: return "'/'";
-    case TokKind::kPercent: return "'%'";
-    case TokKind::kAmp: return "'&'";
-    case TokKind::kPipe: return "'|'";
-    case TokKind::kCaret: return "'^'";
-    case TokKind::kTilde: return "'~'";
-    case TokKind::kBang: return "'!'";
-    case TokKind::kAmpAmp: return "'&&'";
-    case TokKind::kPipePipe: return "'||'";
-    case TokKind::kShl: return "'<<'";
-    case TokKind::kShr: return "'>>'";
-    case TokKind::kEq: return "'=='";
-    case TokKind::kNe: return "'!='";
-    case TokKind::kLt: return "'<'";
-    case TokKind::kLe: return "'<='";
-    case TokKind::kGt: return "'>'";
-    case TokKind::kGe: return "'>='";
+    default: return quoted[std::ranges::find(kSpellings, k, &Spelling::kind) - kSpellings].c_str();
   }
-  return "?";
 }
-
-namespace {
-
-const std::unordered_map<std::string_view, TokKind>& Keywords() {
-  static const std::unordered_map<std::string_view, TokKind> kw = {
-      {"func", TokKind::kFunc},   {"var", TokKind::kVar},
-      {"array", TokKind::kArray}, {"if", TokKind::kIf},
-      {"else", TokKind::kElse},   {"while", TokKind::kWhile},
-      {"for", TokKind::kFor},     {"return", TokKind::kReturn},
-      {"break", TokKind::kBreak}, {"continue", TokKind::kContinue},
-  };
-  return kw;
-}
-
-}  // namespace
 
 std::vector<Token> Tokenize(std::string_view src, DiagnosticSink& sink) {
   std::vector<Token> out;
@@ -94,12 +85,12 @@ std::vector<Token> Tokenize(std::string_view src, DiagnosticSink& sink) {
   auto peek = [&](std::size_t off = 0) -> char {
     return i + off < src.size() ? src[i + off] : '\0';
   };
-  auto push = [&](TokKind k, int l, int c) {
-    Token t;
+  auto push = [&](TokKind k, int l, int c) -> Token& {
+    Token& t = out.emplace_back();
     t.kind = k;
     t.line = l;
     t.col = c;
-    out.push_back(std::move(t));
+    return t;
   };
 
   while (i < src.size()) {
@@ -146,13 +137,9 @@ std::vector<Token> Tokenize(std::string_view src, DiagnosticSink& sink) {
         ++j;
       }
       const std::string_view word = src.substr(i, j - i);
-      Token t;
-      auto it = Keywords().find(word);
-      t.kind = it != Keywords().end() ? it->second : TokKind::kIdent;
-      t.text = std::string(word);
-      t.line = l;
-      t.col = cl;
-      out.push_back(std::move(t));
+      const auto keyword = std::ranges::find_if(
+          kWords, [&](const Spelling& w) { return w.text[0] == c && w.text == word; });
+      push(keyword != kWords.end() ? keyword->kind : TokKind::kIdent, l, cl).text = word;
       advance(j - i);
       continue;
     }
@@ -191,74 +178,24 @@ std::vector<Token> Tokenize(std::string_view src, DiagnosticSink& sink) {
         report(l, cl, "integer literal out of range");
         value = 0;  // recovery: scan on past the whole literal
       }
-      Token t;
-      t.kind = TokKind::kInt;
-      t.value = static_cast<std::int64_t>(value);
-      t.line = l;
-      t.col = cl;
-      out.push_back(std::move(t));
+      push(TokKind::kInt, l, cl).value = static_cast<std::int64_t>(value);
       advance(j - i);
       continue;
     }
 
-    auto two = [&](char second, TokKind kk) -> bool {
-      if (peek(1) == second) {
-        push(kk, l, cl);
-        advance(2);
-        return true;
-      }
-      return false;
-    };
-    switch (c) {
-      case '(': push(TokKind::kLParen, l, cl); advance(); break;
-      case ')': push(TokKind::kRParen, l, cl); advance(); break;
-      case '{': push(TokKind::kLBrace, l, cl); advance(); break;
-      case '}': push(TokKind::kRBrace, l, cl); advance(); break;
-      case '[': push(TokKind::kLBracket, l, cl); advance(); break;
-      case ']': push(TokKind::kRBracket, l, cl); advance(); break;
-      case ',': push(TokKind::kComma, l, cl); advance(); break;
-      case ';': push(TokKind::kSemi, l, cl); advance(); break;
-      case '+': push(TokKind::kPlus, l, cl); advance(); break;
-      case '-': push(TokKind::kMinus, l, cl); advance(); break;
-      case '*': push(TokKind::kStar, l, cl); advance(); break;
-      case '/': push(TokKind::kSlash, l, cl); advance(); break;
-      case '%': push(TokKind::kPercent, l, cl); advance(); break;
-      case '^': push(TokKind::kCaret, l, cl); advance(); break;
-      case '~': push(TokKind::kTilde, l, cl); advance(); break;
-      case '&':
-        if (!two('&', TokKind::kAmpAmp)) { push(TokKind::kAmp, l, cl); advance(); }
-        break;
-      case '|':
-        if (!two('|', TokKind::kPipePipe)) { push(TokKind::kPipe, l, cl); advance(); }
-        break;
-      case '=':
-        if (!two('=', TokKind::kEq)) { push(TokKind::kAssign, l, cl); advance(); }
-        break;
-      case '!':
-        if (!two('=', TokKind::kNe)) { push(TokKind::kBang, l, cl); advance(); }
-        break;
-      case '<':
-        if (!two('<', TokKind::kShl) && !two('=', TokKind::kLe)) {
-          push(TokKind::kLt, l, cl);
-          advance();
-        }
-        break;
-      case '>':
-        if (!two('>', TokKind::kShr) && !two('=', TokKind::kGe)) {
-          push(TokKind::kGt, l, cl);
-          advance();
-        }
-        break;
-      default:
-        report(l, cl, std::string("unexpected character '") + c + "'");
-        advance();  // recovery: drop the character
+    const std::string_view rest = src.substr(i);
+    const auto punct = std::ranges::find_if(kPunctuation, [&](const Spelling& p) {
+      return p.text[0] == c && rest.starts_with(p.text);
+    });
+    if (punct != kPunctuation.end()) {
+      push(punct->kind, l, cl);
+      advance(punct->text.size());
+    } else {
+      report(l, cl, std::string("unexpected character '") + c + "'");
+      advance();  // recovery: drop the character
     }
   }
-  Token eof;
-  eof.kind = TokKind::kEof;
-  eof.line = line;
-  eof.col = col;
-  out.push_back(eof);
+  push(TokKind::kEof, line, col);
   return out;
 }
 

@@ -4,6 +4,11 @@
 // application arrives in (Fig. 5 box "Application"). The language is a
 // small C subset: int scalars/arrays, functions, for/while/if,
 // expressions with C operator precedence, plus min/max/abs builtins.
+//
+// Each keyword and punctuation spelling is written once, in the token
+// table of lexer.cc: Tokenize matches punctuation against it longest
+// first, and TokKindName quotes it. The binary operators' precedence
+// and IR opcodes are in kBinaryOperators (parser.h).
 
 #include <cstdint>
 #include <string>
@@ -31,6 +36,8 @@ enum class TokKind : std::uint8_t {
   kEq, kNe, kLt, kLe, kGt, kGe,
 };
 
+// How diagnostics name a kind: the quoted spelling ("'<='"), or
+// "<eof>", "identifier", "integer".
 const char* TokKindName(TokKind k);
 
 struct Token {

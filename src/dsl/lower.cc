@@ -1,5 +1,6 @@
 #include "dsl/lower.h"
 
+#include <algorithm>
 #include <memory>
 #include <unordered_map>
 
@@ -391,7 +392,7 @@ class Lowerer {
     }
   }
 
-  Operand Normalize01(Operand a, int) {
+  Operand Normalize01(Operand a) {
     // x -> (x != 0)
     return Operand::Vreg(fb_->EmitBinary(Opcode::kCmpNe, a, Operand::Imm(0)));
   }
@@ -432,37 +433,14 @@ class Lowerer {
         break;
       }
       case Expr::Kind::kBinary: {
-        const Operand a = LowerExpr(*e.args[0]);
-        const Operand b = LowerExpr(*e.args[1]);
-        switch (e.bin_op) {
-          case BinOp::kAdd: return Operand::Vreg(fb_->EmitBinary(Opcode::kAdd, a, b));
-          case BinOp::kSub: return Operand::Vreg(fb_->EmitBinary(Opcode::kSub, a, b));
-          case BinOp::kMul: return Operand::Vreg(fb_->EmitBinary(Opcode::kMul, a, b));
-          case BinOp::kDiv: return Operand::Vreg(fb_->EmitBinary(Opcode::kDiv, a, b));
-          case BinOp::kMod: return Operand::Vreg(fb_->EmitBinary(Opcode::kMod, a, b));
-          case BinOp::kAnd: return Operand::Vreg(fb_->EmitBinary(Opcode::kAnd, a, b));
-          case BinOp::kOr: return Operand::Vreg(fb_->EmitBinary(Opcode::kOr, a, b));
-          case BinOp::kXor: return Operand::Vreg(fb_->EmitBinary(Opcode::kXor, a, b));
-          case BinOp::kShl: return Operand::Vreg(fb_->EmitBinary(Opcode::kShl, a, b));
-          case BinOp::kShr: return Operand::Vreg(fb_->EmitBinary(Opcode::kSar, a, b));
-          case BinOp::kEq: return Operand::Vreg(fb_->EmitBinary(Opcode::kCmpEq, a, b));
-          case BinOp::kNe: return Operand::Vreg(fb_->EmitBinary(Opcode::kCmpNe, a, b));
-          case BinOp::kLt: return Operand::Vreg(fb_->EmitBinary(Opcode::kCmpLt, a, b));
-          case BinOp::kLe: return Operand::Vreg(fb_->EmitBinary(Opcode::kCmpLe, a, b));
-          case BinOp::kGt: return Operand::Vreg(fb_->EmitBinary(Opcode::kCmpGt, a, b));
-          case BinOp::kGe: return Operand::Vreg(fb_->EmitBinary(Opcode::kCmpGe, a, b));
-          case BinOp::kLogicalAnd: {
-            const Operand na = Normalize01(a, e.line);
-            const Operand nb = Normalize01(b, e.line);
-            return Operand::Vreg(fb_->EmitBinary(Opcode::kAnd, na, nb));
-          }
-          case BinOp::kLogicalOr: {
-            const Operand na = Normalize01(a, e.line);
-            const Operand nb = Normalize01(b, e.line);
-            return Operand::Vreg(fb_->EmitBinary(Opcode::kOr, na, nb));
-          }
+        Operand a = LowerExpr(*e.args[0]);
+        Operand b = LowerExpr(*e.args[1]);
+        if (e.bin_op == BinOp::kLogicalAnd || e.bin_op == BinOp::kLogicalOr) {
+          a = Normalize01(a);
+          b = Normalize01(b);
         }
-        break;
+        const auto op = std::ranges::find(kBinaryOperators, e.bin_op, &BinaryOperator::op);
+        return Operand::Vreg(fb_->EmitBinary(op->opcode, a, b));
       }
       case Expr::Kind::kCall: {
         // Builtins first.

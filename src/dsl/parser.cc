@@ -1,5 +1,8 @@
 #include "dsl/parser.h"
 
+#include <algorithm>
+#include <iterator>
+#include <string>
 #include <utility>
 
 #include "common/fault.h"
@@ -64,6 +67,26 @@ class Parser {
     throw ParseAbort{};
   }
 
+  [[noreturn]] void FailTooDeep() const {
+    Fail("nested deeper than " + std::to_string(kMaxNesting) + " levels");
+  }
+
+  // Opens one nesting level (see parser.h) for its scope; past
+  // kMaxNesting the current token is a syntax error.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (p_.depth_ == kMaxNesting) p_.FailTooDeep();
+      ++p_.depth_;
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
   // --- recovery synchronization -----------------------------------------
 
   // Guarantees forward progress after an error raised at `error_pos`.
@@ -109,6 +132,7 @@ class Parser {
   }
 
   std::vector<StmtPtr> ParseBlock() {
+    Nest nest(*this);
     Eat(TokKind::kLBrace);
     std::vector<StmtPtr> body;
     while (!At(TokKind::kRBrace) && !At(TokKind::kEof)) {
@@ -123,11 +147,25 @@ class Parser {
     return body;
   }
 
-  StmtPtr ParseDecl(bool global) {
+  // A statement of `kind` on the current token's line.
+  StmtPtr MakeStmt(Stmt::Kind kind) {
     auto s = std::make_unique<Stmt>();
+    s->kind = kind;
     s->line = Cur().line;
+    return s;
+  }
+
+  // "(" expr ")", the condition of an if or a while.
+  ExprPtr ParseCond() {
+    Eat(TokKind::kLParen);
+    auto e = ParseExpr();
+    Eat(TokKind::kRParen);
+    return e;
+  }
+
+  StmtPtr ParseDecl(bool global) {
+    auto s = MakeStmt(Stmt::Kind::kVarDecl);
     if (Accept(TokKind::kVar)) {
-      s->kind = Stmt::Kind::kVarDecl;
       s->name = Eat(TokKind::kIdent).text;
       if (Accept(TokKind::kAssign)) {
         s->value = ParseExpr();
@@ -135,9 +173,7 @@ class Parser {
           // Fold a leading unary minus so `var g = -5;` works.
           if (s->value->kind == Expr::Kind::kUnary && s->value->un_op == UnOp::kNeg &&
               s->value->args[0]->kind == Expr::Kind::kInt) {
-            auto folded = std::make_unique<Expr>();
-            folded->kind = Expr::Kind::kInt;
-            folded->line = s->value->line;
+            auto folded = MakeExpr(Expr::Kind::kInt, s->value->line);
             folded->value = WrapNeg(s->value->args[0]->value);
             s->value = std::move(folded);
           }
@@ -162,10 +198,8 @@ class Parser {
 
   // A "simple" statement usable in for-init/for-step (no trailing ';').
   StmtPtr ParseSimple() {
-    auto s = std::make_unique<Stmt>();
-    s->line = Cur().line;
+    auto s = MakeStmt(Stmt::Kind::kVarDecl);
     if (Accept(TokKind::kVar)) {
-      s->kind = Stmt::Kind::kVarDecl;
       s->name = Eat(TokKind::kIdent).text;
       Eat(TokKind::kAssign);
       s->value = ParseExpr();
@@ -189,16 +223,13 @@ class Parser {
   }
 
   StmtPtr ParseIf() {
-    auto s = std::make_unique<Stmt>();
-    s->line = Cur().line;
-    s->kind = Stmt::Kind::kIf;
+    auto s = MakeStmt(Stmt::Kind::kIf);
     Eat(TokKind::kIf);
-    Eat(TokKind::kLParen);
-    s->cond = ParseExpr();
-    Eat(TokKind::kRParen);
+    s->cond = ParseCond();
     s->body = ParseBlock();
     if (Accept(TokKind::kElse)) {
       if (At(TokKind::kIf)) {
+        Nest nest(*this);
         s->else_body.push_back(ParseIf());  // else-if chain
       } else {
         s->else_body = ParseBlock();
@@ -211,20 +242,14 @@ class Parser {
     if (At(TokKind::kVar) || At(TokKind::kArray)) return ParseDecl(/*global=*/false);
     if (At(TokKind::kIf)) return ParseIf();
     if (At(TokKind::kWhile)) {
-      auto s = std::make_unique<Stmt>();
-      s->line = Cur().line;
-      s->kind = Stmt::Kind::kWhile;
+      auto s = MakeStmt(Stmt::Kind::kWhile);
       Eat(TokKind::kWhile);
-      Eat(TokKind::kLParen);
-      s->cond = ParseExpr();
-      Eat(TokKind::kRParen);
+      s->cond = ParseCond();
       s->body = ParseBlock();
       return s;
     }
     if (At(TokKind::kFor)) {
-      auto s = std::make_unique<Stmt>();
-      s->line = Cur().line;
-      s->kind = Stmt::Kind::kFor;
+      auto s = MakeStmt(Stmt::Kind::kFor);
       Eat(TokKind::kFor);
       Eat(TokKind::kLParen);
       if (!At(TokKind::kSemi)) s->init = ParseSimple();
@@ -236,26 +261,14 @@ class Parser {
       s->body = ParseBlock();
       return s;
     }
-    if (At(TokKind::kBreak)) {
-      auto s = std::make_unique<Stmt>();
-      s->line = Cur().line;
-      s->kind = Stmt::Kind::kBreak;
-      Eat(TokKind::kBreak);
-      Eat(TokKind::kSemi);
-      return s;
-    }
-    if (At(TokKind::kContinue)) {
-      auto s = std::make_unique<Stmt>();
-      s->line = Cur().line;
-      s->kind = Stmt::Kind::kContinue;
-      Eat(TokKind::kContinue);
+    if (At(TokKind::kBreak) || At(TokKind::kContinue)) {
+      auto s = MakeStmt(At(TokKind::kBreak) ? Stmt::Kind::kBreak : Stmt::Kind::kContinue);
+      ++pos_;
       Eat(TokKind::kSemi);
       return s;
     }
     if (At(TokKind::kReturn)) {
-      auto s = std::make_unique<Stmt>();
-      s->line = Cur().line;
-      s->kind = Stmt::Kind::kReturn;
+      auto s = MakeStmt(Stmt::Kind::kReturn);
       Eat(TokKind::kReturn);
       if (!At(TokKind::kSemi)) s->value = ParseExpr();
       Eat(TokKind::kSemi);
@@ -272,215 +285,122 @@ class Parser {
         return s;
       }
     }
-    auto s = std::make_unique<Stmt>();
-    s->line = Cur().line;
-    s->kind = Stmt::Kind::kExpr;
+    auto s = MakeStmt(Stmt::Kind::kExpr);
     s->value = ParseExpr();
     Eat(TokKind::kSemi);
     return s;
   }
 
-  // --- expressions (C precedence) ---------------------------------------
+  // --- expressions ------------------------------------------------------
 
-  ExprPtr ParseExpr() { return ParseLogicalOr(); }
+  ExprPtr ParseExpr() { return ParseBinary(1); }
 
-  ExprPtr MakeBin(BinOp op, ExprPtr a, ExprPtr b, int line) {
+  ExprPtr MakeExpr(Expr::Kind kind, int line) {
     auto e = std::make_unique<Expr>();
-    e->kind = Expr::Kind::kBinary;
-    e->bin_op = op;
+    e->kind = kind;
     e->line = line;
-    e->args.push_back(std::move(a));
-    e->args.push_back(std::move(b));
     return e;
   }
 
-  ExprPtr ParseLogicalOr() {
-    auto e = ParseLogicalAnd();
-    while (At(TokKind::kPipePipe)) {
-      const int line = Cur().line;
-      Eat(TokKind::kPipePipe);
-      e = MakeBin(BinOp::kLogicalOr, std::move(e), ParseLogicalAnd(), line);
-    }
-    return e;
-  }
-
-  ExprPtr ParseLogicalAnd() {
-    auto e = ParseBitOr();
-    while (At(TokKind::kAmpAmp)) {
-      const int line = Cur().line;
-      Eat(TokKind::kAmpAmp);
-      e = MakeBin(BinOp::kLogicalAnd, std::move(e), ParseBitOr(), line);
-    }
-    return e;
-  }
-
-  ExprPtr ParseBitOr() {
-    auto e = ParseBitXor();
-    while (At(TokKind::kPipe)) {
-      const int line = Cur().line;
-      Eat(TokKind::kPipe);
-      e = MakeBin(BinOp::kOr, std::move(e), ParseBitXor(), line);
-    }
-    return e;
-  }
-
-  ExprPtr ParseBitXor() {
-    auto e = ParseBitAnd();
-    while (At(TokKind::kCaret)) {
-      const int line = Cur().line;
-      Eat(TokKind::kCaret);
-      e = MakeBin(BinOp::kXor, std::move(e), ParseBitAnd(), line);
-    }
-    return e;
-  }
-
-  ExprPtr ParseBitAnd() {
-    auto e = ParseEquality();
-    while (At(TokKind::kAmp)) {
-      const int line = Cur().line;
-      Eat(TokKind::kAmp);
-      e = MakeBin(BinOp::kAnd, std::move(e), ParseEquality(), line);
-    }
-    return e;
-  }
-
-  ExprPtr ParseEquality() {
-    auto e = ParseRelational();
-    while (At(TokKind::kEq) || At(TokKind::kNe)) {
-      const int line = Cur().line;
-      const BinOp op = Accept(TokKind::kEq) ? BinOp::kEq : (Eat(TokKind::kNe), BinOp::kNe);
-      e = MakeBin(op, std::move(e), ParseRelational(), line);
-    }
-    return e;
-  }
-
-  ExprPtr ParseRelational() {
-    auto e = ParseShift();
-    while (At(TokKind::kLt) || At(TokKind::kLe) || At(TokKind::kGt) || At(TokKind::kGe)) {
-      const int line = Cur().line;
-      BinOp op;
-      if (Accept(TokKind::kLt)) op = BinOp::kLt;
-      else if (Accept(TokKind::kLe)) op = BinOp::kLe;
-      else if (Accept(TokKind::kGt)) op = BinOp::kGt;
-      else { Eat(TokKind::kGe); op = BinOp::kGe; }
-      e = MakeBin(op, std::move(e), ParseShift(), line);
-    }
-    return e;
-  }
-
-  ExprPtr ParseShift() {
-    auto e = ParseAdditive();
-    while (At(TokKind::kShl) || At(TokKind::kShr)) {
-      const int line = Cur().line;
-      const BinOp op = Accept(TokKind::kShl) ? BinOp::kShl : (Eat(TokKind::kShr), BinOp::kShr);
-      e = MakeBin(op, std::move(e), ParseAdditive(), line);
-    }
-    return e;
-  }
-
-  ExprPtr ParseAdditive() {
-    auto e = ParseMultiplicative();
-    while (At(TokKind::kPlus) || At(TokKind::kMinus)) {
-      const int line = Cur().line;
-      const BinOp op =
-          Accept(TokKind::kPlus) ? BinOp::kAdd : (Eat(TokKind::kMinus), BinOp::kSub);
-      e = MakeBin(op, std::move(e), ParseMultiplicative(), line);
-    }
-    return e;
-  }
-
-  ExprPtr ParseMultiplicative() {
+  // Precedence climbing: an operand, then every operator of precedence
+  // `min_prec` or tighter with its right operand, folded to the left.
+  ExprPtr ParseBinary(int min_prec) {
     auto e = ParseUnary();
-    while (At(TokKind::kStar) || At(TokKind::kSlash) || At(TokKind::kPercent)) {
-      const int line = Cur().line;
-      BinOp op;
-      if (Accept(TokKind::kStar)) op = BinOp::kMul;
-      else if (Accept(TokKind::kSlash)) op = BinOp::kDiv;
-      else { Eat(TokKind::kPercent); op = BinOp::kMod; }
-      e = MakeBin(op, std::move(e), ParseUnary(), line);
+    int reach = reach_;
+    for (auto op = FindBinary(); op != std::end(kBinaryOperators) && op->precedence >= min_prec;
+         op = FindBinary()) {
+      if (reach == kMaxNesting) FailTooDeep();
+      auto bin = MakeExpr(Expr::Kind::kBinary, Cur().line);
+      ++pos_;
+      bin->bin_op = op->op;
+      bin->args.push_back(std::move(e));
+      {
+        Nest nest(*this);
+        bin->args.push_back(ParseBinary(op->precedence + 1));
+      }
+      reach = std::max(reach + 1, reach_);
+      e = std::move(bin);
     }
+    reach_ = reach;
     return e;
+  }
+
+  const BinaryOperator* FindBinary() const {
+    return std::ranges::find(kBinaryOperators, Cur().kind, &BinaryOperator::token);
   }
 
   ExprPtr ParseUnary() {
+    static constexpr std::pair<TokKind, UnOp> kUnary[] = {
+        {TokKind::kMinus, UnOp::kNeg},
+        {TokKind::kTilde, UnOp::kBitNot},
+        {TokKind::kBang, UnOp::kLogicalNot},
+    };
+    const auto un = std::ranges::find(kUnary, Cur().kind, &std::pair<TokKind, UnOp>::first);
+    if (un == std::end(kUnary) && !At(TokKind::kPlus)) return ParsePrimary();
+    Nest nest(*this);
     const int line = Cur().line;
-    if (Accept(TokKind::kMinus)) {
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::Kind::kUnary;
-      e->un_op = UnOp::kNeg;
-      e->line = line;
-      e->args.push_back(ParseUnary());
-      return e;
-    }
-    if (Accept(TokKind::kTilde)) {
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::Kind::kUnary;
-      e->un_op = UnOp::kBitNot;
-      e->line = line;
-      e->args.push_back(ParseUnary());
-      return e;
-    }
-    if (Accept(TokKind::kBang)) {
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::Kind::kUnary;
-      e->un_op = UnOp::kLogicalNot;
-      e->line = line;
-      e->args.push_back(ParseUnary());
-      return e;
-    }
-    if (Accept(TokKind::kPlus)) return ParseUnary();
-    return ParsePrimary();
+    ++pos_;
+    if (un == std::end(kUnary)) return ParseUnary();  // unary '+' is the identity
+    auto e = MakeExpr(Expr::Kind::kUnary, line);
+    e->un_op = un->second;
+    e->args.push_back(ParseUnary());
+    return e;
   }
 
   ExprPtr ParsePrimary() {
     const int line = Cur().line;
+    reach_ = depth_;
     if (At(TokKind::kInt)) {
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::Kind::kInt;
+      auto e = MakeExpr(Expr::Kind::kInt, line);
       e->value = Eat(TokKind::kInt).value;
-      e->line = line;
       return e;
     }
-    if (Accept(TokKind::kLParen)) {
+    if (At(TokKind::kLParen)) {
+      Nest nest(*this);
+      ++pos_;
       auto e = ParseExpr();
       Eat(TokKind::kRParen);
       return e;
     }
-    if (At(TokKind::kIdent)) {
-      const std::string name = Eat(TokKind::kIdent).text;
-      if (Accept(TokKind::kLParen)) {
-        auto e = std::make_unique<Expr>();
-        e->kind = Expr::Kind::kCall;
-        e->name = name;
-        e->line = line;
-        if (!At(TokKind::kRParen)) {
-          e->args.push_back(ParseExpr());
-          while (Accept(TokKind::kComma)) e->args.push_back(ParseExpr());
-        }
-        Eat(TokKind::kRParen);
-        return e;
-      }
-      if (Accept(TokKind::kLBracket)) {
-        auto e = std::make_unique<Expr>();
-        e->kind = Expr::Kind::kIndex;
-        e->name = name;
-        e->line = line;
-        e->args.push_back(ParseExpr());
-        Eat(TokKind::kRBracket);
-        return e;
-      }
-      auto e = std::make_unique<Expr>();
-      e->kind = Expr::Kind::kVar;
+    if (!At(TokKind::kIdent)) {
+      Fail(std::string("expected expression, found ") + TokKindName(Cur().kind));
+    }
+    const std::string name = Eat(TokKind::kIdent).text;
+    if (At(TokKind::kLParen)) {
+      Nest nest(*this);
+      ++pos_;
+      auto e = MakeExpr(Expr::Kind::kCall, line);
       e->name = name;
-      e->line = line;
+      int reach = depth_;
+      if (!At(TokKind::kRParen)) {
+        do {
+          e->args.push_back(ParseExpr());
+          reach = std::max(reach, reach_);
+        } while (Accept(TokKind::kComma));
+      }
+      Eat(TokKind::kRParen);
+      reach_ = reach;
       return e;
     }
-    Fail(std::string("expected expression, found ") + TokKindName(Cur().kind));
+    if (At(TokKind::kLBracket)) {
+      Nest nest(*this);
+      ++pos_;
+      auto e = MakeExpr(Expr::Kind::kIndex, line);
+      e->name = name;
+      e->args.push_back(ParseExpr());
+      Eat(TokKind::kRBracket);
+      return e;
+    }
+    auto e = MakeExpr(Expr::Kind::kVar, line);
+    e->name = name;
+    return e;
   }
 
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
   DiagnosticSink& sink_;
+  int depth_ = 0;  // nesting levels open around the current token
+  int reach_ = 0;  // deepest level the last parsed expression reaches
 };
 
 }  // namespace

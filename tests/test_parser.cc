@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "common/prng.h"
 
 namespace lopass::dsl {
@@ -181,6 +184,94 @@ TEST(Parser, ExpressionStatement) {
 TEST(Parser, WhileLoop) {
   const Program p = ParseOk("func f(n) { while (n > 0) { n = n - 1; } return n; }");
   EXPECT_EQ(p.functions[0].body[0]->kind, Stmt::Kind::kWhile);
+}
+
+std::string Repeat(std::string_view text, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += text;
+  return out;
+}
+
+// One statement nested `n` levels below the function body, whose block
+// is the first level.
+struct NestingShape {
+  const char* name;
+  std::string (*statement)(int n);
+};
+const NestingShape kNestingShapes[] = {
+    {"parentheses", [](int n) { return "x = " + Repeat("(", n) + "1" + Repeat(")", n) + ";"; }},
+    {"unary", [](int n) { return "x = " + Repeat("- ", n) + "1;"; }},
+    {"left chain", [](int n) { return "x = 1" + Repeat(" + 1", n) + ";"; }},
+    {"right operands",
+     [](int n) { return "x = " + Repeat("1 - (", n) + "1" + Repeat(")", n) + ";"; }},
+    {"indices", [](int n) { return "x = " + Repeat("a[", n) + "0" + Repeat("]", n) + ";"; }},
+    {"call arguments", [](int n) { return "x = " + Repeat("f(", n) + "1" + Repeat(")", n) + ";"; }},
+    {"blocks", [](int n) { return Repeat("if (x) { ", n) + Repeat("}", n); }},
+};
+
+std::string NestedProgram(const NestingShape& shape, int n) {
+  return "func f(x) {\n" + shape.statement(n) + "\nreturn x;\n}\n";
+}
+
+TEST(Parser, NestingUpToTheBoundParses) {
+  for (const NestingShape& shape : kNestingShapes) {
+    SCOPED_TRACE(shape.name);
+    const Program p = ParseOk(NestedProgram(shape, kMaxNesting / 2 - 1));
+    EXPECT_EQ(p.functions[0].body.size(), 2u);
+  }
+  // Levels that open no tree node count all the same.
+  for (const NestingShape& shape : {kNestingShapes[0], kNestingShapes[1], kNestingShapes[2],
+                                    kNestingShapes[6]}) {
+    SCOPED_TRACE(shape.name);
+    (void)ParseOk(NestedProgram(shape, kMaxNesting - 1));
+  }
+}
+
+TEST(Parser, NestingPastTheBoundIsASyntaxErrorAndParsingResumes) {
+  for (const NestingShape& shape : kNestingShapes) {
+    for (int n : {kMaxNesting, 20000}) {
+      SCOPED_TRACE(std::string(shape.name) + " x" + std::to_string(n));
+      DiagnosticSink sink;
+      const Program p = Parse(NestedProgram(shape, n), sink);
+      ASSERT_TRUE(sink.has_errors());
+      const Diagnostic& d = sink.diagnostics()[0];
+      EXPECT_EQ(d.code, "parse.syntax");
+      EXPECT_EQ(d.message, "nested deeper than " + std::to_string(kMaxNesting) + " levels");
+      EXPECT_EQ(d.loc.line, 2);
+      // The statement after the too-deep one still parses.
+      ASSERT_EQ(p.functions.size(), 1u);
+      if (std::string_view(shape.name) != "blocks") {
+        EXPECT_EQ(sink.diagnostics().size(), 1u) << sink.ToString();
+        ASSERT_EQ(p.functions[0].body.size(), 1u);
+        EXPECT_EQ(p.functions[0].body[0]->kind, Stmt::Kind::kReturn);
+      }
+    }
+  }
+}
+
+// The levels a left-leaning chain adds count at their depth in the
+// tree: a chain of groups, each a chain of a third of the bound, is
+// too deep although the parser itself nests only three groups deep.
+TEST(Parser, ChainsOfChainsCountTheirWholeHeight) {
+  std::string expr = "1";
+  for (int group = 0; group < 3; ++group) {
+    expr = "(" + expr + Repeat(" + 1", kMaxNesting / 3) + ")";
+  }
+  DiagnosticSink sink;
+  (void)Parse("func f(x) { x = " + expr + "; }", sink);
+  ASSERT_TRUE(sink.has_errors());
+  EXPECT_EQ(sink.diagnostics()[0].message,
+            "nested deeper than " + std::to_string(kMaxNesting) + " levels");
+}
+
+TEST(Parser, LongElseIfChainsAreBounded) {
+  const std::string chain = "if (x) { }" + Repeat(" else if (x) { }", 20000);
+  DiagnosticSink sink;
+  (void)Parse("func f(x) { " + chain + " return x; }", sink);
+  ASSERT_TRUE(sink.has_errors());
+  EXPECT_EQ(sink.diagnostics()[0].message,
+            "nested deeper than " + std::to_string(kMaxNesting) + " levels");
+  (void)ParseOk("func f(x) { if (x) { }" + Repeat(" else if (x) { }", 100) + " return x; }");
 }
 
 // Malformed inputs, parameterized.
