@@ -1,9 +1,10 @@
 #pragma once
 
 // Helpers shared by the pinned-fingerprint tests
-// (test_schedule_fingerprint, test_dfg_fingerprint): a 64-bit FNV-1a
+// (test_schedule_fingerprint, test_dfg_fingerprint,
+// test_utilization_fingerprint): a 64-bit FNV-1a
 // hash, the `name hex` fixture format under LOPASS_TEST_DATA_DIR, and
-// the generated straight-line blocks of about 3K operations both pin
+// the generated straight-line blocks of about 3K operations they pin
 // (test_analysis lints the same blocks).
 
 #include <gtest/gtest.h>

@@ -537,6 +537,42 @@ TEST(ScheduleCheck, ForgedResourceTypeIsL404) {
   EXPECT_TRUE(SinkHas(sink, "L404"));
 }
 
+// Four independent adds and two multiplies, scheduled by hand: the two
+// multiplies (latency 2, at steps 0 and 1) overlap in step 1, and the
+// adds collide pairwise in steps 2 and 3. Step order would report the
+// multiplier first; L402 reports one finding per type, in type order,
+// at that type's first oversubscribed step.
+TEST(ScheduleCheck, OversubscribedTypesAreL402InTypeOrder) {
+  sched::BlockDfg dfg;
+  const ir::Opcode ops[] = {ir::Opcode::kAdd, ir::Opcode::kAdd, ir::Opcode::kMul,
+                            ir::Opcode::kMul, ir::Opcode::kAdd, ir::Opcode::kAdd};
+  const std::uint32_t steps[] = {2, 2, 0, 1, 3, 3};
+  sched::BlockSchedule s;
+  const power::TechLibrary& lib = power::TechLibrary::Cmos6();
+  for (std::size_t n = 0; n < std::size(ops); ++n) {
+    dfg.nodes.emplace_back();
+    dfg.nodes[n].instr_index = n;
+    dfg.nodes[n].op = ops[n];
+    const power::ResourceType type = ops[n] == ir::Opcode::kMul
+                                         ? power::ResourceType::kMultiplier
+                                         : power::ResourceType::kAdder;
+    s.ops.push_back({n, steps[n], type, lib.spec(type).op_latency});
+  }
+  s.num_steps = 4;
+  sched::ResourceSet rs;
+  rs.name = "thin";
+  rs.set(power::ResourceType::kAdder, 1).set(power::ResourceType::kMultiplier, 1);
+  DiagnosticSink sink;
+  EXPECT_FALSE(sched::ValidateSchedule(dfg, s, rs, lib, sink, false, "block 0"));
+  std::vector<std::string> found;
+  for (const Diagnostic& d : sink.diagnostics()) found.push_back(d.code + " " + d.message);
+  EXPECT_EQ(found, (std::vector<std::string>{
+                       "L402 block 0: 2 concurrent adder ops in control step 2 but the "
+                       "resource set 'thin' provides 1",
+                       "L402 block 0: 2 concurrent multiplier ops in control step 1 but the "
+                       "resource set 'thin' provides 1"}));
+}
+
 // ---------------------------------------------------------------------
 // L5xx: structural netlist lint on a real datapath, then on sabotage.
 
