@@ -1,6 +1,7 @@
 #include "asic/utilization.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.h"
 
@@ -61,6 +62,15 @@ UtilizationResult ComputeUtilization(const std::vector<ScheduledBlock>& blocks,
     return r.instance_util[idx[static_cast<std::size_t>(inst)]];
   };
 
+  std::array<Cycles, power::kNumResourceTypes> latency{};
+  for (int t = 0; t < power::kNumResourceTypes; ++t) {
+    latency[static_cast<std::size_t>(t)] = lib.spec(static_cast<ResourceType>(t)).op_latency;
+  }
+  // Counting-sort buffers, reused across blocks: the first order slot
+  // of each control step, then the ops in (step, node) order.
+  std::vector<std::size_t> step_start;
+  std::vector<std::size_t> order;
+
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     const ScheduledBlock& sb = blocks[b];
     LOPASS_CHECK(sb.dfg != nullptr && sb.schedule != nullptr, "unscheduled block");
@@ -74,18 +84,27 @@ UtilizationResult ComputeUtilization(const std::vector<ScheduledBlock>& blocks,
     // Each block executes on the shared datapath with a fresh timeline.
     pool.ResetTimeline();
 
-    // Process ops in control-step order (stable by node index).
-    std::vector<std::size_t> order(sb.schedule->ops.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t c) {
-      if (sb.schedule->ops[a].step != sb.schedule->ops[c].step) {
-        return sb.schedule->ops[a].step < sb.schedule->ops[c].step;
+    // Process ops in control-step order, stable by node index: a
+    // counting sort over the schedule's steps.
+    const std::vector<sched::ScheduledOp>& ops = sb.schedule->ops;
+    const std::uint32_t num_steps = sb.schedule->num_steps;
+    step_start.assign(static_cast<std::size_t>(num_steps) + 1, 0);
+    for (std::size_t n = 0; n < ops.size(); ++n) {
+      if (ops[n].step >= num_steps) {
+        throw Error("block " + std::to_string(b) + ": node " + std::to_string(n) +
+                    " is scheduled at step " + std::to_string(ops[n].step) +
+                    ", past the schedule's " + std::to_string(num_steps) + " steps");
       }
-      return a < c;
-    });
+      ++step_start[ops[n].step + 1];
+    }
+    for (std::uint32_t s = 0; s < num_steps; ++s) step_start[s + 1] += step_start[s];
+    order.resize(ops.size());
+    for (std::size_t n = 0; n < ops.size(); ++n) {
+      order[step_start[ops[n].step]++] = n;
+    }
 
-    for (std::size_t n : order) {
-      const sched::ScheduledOp& op = sb.schedule->ops[n];
+    for (const std::size_t n : order) {
+      const sched::ScheduledOp& op = ops[n];
       const auto candidates = sched::CandidateResources(sb.dfg->nodes[n].op);
       LOPASS_CHECK(!candidates.empty(), "op without candidate resources in cluster");
 
@@ -114,7 +133,7 @@ UtilizationResult ComputeUtilization(const std::vector<ScheduledBlock>& blocks,
         chosen = alloc_type;
         inst = pool.Allocate(alloc_type);
       }
-      const Cycles lat = lib.spec(chosen).op_latency;
+      const Cycles lat = latency[static_cast<std::size_t>(chosen)];
       pool.Occupy(chosen, inst, op.step + static_cast<std::uint32_t>(lat));
 
       InstanceUtil& u = util_of(chosen, inst);

@@ -67,7 +67,8 @@ struct UtilizationResult {
 
 // Computes U_R^core and GEQ_RS for the scheduled cluster. `rs` is the
 // designer resource set used for the schedule (caps preferred
-// allocation). Throws on malformed inputs.
+// allocation). Throws Error on malformed inputs, such as an op
+// scheduled at or past its block's num_steps.
 UtilizationResult ComputeUtilization(const std::vector<ScheduledBlock>& blocks,
                                      const sched::ResourceSet& rs,
                                      const power::TechLibrary& lib);

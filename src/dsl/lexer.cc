@@ -50,7 +50,12 @@ constexpr auto kPunctuation = std::span(kSpellings).subspan(10);
 const char* TokKindName(TokKind k) {
   static const auto quoted = [] {
     std::array<std::string, std::size(kSpellings)> q;
-    for (std::size_t i = 0; i < q.size(); ++i) q[i] = "'" + std::string(kSpellings[i].text) + "'";
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      q[i].reserve(kSpellings[i].text.size() + 2);
+      q[i] += '\'';
+      q[i] += kSpellings[i].text;
+      q[i] += '\'';
+    }
     return q;
   }();
   switch (k) {

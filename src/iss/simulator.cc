@@ -160,7 +160,10 @@ Trace Simulator::Execute(const std::string& fn, std::span<const std::int64_t> ar
   if (!fid) throw Error("no function named '" + fn + "'");
   const isa::FuncInfo& entry_fn = program_.function(*fid);
   const ir::Function& entry_ir = module_.function(*fid);
-  LOPASS_CHECK(args.size() == entry_ir.params.size(), "argument count mismatch");
+  if (args.size() != entry_ir.params.size()) {
+    throw Error("function '" + fn + "' takes " + std::to_string(entry_ir.params.size()) +
+                " argument(s), " + std::to_string(args.size()) + " given");
+  }
   for (std::size_t i = 0; i < args.size(); ++i) {
     memory_[module_.symbol(entry_ir.params[i]).address / 4] = args[i];
   }

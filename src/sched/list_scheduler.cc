@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "common/error.h"
@@ -25,7 +27,19 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
     return sched;
   }
 
+  // The ready keys below hold a node index in 32 bits.
+  if (dfg.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw Error("block of " + std::to_string(dfg.size()) +
+                " operations is too large to list-schedule");
+  }
   const double period = lib.params().clock_period().seconds;
+  std::array<Cycles, power::kNumResourceTypes> latency;
+  std::array<double, power::kNumResourceTypes> min_cycle;
+  for (int t = 0; t < power::kNumResourceTypes; ++t) {
+    const power::ResourceSpec& spec = lib.spec(static_cast<ResourceType>(t));
+    latency[static_cast<std::size_t>(t)] = spec.op_latency;
+    min_cycle[static_cast<std::size_t>(t)] = spec.min_cycle_time.seconds;
+  }
 
   // busy_until[type] holds, per instance, the first step it is free.
   std::array<std::vector<std::uint32_t>, power::kNumResourceTypes> busy_until;
@@ -75,23 +89,20 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
     class_of[n] = static_cast<std::size_t>(c);
   }
 
-  // Priority key: depth (default) or negated mobility (least slack
-  // first).
-  std::vector<int> priority(dfg.size(), 0);
-  if (options.priority == SchedulerOptions::Priority::kMobility) {
-    const std::vector<std::uint32_t> mob = Mobility(dfg, lib);
-    for (std::size_t n = 0; n < dfg.size(); ++n) {
-      priority[n] = -static_cast<int>(mob[n]);
-    }
-  } else {
-    for (std::size_t n = 0; n < dfg.size(); ++n) priority[n] = dfg.nodes[n].depth;
+  // Ready key: the priority (depth by default, or negated mobility:
+  // least slack first), biased to unsigned, above the inverted node
+  // index. A larger key issues first: highest priority, ties by program
+  // order.
+  const bool by_mobility = options.priority == SchedulerOptions::Priority::kMobility;
+  const std::vector<std::uint32_t> mobility =
+      by_mobility ? Mobility(dfg, lib) : std::vector<std::uint32_t>{};
+  std::vector<std::uint64_t> key(dfg.size());
+  for (std::size_t n = 0; n < dfg.size(); ++n) {
+    const int priority = by_mobility ? -static_cast<int>(mobility[n]) : dfg.nodes[n].depth;
+    const std::uint32_t biased = static_cast<std::uint32_t>(priority) ^ 0x8000'0000u;
+    key[n] = std::uint64_t{biased} << 32 | ~static_cast<std::uint32_t>(n);
   }
-  // Highest priority first; ties by program order.
-  auto before = [&](std::size_t a, std::size_t b) {
-    if (priority[a] != priority[b]) return priority[a] > priority[b];
-    return a < b;
-  };
-  auto heap_order = [&](std::size_t a, std::size_t b) { return before(b, a); };
+  auto node_of = [](std::uint64_t k) -> std::size_t { return ~static_cast<std::uint32_t>(k); };
 
   // Combinational delay accumulated within an op's final control step
   // (for chaining).
@@ -117,11 +128,11 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
   };
 
   // Ready structures. `waiting` is a min-heap of (data-ready step,
-  // node); `ready[c]` is class c's heap of data-ready ops, best first;
+  // node); `ready[c]` is class c's max-heap of data-ready ops' keys;
   // `just_ready` lists, in order, the ops whose last predecessor was
   // placed in the current step.
   std::vector<std::pair<std::uint32_t, std::size_t>> waiting;
-  std::vector<std::vector<std::size_t>> ready(class_types.size());
+  std::vector<std::vector<std::uint64_t>> ready(class_types.size());
   std::vector<std::size_t> just_ready;
   std::vector<int> unscheduled_preds(dfg.size());
   for (std::size_t n = 0; n < dfg.size(); ++n) {
@@ -137,13 +148,14 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
   // has a free instance, and releases its successors. False if none.
   auto try_place = [&](std::size_t n, std::uint32_t step) -> bool {
     for (ResourceType t : class_types[class_of[n]]) {
-      const double delay_ok = admissible(n, step, lib.spec(t).min_cycle_time.seconds);
+      const double own_delay = min_cycle[static_cast<std::size_t>(t)];
+      const double delay_ok = admissible(n, step, own_delay);
       // Data not ready, or the chain would exceed the period with this
       // (slower) resource — a faster candidate might still fit.
       if (delay_ok < 0.0) continue;
       std::uint32_t* inst = free_instance(t, step);
       if (inst == nullptr) continue;
-      const Cycles lat = lib.spec(t).op_latency;
+      const Cycles lat = latency[static_cast<std::size_t>(t)];
       *inst = step + static_cast<std::uint32_t>(lat);
       ScheduledOp& so = sched.ops[n];
       so.node = n;
@@ -151,7 +163,7 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
       so.type = t;
       so.latency = lat;
       chain_delay[n] = delay_ok;
-      if (delay_ok > lib.spec(t).min_cycle_time.seconds) ++sched.chained_ops;
+      if (delay_ok > own_delay) ++sched.chained_ops;
       makespan = std::max(makespan, step + static_cast<std::uint32_t>(lat));
       --remaining;
       for (std::size_t s : dfg.nodes[n].succs) {
@@ -169,27 +181,28 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
                  "scheduling every op (resource set too small or cyclic DFG?)");
     while (!waiting.empty() && waiting.front().first <= step) {
       std::pop_heap(waiting.begin(), waiting.end(), std::greater<>());
-      auto& heap = ready[class_of[waiting.back().second]];
-      heap.push_back(waiting.back().second);
-      std::push_heap(heap.begin(), heap.end(), heap_order);
+      const std::size_t n = waiting.back().second;
+      auto& heap = ready[class_of[n]];
+      heap.push_back(key[n]);
+      std::push_heap(heap.begin(), heap.end());
       waiting.pop_back();
     }
 
     // Issue the best data-ready op among the classes with a free
     // instance of some candidate type, until no such class is left.
     for (;;) {
-      std::vector<std::size_t>* best = nullptr;
+      std::vector<std::uint64_t>* best = nullptr;
       for (std::size_t c = 0; c < ready.size(); ++c) {
         if (ready[c].empty()) continue;
-        if (best != nullptr && !before(ready[c].front(), best->front())) continue;
+        if (best != nullptr && ready[c].front() < best->front()) continue;
         const bool has_free = std::any_of(
             class_types[c].begin(), class_types[c].end(),
             [&](ResourceType t) { return free_instance(t, step) != nullptr; });
         if (has_free) best = &ready[c];
       }
       if (best == nullptr) break;
-      std::pop_heap(best->begin(), best->end(), heap_order);
-      const std::size_t n = best->back();
+      std::pop_heap(best->begin(), best->end());
+      const std::size_t n = node_of(best->back());
       best->pop_back();
       const bool placed = try_place(n, step);
       LOPASS_CHECK(placed, "a data-ready op found no free instance");

@@ -127,23 +127,28 @@ bool ValidateSchedule(const BlockDfg& dfg, const BlockSchedule& sched,
 
   // L402: per-type occupancy in every control step within the budget.
   // Chained ops still occupy their own instance (the scheduler reserves
-  // one per op), so plain interval counting matches its accounting.
-  for (int t = 0; t < power::kNumResourceTypes; ++t) {
-    const ResourceType type = static_cast<ResourceType>(t);
-    std::vector<int> occupancy(makespan, 0);
-    for (std::size_t n = 0; n < dfg.size(); ++n) {
-      const ScheduledOp& op = *by_node[n];
-      if (op.type != type || op.latency < 1) continue;
-      for (std::uint32_t s = op.step;
-           s < op.step + static_cast<std::uint32_t>(op.latency) && s < makespan; ++s) {
-        ++occupancy[s];
-      }
+  // one per op), so plain interval counting matches its accounting. One
+  // pass fills the [type x step] table; the scan then goes type by type.
+  constexpr auto kTypes = static_cast<std::size_t>(power::kNumResourceTypes);
+  std::vector<int> occupancy(kTypes * makespan, 0);
+  for (const ScheduledOp* op : by_node) {
+    const auto t = static_cast<std::size_t>(op->type);
+    // A type past the library's (L404 above) occupies no row.
+    if (op->latency < 1 || t >= kTypes) continue;
+    int* row = occupancy.data() + t * makespan;
+    for (std::uint32_t s = op->step;
+         s < op->step + static_cast<std::uint32_t>(op->latency) && s < makespan; ++s) {
+      ++row[s];
     }
+  }
+  for (std::size_t t = 0; t < kTypes; ++t) {
+    const ResourceType type = static_cast<ResourceType>(t);
+    const int* row = occupancy.data() + t * makespan;
     const int budget = rs.of(type);
     for (std::uint32_t s = 0; s < makespan; ++s) {
-      if (occupancy[s] > budget) {
+      if (row[s] > budget) {
         std::ostringstream os;
-        os << occupancy[s] << " concurrent " << power::ResourceTypeName(type)
+        os << row[s] << " concurrent " << power::ResourceTypeName(type)
            << " ops in control step " << s << " but the resource set '" << rs.name
            << "' provides " << budget;
         rep.Add("L402", os.str());

@@ -573,6 +573,26 @@ TEST(ScheduleCheck, OversubscribedTypesAreL402InTypeOrder) {
                        "resource set 'thin' provides 1"}));
 }
 
+// Fig. 4 binds ops in step order from buckets sized by num_steps: an op
+// at or past num_steps is a malformed input, an Error, never a bucket
+// array as long as the forged step.
+TEST(ScheduleCheck, ForgedStepFailsTheBinding) {
+  ScheduledFixture f = MakeSchedule();
+  const power::TechLibrary& lib = power::TechLibrary::Cmos6();
+  for (const std::uint32_t step : {f.sched.num_steps, 0xffff'fff0u}) {
+    sched::BlockSchedule broken = f.sched;
+    broken.ops.back().step = step;
+    const std::vector<asic::ScheduledBlock> blocks{{&f.dfg, &broken, 1}};
+    try {
+      asic::ComputeUtilization(blocks, f.rs, lib);
+      ADD_FAILURE() << "step " << step << " was bound";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("past the schedule's"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // L5xx: structural netlist lint on a real datapath, then on sabotage.
 
