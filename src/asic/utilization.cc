@@ -1,7 +1,6 @@
 #include "asic/utilization.h"
 
 #include <algorithm>
-#include <string>
 
 #include "common/error.h"
 
@@ -90,11 +89,7 @@ UtilizationResult ComputeUtilization(const std::vector<ScheduledBlock>& blocks,
     const std::uint32_t num_steps = sb.schedule->num_steps;
     step_start.assign(static_cast<std::size_t>(num_steps) + 1, 0);
     for (std::size_t n = 0; n < ops.size(); ++n) {
-      if (ops[n].step >= num_steps) {
-        throw Error("block " + std::to_string(b) + ": node " + std::to_string(n) +
-                    " is scheduled at step " + std::to_string(ops[n].step) +
-                    ", past the schedule's " + std::to_string(num_steps) + " steps");
-      }
+      LOPASS_CHECK(ops[n].step < num_steps, "op scheduled past the schedule's num_steps");
       ++step_start[ops[n].step + 1];
     }
     for (std::uint32_t s = 0; s < num_steps; ++s) step_start[s + 1] += step_start[s];

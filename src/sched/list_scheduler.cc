@@ -4,7 +4,6 @@
 #include <functional>
 #include <limits>
 #include <span>
-#include <string>
 #include <utility>
 
 #include "common/error.h"
@@ -27,11 +26,8 @@ BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
     return sched;
   }
 
-  // The ready keys below hold a node index in 32 bits.
-  if (dfg.size() > std::numeric_limits<std::uint32_t>::max()) {
-    throw Error("block of " + std::to_string(dfg.size()) +
-                " operations is too large to list-schedule");
-  }
+  LOPASS_CHECK(dfg.size() <= std::numeric_limits<std::uint32_t>::max(),
+               "the ready keys hold a node index in 32 bits");
   const double period = lib.params().clock_period().seconds;
   std::array<Cycles, power::kNumResourceTypes> latency;
   std::array<double, power::kNumResourceTypes> min_cycle;

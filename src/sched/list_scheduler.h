@@ -9,14 +9,16 @@
 // multi-cycle latencies.
 //
 // Each op's candidate list is computed once; ops with the same list
-// form a class with its own ready heap, keyed (priority desc, index
-// asc), and an op enters that heap at the step its predecessors'
-// results are registered. A step repeatedly issues the best head among
-// classes with a free instance; this equals a full scan of the sorted
-// ready list, because instances only get busier within a step, so an op
-// that cannot issue stays blocked for the rest of it. Under chaining,
-// the ops made ready within the step are then tried once each, in the
-// order they became ready, as the former same-step re-scan did.
+// form a class with its own ready heap, and an op enters that heap at
+// the step its predecessors' results are registered. A heap entry is
+// one uint64 key, the priority biased to unsigned above the inverted
+// node index, so a plain < orders (priority desc, index asc). A step
+// repeatedly issues the best head among classes with a free instance;
+// this equals a full scan of the sorted ready list, because instances
+// only get busier within a step, so an op that cannot issue stays
+// blocked for the rest of it. Under chaining, the ops made ready within
+// the step are then tried once each, in the order they became ready, as
+// the former same-step re-scan did.
 
 #include <cstdint>
 #include <vector>
@@ -59,7 +61,8 @@ struct SchedulerOptions {
 // Schedules one block DFG under the resource set. Throws Error if an
 // operation has no candidate resource (calls inside clusters must be
 // filtered out by the caller) or the resource set provides none of the
-// op's candidate types; the message names the lowest-index such op.
+// op's candidate types (the message names the lowest-index such op), or
+// the block has more than 2^32 - 1 nodes.
 BlockSchedule ListSchedule(const BlockDfg& dfg, const ResourceSet& rs,
                            const power::TechLibrary& lib,
                            const SchedulerOptions& options = SchedulerOptions{});
