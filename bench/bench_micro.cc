@@ -1,12 +1,15 @@
 // Infrastructure micro-benchmarks (google-benchmark): throughput of the
 // substrates the partitioner is built on — the instruction-set
-// simulator, the cache simulator, the block-DFG builder, the list
-// scheduler and the end-to-end partitioning flow.
+// simulator, the cache simulator, the block-DFG builder, the candidate
+// stage (list scheduler, L4xx re-check, Fig. 4 binding) and the
+// end-to-end partitioning flow.
 
 #include <benchmark/benchmark.h>
 
 #include "apps/app.h"
+#include "asic/utilization.h"
 #include "cache/cache_sim.h"
+#include "common/diag.h"
 #include "common/prng.h"
 #include "core/partitioner.h"
 #include "dsl/lower.h"
@@ -16,6 +19,7 @@
 #include "iss/simulator.h"
 #include "sched/dfg.h"
 #include "sched/list_scheduler.h"
+#include "sched/validate.h"
 
 namespace {
 
@@ -196,16 +200,18 @@ void BM_CacheSimFetchLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheSimFetchLoop);
 
-// Synthetic block: a long expression over array loads, `terms` terms
-// of about five DFG ops each. Returns its biggest block.
+// Synthetic block: a long sum over array loads, `terms` terms of about
+// five DFG ops each. The frontend bounds an operator chain at 256
+// levels, so the sum is split into statements of at most 128 terms.
+// Returns its biggest block.
 ir::BasicBlock LongExpressionBlock(std::int64_t terms) {
-  std::string expr = "a";
+  std::string body = "  var s;\n  s = a";
   for (int i = 0; i < terms; ++i) {
-    expr = "(" + expr + " + m[(a + " + std::to_string(i) + ") & 255] * " +
-           std::to_string(i % 9 + 1) + ")";
+    if (i > 0 && i % 128 == 0) body += ";\n  s = s";
+    body += " + m[(a + " + std::to_string(i) + ") & 255] * " + std::to_string(i % 9 + 1);
   }
   const dsl::LoweredProgram p =
-      dsl::Compile("array m[256];\nfunc main(a) { return " + expr + "; }");
+      dsl::Compile("array m[256];\nfunc main(a) {\n" + body + ";\n  return s;\n}\n");
   ir::BasicBlock biggest;
   for (const ir::BasicBlock& b : p.module.function(0).blocks) {
     if (b.instrs.size() > biggest.instrs.size()) biggest = b;
@@ -225,8 +231,22 @@ void BM_BuildBlockDfg(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildBlockDfg)->Arg(16)->Arg(64)->Arg(256)->Arg(820);
 
+// The candidate-stage benchmarks' block: LongExpressionBlock(terms),
+// or for terms 0 the loop body of BigBlockSource(750), about 3K ops
+// (the shape of flowbench's partition-bigblock).
+sched::BlockDfg CandidateDfg(std::int64_t terms) {
+  if (terms > 0) return sched::BuildBlockDfg(LongExpressionBlock(terms));
+  const dsl::LoweredProgram p = dsl::Compile(BigBlockSource(750));
+  sched::BlockDfg biggest;
+  for (const ir::BasicBlock& b : p.module.function(0).blocks) {
+    sched::BlockDfg g = sched::BuildBlockDfg(b);
+    if (g.size() > biggest.size()) biggest = std::move(g);
+  }
+  return biggest;
+}
+
 void BM_ListSchedulerScaling(benchmark::State& state) {
-  const sched::BlockDfg dfg = sched::BuildBlockDfg(LongExpressionBlock(state.range(0)));
+  const sched::BlockDfg dfg = CandidateDfg(state.range(0));
   const auto sets = sched::DefaultDesignerSets();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -234,7 +254,35 @@ void BM_ListSchedulerScaling(benchmark::State& state) {
   }
   state.counters["ops"] = static_cast<double>(dfg.size());
 }
-BENCHMARK(BM_ListSchedulerScaling)->Arg(16)->Arg(64)->Arg(256)->Arg(820);
+BENCHMARK(BM_ListSchedulerScaling)->Arg(16)->Arg(64)->Arg(256)->Arg(820)->Arg(0);
+
+// Fig. 4 binding of one list-scheduled block.
+void BM_ComputeUtilization(benchmark::State& state) {
+  const sched::BlockDfg dfg = CandidateDfg(state.range(0));
+  const sched::ResourceSet rs = sched::DefaultDesignerSets()[1];
+  const power::TechLibrary& lib = power::TechLibrary::Cmos6();
+  const sched::BlockSchedule schedule = sched::ListSchedule(dfg, rs, lib);
+  const std::vector<asic::ScheduledBlock> blocks{{&dfg, &schedule, 1}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(asic::ComputeUtilization(blocks, rs, lib).geq);
+  }
+  state.counters["ops"] = static_cast<double>(dfg.size());
+}
+BENCHMARK(BM_ComputeUtilization)->Arg(16)->Arg(64)->Arg(256)->Arg(820)->Arg(0);
+
+// The L4xx re-check of one list-scheduled block (it finds nothing).
+void BM_ValidateSchedule(benchmark::State& state) {
+  const sched::BlockDfg dfg = CandidateDfg(state.range(0));
+  const sched::ResourceSet rs = sched::DefaultDesignerSets()[1];
+  const power::TechLibrary& lib = power::TechLibrary::Cmos6();
+  const sched::BlockSchedule schedule = sched::ListSchedule(dfg, rs, lib);
+  for (auto _ : state) {
+    DiagnosticSink sink;
+    benchmark::DoNotOptimize(sched::ValidateSchedule(dfg, schedule, rs, lib, sink));
+  }
+  state.counters["ops"] = static_cast<double>(dfg.size());
+}
+BENCHMARK(BM_ValidateSchedule)->Arg(16)->Arg(64)->Arg(256)->Arg(820)->Arg(0);
 
 void BM_PartitionerEndToEnd(benchmark::State& state) {
   const apps::Application app = apps::GetApplication("3d");
