@@ -48,7 +48,7 @@ ModuleRefs CollectRefs(const ir::Module& m) {
             note(refs.first_write, in.sym, in.line);
             break;
           case Opcode::kCall: {
-            const auto callee = m.FindFunction(m.symbol(in.sym).name);
+            const auto callee = ir::CalleeOf(m, in);
             if (callee) ++refs.call_sites[*callee];
             break;
           }
@@ -251,7 +251,7 @@ void LintDeadStores(const ir::Module& m, const ir::Function& f,
         case Opcode::kCall: {
           // The callee may read anything in its use closure; kill
           // nothing (its writes are conditional from here).
-          const auto callee = m.FindFunction(m.symbol(in.sym).name);
+          const auto callee = ir::CalleeOf(m, in);
           if (callee) {
             const auto& use = summaries.Of(*callee).use;
             live.insert(use.begin(), use.end());

@@ -125,11 +125,16 @@ LintReport LintProgram(std::string_view source, const AnalysisManager& manager,
   if (!compiled.ok()) return finish();
 
   const dsl::LoweredProgram& prog = compiled.value();
+  // Every later lint names the entry: without one, none of them runs.
+  try {
+    prog.module.EntryFunction(options.entry);
+  } catch (const Error& e) {
+    sink.AddError("analysis.pipeline", e.what());
+    return finish();
+  }
   RunDataflowLints(prog.module, options.entry, sink);
 
-  if (options.partition_checks && prog.module.FindFunction(options.entry)) {
-    DrivePartitionChecks(prog, options.entry, sink);
-  }
+  if (options.partition_checks) DrivePartitionChecks(prog, options.entry, sink);
   return finish();
 }
 

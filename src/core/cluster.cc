@@ -20,7 +20,7 @@ std::unordered_map<ir::FunctionId, int> CountCallSites(const ir::Module& m) {
     for (const ir::BasicBlock& b : f.blocks) {
       for (const ir::Instr& in : b.instrs) {
         if (in.op == Opcode::kCall) {
-          const auto callee = m.FindFunction(m.symbol(in.sym).name);
+          const auto callee = ir::CalleeOf(m, in);
           LOPASS_CHECK(callee.has_value(), "unresolved call");
           ++sites[*callee];
         }
@@ -40,7 +40,7 @@ void CollectFunctionBlocks(const ir::Module& m, ir::FunctionId fn,
     out.emplace_back(fn, b.id);
     for (const ir::Instr& in : b.instrs) {
       if (in.op == Opcode::kCall) {
-        const auto callee = m.FindFunction(m.symbol(in.sym).name);
+        const auto callee = ir::CalleeOf(m, in);
         if (callee) CollectFunctionBlocks(m, *callee, visited, out);
       }
     }
@@ -69,7 +69,7 @@ std::optional<ir::FunctionId> SingleCalleeOf(
       if (in.op != Opcode::kCall) continue;
       ++calls;
       if (calls > 1) return std::nullopt;
-      const auto c = m.FindFunction(m.symbol(in.sym).name);
+      const auto c = ir::CalleeOf(m, in);
       LOPASS_CHECK(c.has_value(), "unresolved call");
       callee = *c;
     }
@@ -92,13 +92,12 @@ const Cluster& ClusterChain::at_chain_pos(int pos) const {
 ClusterChain DecomposeIntoClusters(const ir::Module& module, const ir::RegionTree& regions,
                                    const std::string& entry) {
   fault::MaybeInject("alloc");
-  const auto entry_fn = module.FindFunction(entry);
-  if (!entry_fn) throw Error("no entry function named '" + entry + "'");
+  const ir::FunctionId entry_fn = module.EntryFunction(entry);
 
   const auto call_sites = CountCallSites(module);
   ClusterChain chain;
 
-  const ir::RegionId root = regions.function_root(*entry_fn);
+  const ir::RegionId root = regions.function_root(entry_fn);
   const ir::RegionNode& root_node = regions.node(root);
 
   // Chain members: the entry function's top-level regions in order.
@@ -135,7 +134,7 @@ ClusterChain DecomposeIntoClusters(const ir::Module& module, const ir::RegionTre
   for (ir::RegionId child : root_node.children) {
     const ir::RegionNode& n = regions.node(child);
     std::vector<BlockRef> blocks;
-    for (ir::BlockId b : regions.CoveredBlocks(child)) blocks.emplace_back(*entry_fn, b);
+    for (ir::BlockId b : regions.CoveredBlocks(child)) blocks.emplace_back(entry_fn, b);
     if (blocks.empty()) continue;
     if (n.kind == ir::RegionKind::kLeaf && !has_real_ops(blocks)) continue;
     add_chain_cluster(child, n.kind, n.label, std::move(blocks));
@@ -144,7 +143,7 @@ ClusterChain DecomposeIntoClusters(const ir::Module& module, const ir::RegionTre
   // output, but programmatic IR may differ), append them as one leaf.
   if (!root_node.blocks.empty()) {
     std::vector<BlockRef> blocks;
-    for (ir::BlockId b : root_node.blocks) blocks.emplace_back(*entry_fn, b);
+    for (ir::BlockId b : root_node.blocks) blocks.emplace_back(entry_fn, b);
     add_chain_cluster(root, ir::RegionKind::kLeaf, "root-blocks", std::move(blocks));
   }
   chain.chain_length = static_cast<int>(chain.clusters.size());

@@ -30,7 +30,7 @@ void FunctionSummaries::Add(const ir::Instr& in, GenUse& gu, bool include_calls)
       break;
     case Opcode::kCall: {
       if (!include_calls) break;
-      const auto callee = module_.FindFunction(module_.symbol(in.sym).name);
+      const auto callee = ir::CalleeOf(module_, in);
       LOPASS_CHECK(callee.has_value(), "unresolved call");
       const GenUse& cs = Of(*callee);
       gu.gen.insert(cs.gen.begin(), cs.gen.end());

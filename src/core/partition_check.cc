@@ -42,7 +42,7 @@ GenUse RecomputeGenUse(const ir::Module& m, const std::vector<BlockRef>& blocks)
           gu.gen.insert(in.sym);
           break;
         case Opcode::kCall: {
-          const auto callee = m.FindFunction(m.symbol(in.sym).name);
+          const auto callee = ir::CalleeOf(m, in);
           if (callee && enqueued.insert(*callee).second) worklist.push_back(*callee);
           break;
         }

@@ -346,7 +346,7 @@ std::shared_ptr<AppBaseline> Partitioner::BuildBaseline(const Workload& workload
   // baseline is still a valid answer — Run records the failure and
   // returns it.
   try {
-    b->chain = DecomposeIntoClusters(module_, regions_, options_.entry);
+    b->chain = DecomposeIntoClusters(module_, regions_, b->workload.entry);
   } catch (const Error& e) {
     b->decomposition_error = e.what();
     return b;

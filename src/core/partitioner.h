@@ -55,6 +55,9 @@ namespace lopass::core {
 enum class Strategy { kLowPower, kPerformance };
 
 struct PartitionOptions {
+  // The flow decomposes and runs Workload::entry; only flowbench's
+  // stage-by-stage replay reads this. It goes with that replay, as
+  // max_interp_steps does.
   std::string entry = "main";
   Strategy strategy = Strategy::kLowPower;
   // N_max^c: number of clusters surviving pre-selection (Fig. 1 line 5).

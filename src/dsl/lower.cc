@@ -294,6 +294,8 @@ class Lowerer {
     // The for-init belongs to the loop construct: it runs in a leading
     // block owned by the loop region, so a for-loop cluster is fully
     // self-contained (its counter is generated inside the cluster).
+    // Init and step lower like any statement: with their leaf open and
+    // the block unterminated, LowerStmt adds them to that leaf.
     if (is_for && s.init) {
       const BlockId init_bb = fb_->NewBlock();
       fb_->EmitBr(init_bb);
@@ -303,7 +305,7 @@ class Lowerer {
       regions_.AddBlock(init_leaf, init_bb);
       open_leaf_ = init_leaf;
       terminated_ = false;
-      LowerStepOnly(*s.init);
+      LowerStmt(*s.init);
     }
 
     const BlockId cond_bb = fb_->NewBlock();
@@ -349,7 +351,7 @@ class Lowerer {
       regions_.AddBlock(step_leaf, step_bb);
       open_leaf_ = step_leaf;
       cur_seq_ = loop_region;
-      LowerStepOnly(*s.step);
+      LowerStmt(*s.step);
     }
     if (!terminated_) fb_->EmitBr(cond_bb);
 
@@ -361,35 +363,6 @@ class Lowerer {
     fb_->SetBlock(exit_bb);
     open_leaf_ = ir::kNoRegion;
     terminated_ = false;
-  }
-
-  // Lowers a for-step simple statement without opening a new leaf.
-  void LowerStepOnly(const Stmt& s) {
-    if (s.line > 0) fb_->SetLine(s.line);
-    switch (s.kind) {
-      case Stmt::Kind::kVarDecl: {
-        if (locals_.count(s.name)) SemErr(s.line, "redeclaration of '" + s.name + "'");
-        const SymbolId id = mod_.AddScalar(s.name, cur_fn_);
-        mod_.symbol_mutable(id).decl_line = s.line;
-        locals_[s.name] = id;
-        if (s.value) fb_->EmitWriteVar(id, LowerExpr(*s.value));
-        break;
-      }
-      case Stmt::Kind::kAssign: {
-        const SymbolId id = LookupVar(s.name, s.line);
-        fb_->EmitWriteVar(id, LowerExpr(*s.value));
-        break;
-      }
-      case Stmt::Kind::kStore: {
-        const SymbolId id = LookupVar(s.name, s.line);
-        const Operand idx = LowerExpr(*s.index);
-        const Operand val = LowerExpr(*s.value);
-        fb_->EmitStoreElem(id, idx, val);
-        break;
-      }
-      default:
-        SemErr(s.line, "unsupported statement in for-step");
-    }
   }
 
   Operand Normalize01(Operand a) {

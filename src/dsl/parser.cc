@@ -62,8 +62,13 @@ class Parser {
     return false;
   }
 
-  [[noreturn]] void Fail(const std::string& msg) const {
+  // Records a syntax error at the current token.
+  void Report(const std::string& msg) const {
     sink_.AddError("parse.syntax", msg, SourceLoc{Cur().line, Cur().col});
+  }
+
+  [[noreturn]] void Fail(const std::string& msg) const {
+    Report(msg);
     throw ParseAbort{};
   }
 
@@ -196,7 +201,8 @@ class Parser {
     return s;
   }
 
-  // A "simple" statement usable in for-init/for-step (no trailing ';').
+  // A `simple` of the grammar, without its ';': a for-init, a for-step
+  // or an assignment or store statement.
   StmtPtr ParseSimple() {
     auto s = MakeStmt(Stmt::Kind::kVarDecl);
     if (Accept(TokKind::kVar)) {
@@ -256,6 +262,12 @@ class Parser {
       Eat(TokKind::kSemi);
       if (!At(TokKind::kSemi)) s->cond = ParseExpr();
       Eat(TokKind::kSemi);
+      // The unroller copies the step into the body, so it cannot declare.
+      // The rest parses as an assignment: the error stays the only one.
+      if (At(TokKind::kVar)) {
+        Report("a for-step cannot declare a variable");
+        ++pos_;
+      }
       if (!At(TokKind::kRParen)) s->step = ParseSimple();
       Eat(TokKind::kRParen);
       s->body = ParseBlock();

@@ -11,15 +11,14 @@
 //   block     := "{" stmt* "}"
 //   stmt      := "var" ident ("=" expr)? ";"
 //              | "array" ident "[" int "]" ";"
-//              | ident "=" expr ";"
-//              | ident "[" expr "]" "=" expr ";"
+//              | step ";"
 //              | "if" "(" expr ")" block ["else" (block | ifstmt)]
 //              | "while" "(" expr ")" block
-//              | "for" "(" [simple] ";" [expr] ";" [simple] ")" block
+//              | "for" "(" [simple] ";" [expr] ";" [step] ")" block
 //              | "return" [expr] ";" | "break" ";" | "continue" ";"
 //              | expr ";"
-//   simple    := "var" ident "=" expr | ident "=" expr
-//              | ident "[" expr "]" "=" expr
+//   simple    := "var" ident "=" expr | step
+//   step      := ident "=" expr | ident "[" expr "]" "=" expr
 //   expr      := unary {binop unary}
 //   unary     := ("-" | "~" | "!" | "+") unary | primary
 //   primary   := int | ident | ident "[" expr "]"

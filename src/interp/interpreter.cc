@@ -89,13 +89,12 @@ std::int64_t Interpreter::GetScalar(const std::string& name) const {
 
 RunResult Interpreter::Run(const std::string& fn, std::span<const std::int64_t> args,
                            std::uint64_t max_steps) {
-  const auto fid = module_.FindFunction(fn);
-  if (!fid) throw Error("no function named '" + fn + "'");
+  const ir::FunctionId fid = module_.EntryFunction(fn);
   step_limit_ = max_steps;
   steps_ = 0;
   call_depth_ = 0;
   RunResult r;
-  r.return_value = Exec(module_.function(*fid), args);
+  r.return_value = Exec(module_.function(fid), args);
   r.steps = steps_;
   return r;
 }
@@ -165,8 +164,7 @@ std::int64_t Interpreter::Exec(const ir::Function& fn, std::span<const std::int6
           break;
         }
         case Opcode::kCall: {
-          const Symbol& s = module_.symbol(in.sym);
-          const auto callee = module_.FindFunction(s.name);
+          const auto callee = ir::CalleeOf(module_, in);
           LOPASS_CHECK(callee.has_value(), "call target missing");
           std::vector<std::int64_t> call_args;
           call_args.reserve(in.args.size());

@@ -114,6 +114,20 @@ std::optional<FunctionId> Module::FindFunction(const std::string& name) const {
   return std::nullopt;
 }
 
+FunctionId Module::EntryFunction(const std::string& name) const {
+  const auto fid = FindFunction(name);
+  if (!fid) throw Error("no function named '" + name + "'");
+  return *fid;
+}
+
+std::optional<FunctionId> CalleeOf(const Module& m, const Instr& call) {
+  if (call.sym < 0 || static_cast<std::size_t>(call.sym) >= m.num_symbols() ||
+      m.symbol(call.sym).kind != SymbolKind::kFunction) {
+    return std::nullopt;
+  }
+  return m.FindFunction(m.symbol(call.sym).name);
+}
+
 std::size_t Module::num_ops() const {
   std::size_t n = 0;
   for (const Function& f : functions_) {

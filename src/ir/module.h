@@ -129,6 +129,10 @@ class Module {
   Function& function(FunctionId id);
   const Function& function(FunctionId id) const;
   std::optional<FunctionId> FindFunction(const std::string& name) const;
+  // The function a run starts at. Throws a user Error when the module
+  // has no function `name`: every entry lookup of the flow, the
+  // simulators and lint resolves here.
+  FunctionId EntryFunction(const std::string& name) const;
   std::size_t num_functions() const { return functions_.size(); }
   const std::vector<Function>& functions() const { return functions_; }
   std::vector<Function>& functions_mutable() { return functions_; }
@@ -142,6 +146,10 @@ class Module {
   std::uint32_t data_size_ = 0;
   bool addresses_assigned_ = false;
 };
+
+// The function a call instruction resolves to, or nothing when its
+// symbol is not a function of the module (an L110 finding).
+std::optional<FunctionId> CalleeOf(const Module& m, const Instr& call);
 
 // Convenience builder for constructing functions programmatically (the
 // DSL frontend uses it too). Keeps track of the current block.

@@ -39,14 +39,6 @@ bool ValidSymbol(const Module& m, SymbolId sym) {
   return sym >= 0 && static_cast<std::size_t>(sym) < m.num_symbols();
 }
 
-// The function a call resolves to, or nothing (an L110 finding).
-std::optional<FunctionId> CalleeOf(const Module& m, const Instr& in) {
-  if (!ValidSymbol(m, in.sym) || m.symbol(in.sym).kind != SymbolKind::kFunction) {
-    return std::nullopt;
-  }
-  return m.FindFunction(m.symbol(in.sym).name);
-}
-
 void VerifyFunction(const Module& m, const Function& f, Reporter& rep) {
   if (f.blocks.empty()) {
     rep.AddFn("L101", "function '" + f.name + "' has no blocks");
@@ -119,7 +111,7 @@ void VerifyFunction(const Module& m, const Function& f, Reporter& rep) {
             rep.Add("L110", f, b.id, i, in.line, "call needs a function symbol");
             break;
           }
-          const auto callee = m.FindFunction(m.symbol(in.sym).name);
+          const auto callee = CalleeOf(m, in);
           if (!callee) {
             rep.Add("L110", f, b.id, i, in.line, "call target has no body");
             break;

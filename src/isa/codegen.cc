@@ -392,7 +392,7 @@ class FuncCodegen {
       }
       case Opcode::kCall: {
         // Write arguments into the callee's parameter slots.
-        const auto callee_id = mod_.FindFunction(mod_.symbol(in.sym).name);
+        const auto callee_id = ir::CalleeOf(mod_, in);
         LOPASS_CHECK(callee_id.has_value(), "call target missing");
         const ir::Function& callee = mod_.function(*callee_id);
         for (std::size_t a = 0; a < in.args.size(); ++a) {

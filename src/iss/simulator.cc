@@ -156,10 +156,9 @@ class TraceRecorder {
 
 Trace Simulator::Execute(const std::string& fn, std::span<const std::int64_t> args,
                          std::uint64_t max_instrs) {
-  const auto fid = module_.FindFunction(fn);
-  if (!fid) throw Error("no function named '" + fn + "'");
-  const isa::FuncInfo& entry_fn = program_.function(*fid);
-  const ir::Function& entry_ir = module_.function(*fid);
+  const ir::FunctionId fid = module_.EntryFunction(fn);
+  const isa::FuncInfo& entry_fn = program_.function(fid);
+  const ir::Function& entry_ir = module_.function(fid);
   if (args.size() != entry_ir.params.size()) {
     throw Error("function '" + fn + "' takes " + std::to_string(entry_ir.params.size()) +
                 " argument(s), " + std::to_string(args.size()) + " given");

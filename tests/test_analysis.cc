@@ -151,6 +151,19 @@ TEST(LintCorpus, SyntaxErrorSurfacesAsError) {
   EXPECT_FALSE(r.clean());
 }
 
+// A missing entry is the run's own error, and no lint that names the
+// entry (L206 would call `main` uncalled) runs without one.
+TEST(LintCorpus, MissingEntryIsTheOnlyFinding) {
+  analysis::LintOptions options;
+  options.entry = "nope";
+  const analysis::LintReport r =
+      analysis::LintProgram("func main() { return 0; }", {}, options);
+  ASSERT_EQ(r.diagnostics.size(), 1u);
+  EXPECT_EQ(r.diagnostics[0].code, "analysis.pipeline");
+  EXPECT_EQ(r.diagnostics[0].message, "no function named 'nope'");
+  EXPECT_EQ(r.errors, 1u);
+}
+
 // ---------------------------------------------------------------------
 // Diagnostic policy: suppression and promotion, exact and by class.
 

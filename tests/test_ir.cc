@@ -49,6 +49,30 @@ TEST(IrModule, SymbolTable) {
   EXPECT_THROW(m.AddArray("zero", 0), Error);
 }
 
+TEST(IrModule, EntryFunctionIsAFunctionOrAUserError) {
+  const Module m = MakeMinimalModule();
+  EXPECT_EQ(m.EntryFunction("main"), *m.FindFunction("main"));
+  try {
+    (void)m.EntryFunction("nope");
+    FAIL() << "no error for a missing entry";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "no function named 'nope'");
+  }
+}
+
+TEST(IrModule, CalleeOfResolvesOnlyFunctionSymbols) {
+  Module m = MakeMinimalModule();
+  const FunctionId main_fn = *m.FindFunction("main");
+  Instr call;
+  call.op = Opcode::kCall;
+  call.sym = m.function(main_fn).symbol;
+  EXPECT_EQ(CalleeOf(m, call), main_fn);
+  call.sym = m.AddScalar("g");
+  EXPECT_FALSE(CalleeOf(m, call).has_value());
+  call.sym = 999;  // out of range
+  EXPECT_FALSE(CalleeOf(m, call).has_value());
+}
+
 TEST(IrModule, LocalSymbolsShadowGlobals) {
   Module m;
   const SymbolId g = m.AddScalar("x");

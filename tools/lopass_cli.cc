@@ -256,7 +256,6 @@ int RunLint(int argc, char** argv) {
     try {
       const apps::Application app = apps::GetApplication(app_name);
       source = app.dsl_source;
-      options.entry = app.options.entry;
       display = "app:" + app.name;
     } catch (const Error& e) {
       Usage(e.what());
@@ -395,8 +394,7 @@ int main(int argc, char** argv) {
     UnknownVerb(path);
   }
 
-  std::string entry = "main";
-  std::vector<std::int64_t> args;
+  core::Workload workload;
   std::vector<ScalarSet> sets;
   std::vector<core::FillSpec> fills;
   bool optimize = false, csv = false, dump_ir = false, dump_asm = false;
@@ -411,10 +409,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (a == "--entry") {
-      entry = next();
-      options.entry = entry;
+      workload.entry = next();
     } else if (a == "--arg") {
-      args.push_back(ParseIntArg(next(), "--arg"));
+      workload.args.push_back(ParseIntArg(next(), "--arg"));
     } else if (a == "--set") {
       const std::string spec = next();
       const auto eq = spec.find('=');
@@ -487,9 +484,6 @@ int main(int argc, char** argv) {
       std::printf("%s\n", isa::ToString(isa::Generate(program.module)).c_str());
     }
 
-    core::Workload workload;
-    workload.entry = entry;
-    workload.args = args;
     workload.setup = [&sets, &fills](core::DataTarget& t) {
       for (const ScalarSet& s : sets) t.SetScalar(s.name, s.value);
       for (const core::FillSpec& f : fills) t.FillArray(f.name, f.values);
